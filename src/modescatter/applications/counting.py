@@ -191,7 +191,12 @@ def _bandwidth(
     eta_plus: float,
     n_plus: float,
 ) -> float:
-    """Trapezoid value of the overlap integral, with a grid-halving check."""
+    """Trapezoid value of the overlap integral, with a grid-halving check.
+
+    The halved grid keeps every other point; on an even-length grid it
+    ends one point short, so it is compared with the full-grid value over
+    that same span.
+    """
     if omegas.size < 3:
         raise QuadratureError(
             "counting bandwidth needs at least 3 grid points to verify "
@@ -199,12 +204,14 @@ def _bandwidth(
         )
     integrand = (eta / eta_plus) * (noise / n_plus)
     full = float(np.trapezoid(integrand, omegas)) / _TWO_PI
-    half = float(np.trapezoid(integrand[::2], omegas[::2])) / _TWO_PI
-    scale = max(abs(full), np.finfo(float).tiny)
-    if abs(full - half) / scale > CONVERGENCE_TOL:
+    span = omegas.size if omegas.size % 2 else omegas.size - 1
+    same_span = float(np.trapezoid(integrand[:span], omegas[:span])) / _TWO_PI
+    half = float(np.trapezoid(integrand[:span:2], omegas[:span:2])) / _TWO_PI
+    scale = max(abs(same_span), np.finfo(float).tiny)
+    if abs(same_span - half) / scale > CONVERGENCE_TOL:
         raise QuadratureError(
             "counting bandwidth quadrature has not converged: value "
-            f"{full:.6e} changes by {abs(full - half) / scale:.2e} "
+            f"{same_span:.6e} changes by {abs(same_span - half) / scale:.2e} "
             "relative under grid halving; refine or extend the sweep"
         )
     return full

@@ -77,6 +77,7 @@ from .scattering import (
     sum_rule_residual,
     symplectic_residual,
     transfer_pair,
+    transfer_row,
 )
 
 _CSV_HEADER = (
@@ -704,12 +705,8 @@ def _scattering_checks(
             np.max(np.abs(s_dn.matrix - np.conj(s_up.matrix)[np.ix_(swap, swap)]))
         )
         worst["particle_hole"] = max(worst["particle_hole"], mismatch)
-        try:
-            up, dn = transfer_pair(dyn, float(omega))
-        except ModeScatterError:
-            continue
-        for row in (up, dn):
-            resid = sum_rule_residual(row)
+        for s in (s_up, s_dn):
+            resid = sum_rule_residual(transfer_row(s))
             if math.isfinite(resid):
                 worst["sum_rule"] = max(worst["sum_rule"], abs(resid))
     worst["skipped"] = float(skipped)

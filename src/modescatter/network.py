@@ -29,7 +29,12 @@ from typing import Literal, Mapping
 import numpy as np
 from numpy.typing import NDArray
 
-from .errors import ConfigurationError, ModelUnstableError, ModelValidationError
+from .errors import (
+    ConfigurationError,
+    ModelUnstableError,
+    ModelValidationError,
+    NumericalError,
+)
 
 Frame = Literal["rotating", "lab-quadrature"]
 CouplingForm = Literal["beam-splitter", "two-mode-squeezing", "quadrature-position"]
@@ -719,4 +724,4 @@ def random_stable_model(
         except ModelUnstableError:
             continue
         return model
-    raise RuntimeError("failed to draw a stable model in 60 attempts")
+    raise NumericalError("failed to draw a stable model in 60 attempts")

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Literal, Mapping
+from typing import Literal, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -38,8 +38,15 @@ from .errors import (
 )
 from .network import DoubledDynamics, PortInfo
 
-#: Condition-number threshold above which the resolvent is treated as singular.
+#: Threshold on the 2-norm condition number of the resolvent ``i*omega + M``
+#: above which a point is treated as singular. The exact 2-norm condition
+#: (an SVD) is computed only where the exact 1-norm condition, which the
+#: solve gives for free, cannot rule it out: ``cond_2 <= d * cond_1``.
 CONDITION_LIMIT = 1.0e12
+
+#: Signed frequencies per resolvent block: keeps the resolvent, solution
+#: and S stacks cache-resident and their size independent of the grid.
+_BLOCK = 1024
 
 #: Occupancies below this argument use 1/expm1; above, the exp(-x) tail.
 _EXPM1_CUTOFF = 700.0
@@ -220,26 +227,59 @@ class SpectrumGrid:
     failures: list[SweepFailure] = field(default_factory=list)
 
 
+def _solve_block(
+    dyn: DoubledDynamics, omegas: NDArray[np.float64]
+) -> tuple[NDArray[np.complex128], NDArray[np.bool_], NDArray[np.float64]]:
+    """Solve ``(i*omega + M) X = G`` at each signed frequency of a block.
+
+    Returns ``(x, good, cond)``. ``good`` is False where the 2-norm
+    condition of the resolvent exceeds ``CONDITION_LIMIT`` or is not
+    finite; ``x`` is meaningless there. ``cond`` is that 2-norm condition
+    wherever it may exceed half the limit, and an upper bound below half
+    the limit elsewhere.
+
+    One solve against ``[G | 1]`` gives ``A^-1 G`` and ``A^-1`` from the
+    same factorization, hence the exact 1-norm condition; since
+    ``cond_2 <= d * cond_1``, only points where that bound reaches half
+    the limit (or is not finite) need the exact 2-norm condition, an SVD.
+    A block holding an exactly singular resolvent is screened by SVD first.
+    """
+    dim, cols = dyn.in_coupling.shape
+    eye = np.eye(dim)
+    a = 1j * omegas[:, None, None] * eye + dyn.dyn_matrix
+    try:
+        sol = np.linalg.solve(a, np.concatenate([dyn.in_coupling, eye], axis=1))
+    except np.linalg.LinAlgError:
+        cond = np.linalg.cond(a)
+        good = cond <= CONDITION_LIMIT
+        x = np.full((a.shape[0], dim, cols), np.nan, dtype=np.complex128)
+        x[good] = np.linalg.solve(a[good], dyn.in_coupling)
+        return x, good, cond
+    # Column sums of |A| and of |A^-1|, side by side.
+    col = np.abs(np.concatenate([a, sol[:, :, cols:]], axis=2)).sum(axis=1)
+    cond = dim * col[:, :dim].max(axis=1) * col[:, dim:].max(axis=1)
+    flagged = ~(cond <= 0.5 * CONDITION_LIMIT)
+    if flagged.any():
+        cond[flagged] = np.linalg.cond(a[flagged])
+    return sol[:, :, :cols], cond <= CONDITION_LIMIT, cond
+
+
 def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
     """Evaluate S at one signed sideband frequency.
 
     Solves the resolvent through a pivoted factorization and rejects
-    numerically singular points (2-norm condition estimate above
-    ``CONDITION_LIMIT``) with a :class:`NearSingularError` naming the
-    frequency.
+    numerically singular points (2-norm condition above
+    ``CONDITION_LIMIT``, screened by the exact 1-norm condition) with a
+    :class:`NearSingularError` naming the frequency.
     """
-    dim = dyn.dimension
-    a = 1j * omega * np.eye(dim, dtype=np.complex128) + dyn.dyn_matrix
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond = float(np.linalg.cond(a))
-    if not math.isfinite(cond) or cond > CONDITION_LIMIT:
+    x, good, cond = _solve_block(dyn, np.array([float(omega)]))
+    if not good[0]:
         raise NearSingularError(
             f"resolvent is near-singular at omega={omega:.9e} rad/s "
-            f"(condition estimate {cond:.3e})",
+            f"(condition estimate {cond[0]:.3e})",
             omega=omega,
         )
-    x = np.linalg.solve(a, dyn.in_coupling)
-    s = np.eye(2 * dyn.n_ports, dtype=np.complex128) + dyn.out_coupling @ x
+    s = np.eye(2 * dyn.n_ports, dtype=np.complex128) + dyn.out_coupling @ x[0]
     resid = symplectic_residual(s, dyn.metric)
     return ScatteringMatrix(
         omega=float(omega),
@@ -440,9 +480,13 @@ def spectrum_sweep(
 ) -> SpectrumGrid:
     """Vectorized spectra over an ascending positive frequency grid.
 
-    Both sidebands are evaluated in one batched resolvent solve. Points
-    whose resolvent is near-singular are recorded in ``failures`` and hold
-    NaN in every output array; all other points are computed normally.
+    Both sidebands are solved in fixed blocks of signed frequencies, and
+    only the exit row of S is formed (the full S only on the upper
+    sideband, for ``symplectic_resid``). A point is near-singular when the
+    2-norm condition of its resolvent exceeds ``CONDITION_LIMIT`` (1e12)
+    on either sideband, screened by the exact 1-norm condition. Such
+    points are recorded in ``failures`` and hold NaN in every output
+    array; all other points are computed normally.
 
     Parameters
     ----------
@@ -461,7 +505,6 @@ def spectrum_sweep(
     grid = np.asarray(omegas, dtype=np.float64)
     _check_grid(grid)
     m = grid.size
-    dim = dyn.dimension
     p = dyn.n_ports
     exit_name = dyn.exit_port if exit_port is None else exit_port
     if exit_name not in dyn.port_index:
@@ -469,16 +512,40 @@ def spectrum_sweep(
     signal_name = dyn.signal_port
 
     signed = np.concatenate([grid, -grid])  # upper block, then lower block
-    a = 1j * signed[:, None, None] * np.eye(dim) + dyn.dyn_matrix[None, :, :]
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        cond = np.linalg.cond(a)
-    good = np.isfinite(cond) & (cond <= CONDITION_LIMIT)
+    centers = np.array([info.band_center for info in dyn.ports])
+    exit_col = dyn.port_index[exit_name]
+    sig_col = dyn.port_index[signal_name]
+    lab_u = signed[:, None] + centers[None, :]
+    lab_v = -signed[:, None] + centers[None, :]
+    mask_u = lab_u > 0.0
+    mask_v = lab_v > 0.0
 
-    s = np.full((2 * m, 2 * p, 2 * p), np.nan, dtype=np.complex128)
-    if np.any(good):
-        rhs = np.broadcast_to(dyn.in_coupling, (int(good.sum()), dim, 2 * p))
-        x = np.linalg.solve(a[good], rhs)
-        s[good] = np.eye(2 * p) + np.einsum("ij,ajk->aik", dyn.out_coupling, x)
+    # Exit rows at every signed frequency; the full S and its physically
+    # masked symplectic residual on the upper block only (the lower block
+    # is its particle-hole mirror image). The contractions stay einsums:
+    # a matmul sums in another order and changes the last digits.
+    rows = np.full((2 * m, 2 * p), np.nan, dtype=np.complex128)
+    good = np.empty(2 * m, dtype=bool)
+    cond = np.empty(2 * m)
+    symp = np.full(m, np.nan)
+    kd = dyn.metric
+    eye = np.eye(2 * p)
+    for lo in range(0, 2 * m, _BLOCK):
+        block = slice(lo, lo + _BLOCK)
+        x, good[block], cond[block] = _solve_block(dyn, signed[block])
+        ok = np.nonzero(good[block])[0]
+        rows[lo + ok] = eye[exit_col] + np.einsum(
+            "j,ajk->ak", dyn.out_coupling[exit_col], x[ok]
+        )
+        up = ok[lo + ok < m]
+        if up.size:
+            su = eye + np.einsum("ij,ajk->aik", dyn.out_coupling, x[up])
+            r = np.einsum("aij,j,akj->aik", su, kd, su.conj()) - np.diag(kd)
+            idx = lo + up
+            slot_mask = np.concatenate([mask_u[idx], mask_v[idx]], axis=1)
+            r_abs = np.abs(r)
+            r_abs[~(slot_mask[:, :, None] & slot_mask[:, None, :])] = 0.0
+            symp[idx] = r_abs.max(axis=(1, 2))
 
     failures: list[SweepFailure] = []
     point_ok = good[:m] & good[m:]
@@ -495,17 +562,9 @@ def spectrum_sweep(
             )
         )
 
-    centers = np.array([info.band_center for info in dyn.ports])
     temps_or_consts = [info.name for info in dyn.ports]
-    exit_col = dyn.port_index[exit_name]
-    sig_col = dyn.port_index[signal_name]
 
-    # Exit rows at every signed frequency, masked by column physicality.
-    rows = s[:, exit_col, :]  # (2m, 2p)
-    lab_u = signed[:, None] + centers[None, :]
-    lab_v = -signed[:, None] + centers[None, :]
-    mask_u = lab_u > 0.0
-    mask_v = lab_v > 0.0
+    # Exit rows masked by column physicality.
     u_all = np.where(mask_u, rows[:, :p], 0.0)
     v_all = np.where(mask_v, rows[:, p:], 0.0)
     out_physical = signed + centers[exit_col] > 0.0
@@ -537,20 +596,6 @@ def spectrum_sweep(
         abs_u.sum(axis=1) - abs_v.sum(axis=1) - 1.0
     )
     sumrule_signed = np.where(out_physical & good, sumrule_signed, np.nan)
-
-    # Physically-masked symplectic residual, evaluated on the upper block
-    # (the lower block is its particle-hole mirror image).
-    symp = np.full(m, np.nan)
-    kd = dyn.metric
-    idx_up = np.nonzero(good[:m])[0]
-    if idx_up.size:
-        su = s[idx_up]
-        r = np.einsum("aij,j,akj->aik", su, kd, su.conj()) - np.diag(kd)[None, :, :]
-        slot_mask = np.concatenate([mask_u[idx_up], mask_v[idx_up]], axis=1)
-        pair = slot_mask[:, :, None] & slot_mask[:, None, :]
-        r_abs = np.abs(r)
-        r_abs[~pair] = 0.0
-        symp[idx_up] = r_abs.max(axis=(1, 2))
 
     rows_up: list[TransferRow | None] | None = None
     rows_dn: list[TransferRow | None] | None = None

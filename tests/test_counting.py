@@ -83,6 +83,25 @@ def test_flat_band_bandwidth_is_width_over_two_pi() -> None:
     assert result.bandwidth_hz == pytest.approx(width / TAU**2, rel=1e-12)
 
 
+def test_even_length_grid_halving_compares_the_same_span() -> None:
+    # The halved grid of an even-length grid ends one point short; a flat
+    # band then looked unconverged by the weight of the last interval.
+    center = TAU * 5.0e6
+    width = TAU * 2.0e4
+    omegas = np.linspace(center - width / 2.0, center + width / 2.0, 10)
+    grid = _grid(omegas, np.full(10, 0.5), np.full(10, 2.0))
+    result = dark_count_rate(grid, center)
+    assert result.bandwidth == pytest.approx(width / TAU, rel=1e-12)
+
+
+def test_even_length_grid_still_detects_unresolved_lines() -> None:
+    center = TAU * 5.0e6
+    kappa = TAU * 100.0
+    grid = _lorentzian_grid(center, kappa, 2.0 * kappa, 6, 1.0, 1.0)
+    with pytest.raises(QuadratureError):
+        dark_count_rate(grid, center)
+
+
 def test_dark_count_rejects_vanishing_signal_quantities() -> None:
     omegas = np.linspace(TAU * 1.0e6, TAU * 2.0e6, 11)
     zero_eta = _grid(omegas, np.zeros(11), np.ones(11))

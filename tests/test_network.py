@@ -16,6 +16,7 @@ from modescatter import (
     InternalMode,
     ModelUnstableError,
     ModelValidationError,
+    NumericalError,
     Port,
     TransducerModel,
     assemble_dynamics,
@@ -23,6 +24,7 @@ from modescatter import (
     rwa_report,
     scattering_matrix,
 )
+import modescatter.network
 from modescatter.network import validate_model
 
 
@@ -273,3 +275,19 @@ def test_random_stable_model_respects_mode_count() -> None:
 def test_random_stable_model_rejects_bad_count() -> None:
     with pytest.raises(ConfigurationError):
         random_stable_model(np.random.default_rng(0), n_modes=0)
+
+
+def test_random_stable_model_gives_up_with_numerical_error(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    calls = []
+
+    def always_unstable(model: TransducerModel) -> None:
+        calls.append(model)
+        raise ModelUnstableError("unstable")
+
+    monkeypatch.setattr(modescatter.network, "assemble_dynamics", always_unstable)
+    with pytest.raises(NumericalError, match="60 attempts") as excinfo:
+        random_stable_model(np.random.default_rng(0))
+    assert excinfo.value.exit_code == 3
+    assert len(calls) == 60

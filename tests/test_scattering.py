@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 from conftest import TAU, near_singular_model, two_mode_converter
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from modescatter import (
     ConfigurationError,
@@ -21,6 +24,7 @@ from modescatter import (
     noise_commutator_residual,
     noise_flux,
     physical_slot_mask,
+    random_stable_model,
     scattering_matrix,
     spectrum_sweep,
     sum_rule_residual,
@@ -29,6 +33,8 @@ from modescatter import (
     transfer_row,
 )
 from modescatter.errors import ModeScatterError
+from modescatter.network import DoubledDynamics
+from modescatter.scattering import _BLOCK, CONDITION_LIMIT
 
 
 def _converter_cooperativity(g_hz: float, kappa_hz: float) -> float:
@@ -294,6 +300,128 @@ def test_spectrum_sweep_records_singular_points_as_failures() -> None:
     assert math.isnan(grid.noise_dn[1])
     assert math.isfinite(grid.eta_up[0])
     assert math.isfinite(grid.eta_up[2])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    points=st.integers(2, 3 * _BLOCK).filter(lambda n: n % _BLOCK != 0),
+)
+def test_spectrum_sweep_blocks_match_pointwise_evaluation(seed: int, points: int) -> None:
+    rng = np.random.default_rng(seed)
+    dyn = assemble_dynamics(random_stable_model(rng))
+    env = NoiseEnvironment.constant({info.name: 0.3 for info in dyn.ports})
+    omegas = np.geomspace(1.0e3, 1.0e10, points)
+    grid = spectrum_sweep(dyn, env, omegas, store_rows=False)
+    assert not grid.failures
+    # Both sides of every block edge of the signed grid (upper block, then
+    # lower block), plus a random sample.
+    edges = np.arange(_BLOCK, 2 * points, _BLOCK)
+    picks = np.concatenate([edges - 1, edges, rng.integers(0, 2 * points, 8)]) % points
+    for i in np.unique(picks):
+        up, dn = transfer_pair(dyn, float(omegas[i]))
+        # A chain with an odd number of squeezers converts only into the
+        # lower sideband; the noise is compared where it is defined.
+        for row, eta_grid, noise_grid in (
+            (up, grid.eta_up, grid.noise_up),
+            (dn, grid.eta_dn, grid.noise_dn),
+        ):
+            assert eta_grid[i] == pytest.approx(eta(row), rel=1e-12)
+            if eta(row) > 0.0:
+                assert noise_grid[i] == pytest.approx(added_noise(row, env), rel=1e-12)
+        # The residual balances terms of order one.
+        resid = max(sum_rule_residual(up), sum_rule_residual(dn))
+        assert grid.sumrule_resid[i] == pytest.approx(resid, abs=1e-12)
+
+
+def _non_normal_singular_dynamics(omega0: float) -> DoubledDynamics:
+    """Resolvent singular at omega0 whose 2-norm condition is twice its 1-norm one.
+
+    The null direction is a unit vector on the right and spread evenly on
+    the left, so a screen on the 1-norm condition alone misses points.
+    """
+    dyn = assemble_dynamics(two_mode_converter())
+    m = -(1.0e5 + 1j * omega0) * np.eye(dyn.dimension)
+    m[0, 0] = -1j * omega0
+    m[0, 1:] = -1.0e5
+    return dataclasses.replace(dyn, dyn_matrix=m)
+
+
+@pytest.mark.parametrize(
+    ("dyn", "omega0", "one_norm_misses"),
+    [
+        (assemble_dynamics(near_singular_model(2.0e6, 1.0e5)), TAU * 2.0e6, False),
+        (_non_normal_singular_dynamics(2.0**20), 2.0**20, True),
+    ],
+    ids=["near-singular-model", "non-normal"],
+)
+def test_spectrum_sweep_failures_match_two_norm_condition(
+    dyn: DoubledDynamics, omega0: float, one_norm_misses: bool
+) -> None:
+    env = NoiseEnvironment.from_dynamics(dyn)
+    offsets = np.geomspace(1.0e-15, 1.0e-2, 600)
+    omegas = np.unique(np.concatenate([omega0 * (1.0 - offsets), omega0 * (1.0 + offsets)]))
+    grid = spectrum_sweep(dyn, env, omegas)
+
+    eye = np.eye(dyn.dimension)
+    a_up = 1j * omegas[:, None, None] * eye + dyn.dyn_matrix
+    a_dn = -1j * omegas[:, None, None] * eye + dyn.dyn_matrix
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        cond_up, cond_dn = np.linalg.cond(a_up), np.linalg.cond(a_dn)
+        cond_1 = np.linalg.cond(a_up, 1)
+    bad_up = ~(np.isfinite(cond_up) & (cond_up <= CONDITION_LIMIT))
+    bad_dn = ~(np.isfinite(cond_dn) & (cond_dn <= CONDITION_LIMIT))
+    expected = np.nonzero(bad_up | bad_dn)[0]
+    # The grid exercises the screen: some points fail the 1-norm screen
+    # and pass on the exact 2-norm condition.
+    screened = (dyn.dimension * cond_1 > 0.5 * CONDITION_LIMIT) & ~bad_up & ~bad_dn
+    assert expected.size > 0 and np.any(screened)
+    # On the non-normal resolvent some failing points have a 1-norm
+    # condition within the limit, so a 1-norm test alone would miss them.
+    assert np.any(bad_up & (cond_1 <= CONDITION_LIMIT)) == one_norm_misses
+
+    assert [f.index for f in grid.failures] == expected.tolist()
+    for f in grid.failures:
+        worst = cond_up[f.index] if bad_up[f.index] else cond_dn[f.index]
+        assert f.message == (
+            f"resolvent is near-singular at omega=+-{omegas[f.index]:.9e} rad/s "
+            f"(condition estimate {worst:.3e})"
+        )
+    assert np.all(np.isfinite(grid.eta_up[screened]))
+    for i in expected[:3]:
+        with pytest.raises(NearSingularError):
+            transfer_pair(dyn, float(omegas[i]))
+
+
+def test_exactly_singular_resolvent_is_reported() -> None:
+    # A resolvent with an exactly zero row at omega0: the LU solve itself
+    # fails, and that block falls back to the condition-first screen.
+    dyn = assemble_dynamics(two_mode_converter())
+    omega0 = 2.0**22
+    singular = dyn.dyn_matrix.copy()
+    singular[0, :] = 0.0
+    singular[0, 0] = -1j * omega0
+    dyn = dataclasses.replace(dyn, dyn_matrix=singular)
+    a = 1j * omega0 * np.eye(dyn.dimension) + dyn.dyn_matrix
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.solve(a, dyn.in_coupling)
+
+    with pytest.raises(NearSingularError) as excinfo:
+        scattering_matrix(dyn, omega0)
+    assert excinfo.value.omega == omega0
+    assert "condition estimate inf" in str(excinfo.value)
+
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.array([0.5 * omega0, omega0, 2.0 * omega0])
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert [f.index for f in grid.failures] == [1]
+    assert grid.failures[0].omega == omega0
+    assert math.isnan(grid.eta_up[1])
+    # The fallback gives the other points the same digits as a clean grid.
+    clean = spectrum_sweep(dyn, env, omegas[[0, 2]])
+    for name in ("eta_up", "eta_dn", "sumrule_resid", "symplectic_resid"):
+        got, want = getattr(grid, name)[[0, 2]], getattr(clean, name)
+        assert got.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize(
