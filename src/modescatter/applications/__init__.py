@@ -15,6 +15,7 @@ from .entangle import (
     ProtocolSpec,
     entangle_fidelity_asymptotic,
     entangle_fidelity_exact,
+    heralding_spec,
     protocol_enumerate,
     protocol_montecarlo,
 )
@@ -40,6 +41,7 @@ __all__ = [
     "ProtocolSpec",
     "entangle_fidelity_asymptotic",
     "entangle_fidelity_exact",
+    "heralding_spec",
     "protocol_enumerate",
     "protocol_montecarlo",
     "HeterodyneResult",

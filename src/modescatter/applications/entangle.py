@@ -41,6 +41,7 @@ from typing import Iterator, Literal, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError, NoHeraldError, ValidityWarning
+from .counting import DarkCountResult
 
 Scheme = Literal["one-click", "two-click"]
 
@@ -48,6 +49,9 @@ _SCHEMES = ("one-click", "two-click")
 
 #: Trials per vectorized Monte Carlo chunk.
 _MC_CHUNK = 1 << 18
+
+#: Floor on the one-click excitation probability picked by :func:`heralding_spec`.
+_P_E_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -166,6 +170,45 @@ def _round_factors(p_d: float, eta: float) -> tuple[float, float, float, float, 
     c2 = (1.0 - (1.0 - eta) ** 2) * keep
     h2 = c2 + (1.0 - eta) ** 2 * 2.0 * p_d * keep
     return h0, h1, c1, h2, c2
+
+
+def heralding_spec(
+    dark: DarkCountResult,
+    window: float,
+    scheme: Scheme,
+    p_e: float | None = None,
+) -> ProtocolSpec:
+    """Protocol parameters of an entanglement link through a transducer.
+
+    The transducer's dark-count rate over the detection ``window``
+    (seconds) gives the per-arm false-click probability
+    ``p_d = rate * window``, and its transfer efficiency, capped at 1, is
+    the photon detection efficiency. Unless ``p_e`` is given, the
+    two-click scheme runs at ``p_e = 1/2`` and the one-click scheme at the
+    optimum of its small-noise expansion, ``sqrt(p_d / (eta (1 - eta/2)))``,
+    floored at 1e-6 and capped at 1/2.
+
+    Raises
+    ------
+    DomainError
+        If ``p_d`` falls outside [0, 1), or if the one-click optimum is
+        requested where the transfer efficiency is not positive.
+    """
+    p_d = dark.rate * window
+    if not 0.0 <= p_d < 1.0:
+        raise DomainError(
+            f"window dark-click probability {p_d:.3g} outside [0, 1);"
+            " shrink the window or the noise"
+        )
+    eff = min(dark.eta_plus, 1.0)
+    if p_e is None and scheme == "two-click":
+        p_e = 0.5
+    elif p_e is None:
+        if not eff > 0.0:
+            raise DomainError("transfer efficiency is zero at omega_sig")
+        p_e_opt = math.sqrt(p_d / (eff * (1.0 - eff / 2.0)))
+        p_e = min(max(p_e_opt, _P_E_FLOOR), 0.5)
+    return ProtocolSpec(scheme, p_e, p_d, eff)
 
 
 def entangle_fidelity_exact(spec: ProtocolSpec) -> ProtocolResult:
@@ -319,20 +362,23 @@ def protocol_enumerate(spec: ProtocolSpec) -> ProtocolResult:
 
 def _mc_round(
     rng: np.random.Generator,
+    u: np.ndarray,
     emit1: np.ndarray,
     emit2: np.ndarray,
     eta: float,
     p_d: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized single round: (heralded, all emitted detected, any detected)."""
-    n = emit1.size
-    det1 = emit1 & (rng.random(n) < eta)
-    det2 = emit2 & (rng.random(n) < eta)
+    """Vectorized single round: (heralded, all emitted detected, any detected).
+
+    Every uniform is drawn into the scratch buffer ``u``.
+    """
+    det1 = emit1 & (rng.random(out=u) < eta)
+    det2 = emit2 & (rng.random(out=u) < eta)
     any_det = det1 | det2
     # one arm draw serves both the single-photon and the bunched-pair case
-    arm0 = rng.random(n) < 0.5
-    dark0 = rng.random(n) < p_d
-    dark1 = rng.random(n) < p_d
+    arm0 = rng.random(out=u) < 0.5
+    dark0 = rng.random(out=u) < p_d
+    dark1 = rng.random(out=u) < p_d
     click0 = (any_det & arm0) | dark0
     click1 = (any_det & ~arm0) | dark1
     heralded = click0 ^ click1
@@ -370,32 +416,34 @@ def protocol_montecarlo(
     weight_sq_sum = 0.0
     class_counts = {"00": 0, "psi_plus": 0, "01": 0, "10": 0, "11": 0}
 
+    uniforms = np.empty(min(trials, _MC_CHUNK))
     done = 0
     for child in children:
         n = min(_MC_CHUNK, trials - done)
         done += n
         rng = np.random.default_rng(child)
-        emit1 = rng.random(n) < p_e
-        emit2 = rng.random(n) < p_e
-        heralded, all_det, any_det = _mc_round(rng, emit1, emit2, eta, p_d)
+        u = uniforms[:n]
+        emit1 = rng.random(out=u) < p_e
+        emit2 = rng.random(out=u) < p_e
+        heralded, all_det, any_det = _mc_round(rng, u, emit1, emit2, eta, p_d)
         caused = any_det
         if two_click:
-            her2, all2, any2 = _mc_round(rng, ~emit1, ~emit2, eta, p_d)
+            her2, all2, any2 = _mc_round(rng, u, ~emit1, ~emit2, eta, p_d)
             heralded &= her2
             all_det &= all2
             caused = caused & any2
         one_exc = emit1 ^ emit2
         bell = heralded & one_exc & all_det
         mixed = heralded & one_exc & ~all_det
-        weights = np.zeros(n)
-        weights[bell] = 1.0
-        weights[mixed] = 0.5
+        n_bell = int(bell.sum())
+        n_mixed = int(mixed.sum())
 
         herald_count += int(heralded.sum())
         photon_count += int((heralded & caused).sum())
-        weight_sum += float(weights[heralded].sum())
-        weight_sq_sum += float((weights[heralded] ** 2).sum())
-        class_counts["psi_plus"] += int(bell.sum())
+        # Overlap weights are 1 (Bell) and 1/2 (mixed): these sums are exact.
+        weight_sum += n_bell + 0.5 * n_mixed
+        weight_sq_sum += n_bell + 0.25 * n_mixed
+        class_counts["psi_plus"] += n_bell
         class_counts["00"] += int((heralded & ~emit1 & ~emit2).sum())
         class_counts["11"] += int((heralded & emit1 & emit2).sum())
         class_counts["01"] += int((mixed & ~emit1 & emit2).sum())

@@ -37,6 +37,7 @@ from .applications.entangle import (
     ProtocolSpec,
     entangle_fidelity_asymptotic,
     entangle_fidelity_exact,
+    heralding_spec,
     protocol_enumerate,
     protocol_montecarlo,
 )
@@ -317,6 +318,10 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = _grid_omegas(args, log=args.log)
     grid = spectrum_sweep(dyn, env, omegas, exit_port=args.exit, store_rows=False)
+    failures = [
+        {"index": f.index, "omega_hz": angular_to_hz(f.omega), "message": f.message}
+        for f in grid.failures
+    ]
 
     columns = (
         [angular_to_hz(float(w)) for w in grid.omegas],
@@ -343,10 +348,7 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
                 stream.close()
     else:
         payload = dict(zip(_CSV_HEADER, ([float(x) for x in col] for col in columns)))
-        payload["failures"] = [
-            {"index": f.index, "omega_hz": angular_to_hz(f.omega), "message": f.message}
-            for f in grid.failures
-        ]
+        payload["failures"] = failures
         text = json.dumps(_sanitize(payload), indent=2)
         if args.out:
             Path(args.out).write_text(text + "\n")
@@ -356,20 +358,7 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
     if grid.failures and args.format == "csv":
         if args.out:
             sibling = Path(args.out).with_name(Path(args.out).stem + ".errors.json")
-            sibling.write_text(
-                json.dumps(
-                    [
-                        {
-                            "index": f.index,
-                            "omega_hz": angular_to_hz(f.omega),
-                            "message": f.message,
-                        }
-                        for f in grid.failures
-                    ],
-                    indent=2,
-                )
-                + "\n"
-            )
+            sibling.write_text(json.dumps(failures, indent=2) + "\n")
             print(f"wrote {len(grid.failures)} failure(s) to {sibling}", file=sys.stderr)
         else:
             for f in grid.failures:
@@ -468,34 +457,21 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             dyn, env, omegas, exit_port=args.exit, store_rows=False
         )
         dark = dark_count_rate(grid, omega_sig)
-        p_d = dark.rate * args.window
-        if not 0.0 <= p_d < 1.0:
-            raise ConfigurationError(
-                f"window dark-click probability {p_d:.3g} outside [0, 1);"
-                " shrink --window"
-            )
-        eff = min(dark.eta_plus, 1.0)
+        specs = {
+            scheme: heralding_spec(dark, args.window, scheme, args.p_e)
+            for scheme in ("one-click", "two-click")
+        }
         payload.update(
             eta_plus=dark.eta_plus,
             n_plus=dark.n_plus,
             bandwidth_hz=dark.bandwidth_hz,
             dark_rate_per_s=dark.rate,
-            p_d=p_d,
+            p_d=specs["one-click"].p_d,
         )
-        for scheme in ("one-click", "two-click"):
-            if args.p_e is not None:
-                p_e = args.p_e
-            elif scheme == "two-click":
-                p_e = 0.5
-            else:
-                p_e_opt = (
-                    math.sqrt(p_d / (eff * (1.0 - eff / 2.0))) if eff > 0 else 0.0
-                )
-                p_e = min(max(p_e_opt, 1e-6), 0.5)
-            spec = ProtocolSpec(scheme, p_e, p_d, eff)
+        for scheme, spec in specs.items():
             exact = entangle_fidelity_exact(spec)
             entry: dict[str, Any] = {
-                "p_e": p_e,
+                "p_e": spec.p_e,
                 "fidelity": exact.fidelity,
                 "success_probability": exact.success_probability,
             }

@@ -20,13 +20,12 @@ from typing import Mapping
 import numpy as np
 from scipy.optimize import Bounds, minimize
 
-from .applications.entangle import ProtocolSpec, entangle_fidelity_exact
+from .applications.entangle import entangle_fidelity_exact, heralding_spec
 from .applications.counting import dark_count_rate
 from .applications.heterodyne import heterodyne_sensitivity
 from .applications.qubit import qubit_fidelity
 from .errors import (
     ConfigurationError,
-    DomainError,
     ModeScatterError,
     NumericalError,
     ValidityWarning,
@@ -47,7 +46,6 @@ _MAXIMIZED = frozenset({"max-eta", "max-Fq", "max-F1c", "max-F2c"})
 _ENTANGLE = frozenset({"max-F1c", "max-F2c"})
 
 _N_RESTARTS = 3
-_P_E_FLOOR = 1e-6
 
 
 @dataclass(frozen=True)
@@ -61,9 +59,8 @@ class OptimizeSpec:
     spectrum over ``[omega_min, omega_max]`` with ``points`` samples to get
     the noise bandwidth, and convert it to a per-window false-click
     probability with detection ``window`` (seconds); the protocol is then
-    scored at its asymptotically optimal excitation probability (one-click,
-    floored at 1e-6 and capped at 1/2) or at 1/2 (two-click), using the
-    transfer efficiency as the photon detection efficiency.
+    scored with the parameters of
+    :func:`~modescatter.applications.entangle.heralding_spec`.
     """
 
     variables: tuple[tuple[str, float, float], ...]
@@ -163,23 +160,9 @@ def _evaluate_figure(
     grid = spectrum_sweep(
         dyn, env, omegas, exit_port=spec.exit_port, store_rows=False
     )
+    scheme = "two-click" if objective == "max-F2c" else "one-click"
     dark = dark_count_rate(grid, spec.omega_sig)
-    p_d = dark.rate * spec.window
-    if not 0.0 <= p_d < 1.0:
-        raise DomainError(
-            f"window dark-click probability {p_d:.3g} outside [0, 1);"
-            " shrink the window or the noise"
-        )
-    eff = min(dark.eta_plus, 1.0)
-    if objective == "max-F2c":
-        protocol = ProtocolSpec("two-click", 0.5, p_d, eff)
-    else:
-        if eff <= 0.0:
-            raise DomainError("transfer efficiency is zero at omega_sig")
-        p_e_opt = math.sqrt(p_d / (eff * (1.0 - eff / 2.0)))
-        protocol = ProtocolSpec(
-            "one-click", min(max(p_e_opt, _P_E_FLOOR), 0.5), p_d, eff
-        )
+    protocol = heralding_spec(dark, spec.window, scheme)
     return entangle_fidelity_exact(protocol).fidelity
 
 

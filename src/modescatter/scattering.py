@@ -8,9 +8,11 @@ signed sideband frequency ``omega`` is::
 
 mapping doubled port inputs to doubled port outputs at the same sideband.
 Creation slots evaluated at ``omega`` represent adjoints at ``-omega``, so
-lower-sideband quantities are obtained by evaluating ``S`` at ``-omega``
-directly (never by analytic continuation) and reading the creation-block
-coefficients.
+lower-sideband quantities are obtained from ``S`` at ``-omega`` (never by
+analytic continuation) and reading the creation-block coefficients. Since
+the doubled basis is particle-hole symmetric, ``S(-omega)`` is the
+conjugate of ``S(omega)`` with annihilation and creation slots swapped;
+:func:`spectrum_sweep` uses this to solve once per frequency.
 
 Physicality masking: a port column only describes a real input field when
 its absolute (lab-frame) frequency ``+-omega + band_center`` is positive.
@@ -470,6 +472,95 @@ def _check_grid(omegas: NDArray[np.float64]) -> None:
         raise ConfigurationError("frequency grid must be strictly ascending")
 
 
+def _particle_hole_symmetric(dyn: DoubledDynamics) -> bool:
+    """True when ``M = P conj(M) P``, ``G = P conj(G) Q`` and ``G' = Q conj(G') P``.
+
+    ``P`` and ``Q`` swap the annihilation and creation halves of the mode
+    and port slots. :func:`modescatter.network.assemble_dynamics` builds
+    every model this way, bit for bit; then ``S(-omega) = Q conj(S(omega)) Q``.
+    """
+    n, p = dyn.n_modes, dyn.n_ports
+    swap_b = np.r_[n : 2 * n, :n]
+    swap_a = np.r_[p : 2 * p, :p]
+    m, g, g_out = dyn.dyn_matrix, dyn.in_coupling, dyn.out_coupling
+    return (
+        np.array_equal(m, m[np.ix_(swap_b, swap_b)].conj())
+        and np.array_equal(g, g[np.ix_(swap_b, swap_a)].conj())
+        and np.array_equal(g_out, g_out[np.ix_(swap_a, swap_b)].conj())
+    )
+
+
+def _sideband_spectra(
+    u: NDArray[np.complex128],
+    v: NDArray[np.complex128],
+    occ_u: NDArray[np.float64],
+    occ_v: NDArray[np.float64],
+    mask_v: NDArray[np.bool_],
+    defined: NDArray[np.bool_],
+    sig_col: int,
+    upper: bool,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+    """Efficiency, added noise and sum-rule residual of masked exit rows.
+
+    ``u``/``v`` are the annihilation/creation halves of the exit rows at
+    one signed sideband, zeroed on unphysical columns; ``defined`` marks
+    the points whose exit output is physical and whose solve succeeded.
+    """
+    abs_u = np.abs(u) ** 2
+    abs_v = np.abs(v) ** 2
+    efficiency = np.where(defined, (abs_u if upper else abs_v)[:, sig_col], np.nan)
+    u_noise = abs_u.copy()
+    v_noise = abs_v.copy()
+    # The signal column is not noise on its own side.
+    (u_noise if upper else v_noise)[:, sig_col] = 0.0
+    flux = (u_noise * occ_u).sum(axis=1) + (
+        v_noise * np.where(mask_v, occ_v + 1.0, 0.0)
+    ).sum(axis=1)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        noise = np.where(efficiency > 0.0, flux / efficiency, np.nan)
+    sumrule = np.where(
+        defined, np.abs(abs_u.sum(axis=1) - abs_v.sum(axis=1) - 1.0), np.nan
+    )
+    return efficiency, noise, sumrule
+
+
+def _transfer_rows(
+    dyn: DoubledDynamics,
+    exit_name: str,
+    signed: NDArray[np.float64],
+    u: NDArray[np.complex128],
+    v: NDArray[np.complex128],
+    mask_u: NDArray[np.bool_],
+    mask_v: NDArray[np.bool_],
+    good: NDArray[np.bool_],
+    out_physical: NDArray[np.bool_],
+) -> list[TransferRow | None]:
+    """Per-point :class:`TransferRow` views of masked exit rows (None where failed)."""
+    names = [info.name for info in dyn.ports]
+    centers = {info.name: info.band_center for info in dyn.ports}
+    p = len(names)
+    rows: list[TransferRow | None] = []
+    for i, omega in enumerate(signed):
+        if not good[i]:
+            rows.append(None)
+            continue
+        dropped = [(names[j], "u") for j in range(p) if not mask_u[i, j]]
+        dropped += [(names[j], "v") for j in range(p) if not mask_v[i, j]]
+        rows.append(
+            TransferRow(
+                omega=float(omega),
+                exit_port=exit_name,
+                signal_port=dyn.signal_port,
+                u_coeffs={names[j]: complex(u[i, j]) for j in range(p)},
+                v_coeffs={names[j]: complex(v[i, j]) for j in range(p)},
+                port_centers=centers,
+                dropped=tuple(dropped),
+                physical_output=bool(out_physical[i]),
+            )
+        )
+    return rows
+
+
 def spectrum_sweep(
     dyn: DoubledDynamics,
     env: NoiseEnvironment,
@@ -480,11 +571,21 @@ def spectrum_sweep(
 ) -> SpectrumGrid:
     """Vectorized spectra over an ascending positive frequency grid.
 
-    Both sidebands are solved in fixed blocks of signed frequencies, and
-    only the exit row of S is formed (the full S only on the upper
-    sideband, for ``symplectic_resid``). A point is near-singular when the
-    2-norm condition of its resolvent exceeds ``CONDITION_LIMIT`` (1e12)
-    on either sideband, screened by the exact 1-norm condition. Such
+    The grid is walked in fixed blocks of positive frequencies, and each
+    block is solved once, at ``+omega``. For dynamics with exact
+    particle-hole symmetry (every model built by
+    :func:`modescatter.network.assemble_dynamics`),
+    ``S(-omega) = Q conj(S(omega)) Q`` with ``Q`` swapping the annihilation
+    and creation port slots, so the lower-sideband exit row is read from
+    the upper solve: the conjugate of row ``exit + n_ports`` with its
+    halves swapped. Other dynamics get a second solve at ``-omega``. All
+    post-processing runs inside the same block loop, so only the outputs
+    span the grid.
+
+    A point is near-singular when the 2-norm condition of its resolvent
+    exceeds ``CONDITION_LIMIT`` (1e12), screened by the exact 1-norm
+    condition; with the mirror both sidebands share that one condition
+    number, as the two resolvents have the same singular values. Such
     points are recorded in ``failures`` and hold NaN in every output
     array; all other points are computed normally.
 
@@ -499,8 +600,10 @@ def spectrum_sweep(
     exit_port:
         Override of the model's exit port.
     store_rows:
-        Keep per-point :class:`TransferRow` objects (needed by the
-        application-level figures of merit; disable for raw speed).
+        Also keep per-point :class:`TransferRow` objects in ``rows_up`` and
+        ``rows_dn``, for inspecting the coefficients behind the spectra;
+        no figure of merit reads them, and building them (one Python
+        object per point and sideband) costs several times the spectra.
     """
     grid = np.asarray(omegas, dtype=np.float64)
     _check_grid(grid)
@@ -509,48 +612,85 @@ def spectrum_sweep(
     exit_name = dyn.exit_port if exit_port is None else exit_port
     if exit_name not in dyn.port_index:
         raise ConfigurationError(f"unknown exit port {exit_name!r}")
-    signal_name = dyn.signal_port
-
-    signed = np.concatenate([grid, -grid])  # upper block, then lower block
-    centers = np.array([info.band_center for info in dyn.ports])
     exit_col = dyn.port_index[exit_name]
-    sig_col = dyn.port_index[signal_name]
-    lab_u = signed[:, None] + centers[None, :]
-    lab_v = -signed[:, None] + centers[None, :]
-    mask_u = lab_u > 0.0
-    mask_v = lab_v > 0.0
-
-    # Exit rows at every signed frequency; the full S and its physically
-    # masked symplectic residual on the upper block only (the lower block
-    # is its particle-hole mirror image). The contractions stay einsums:
-    # a matmul sums in another order and changes the last digits.
-    rows = np.full((2 * m, 2 * p), np.nan, dtype=np.complex128)
-    good = np.empty(2 * m, dtype=bool)
-    cond = np.empty(2 * m)
-    symp = np.full(m, np.nan)
+    sig_col = dyn.port_index[dyn.signal_port]
+    centers = np.array([info.band_center for info in dyn.ports])
+    mirrored = _particle_hole_symmetric(dyn)
     kd = dyn.metric
     eye = np.eye(2 * p)
-    for lo in range(0, 2 * m, _BLOCK):
+
+    # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
+    good = np.empty((2, m), dtype=bool)
+    cond = np.empty((2, m))
+    efficiency = np.empty((2, m))
+    noise = np.empty((2, m))
+    sumrule = np.empty((2, m))
+    symp = np.full(m, np.nan)
+    stored: tuple[list[TransferRow | None], list[TransferRow | None]] = ([], [])
+
+    for lo in range(0, m, _BLOCK):
         block = slice(lo, lo + _BLOCK)
-        x, good[block], cond[block] = _solve_block(dyn, signed[block])
-        ok = np.nonzero(good[block])[0]
-        rows[lo + ok] = eye[exit_col] + np.einsum(
-            "j,ajk->ak", dyn.out_coupling[exit_col], x[ok]
-        )
-        up = ok[lo + ok < m]
-        if up.size:
-            su = eye + np.einsum("ij,ajk->aik", dyn.out_coupling, x[up])
-            r = np.einsum("aij,j,akj->aik", su, kd, su.conj()) - np.diag(kd)
-            idx = lo + up
-            slot_mask = np.concatenate([mask_u[idx], mask_v[idx]], axis=1)
-            r_abs = np.abs(r)
-            r_abs[~(slot_mask[:, :, None] & slot_mask[:, None, :])] = 0.0
-            symp[idx] = r_abs.max(axis=(1, 2))
+        w = grid[block]
+        x, good[0, block], cond[0, block] = _solve_block(dyn, w)
+        ok = np.nonzero(good[0, block])[0]
+        # The full S on the upper sideband serves its exit row, the mirrored
+        # lower row and the physically masked symplectic residual. The
+        # contraction stays an einsum: a matmul sums in another order and
+        # changes the last digits of the rows.
+        s = eye + np.einsum("ij,ajk->aik", dyn.out_coupling, x[ok])
+        rows = np.full((2, w.size, 2 * p), np.nan, dtype=np.complex128)
+        rows[0, ok] = s[:, exit_col]
+        if mirrored:
+            good[1, block], cond[1, block] = good[0, block], cond[0, block]
+            mirror = s[:, exit_col + p].conj()
+            rows[1, ok, :p], rows[1, ok, p:] = mirror[:, p:], mirror[:, :p]
+        else:
+            x_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
+            ok_dn = np.nonzero(good[1, block])[0]
+            rows[1, ok_dn] = eye[exit_col] + np.einsum(
+                "j,ajk->ak", dyn.out_coupling[exit_col], x_dn[ok_dn]
+            )
+
+        # Slot lab frequencies: the lower sideband sees the upper's u and v
+        # slots swapped, and so their masks and occupancies.
+        lab_u = w[:, None] + centers[None, :]
+        lab_v = -w[:, None] + centers[None, :]
+        mask_u = lab_u > 0.0
+        mask_v = lab_v > 0.0
+        occ_u = np.empty((w.size, p))
+        occ_v = np.empty((w.size, p))
+        for j, info in enumerate(dyn.ports):
+            occ_u[:, j] = env.occupancy_array(info.name, lab_u[:, j], mask_u[:, j])
+            occ_v[:, j] = env.occupancy_array(info.name, lab_v[:, j], mask_v[:, j])
+
+        slots = np.concatenate([mask_u[ok], mask_v[ok]], axis=1)
+        r = (s * kd) @ s.conj().transpose(0, 2, 1) - np.diag(kd)
+        r_abs = np.abs(r)
+        r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
+        symp[lo + ok] = r_abs.max(axis=(1, 2))
+
+        sides = ((w, mask_u, mask_v, occ_u, occ_v), (-w, mask_v, mask_u, occ_v, occ_u))
+        for side, (signed, m_u, m_v, o_u, o_v) in enumerate(sides):
+            u = np.where(m_u, rows[side, :, :p], 0.0)
+            v = np.where(m_v, rows[side, :, p:], 0.0)
+            out_physical = signed + centers[exit_col] > 0.0
+            efficiency[side, block], noise[side, block], sumrule[side, block] = (
+                _sideband_spectra(
+                    u, v, o_u, o_v, m_v, out_physical & good[side, block],
+                    sig_col, side == 0,
+                )
+            )
+            if store_rows:
+                stored[side].extend(
+                    _transfer_rows(
+                        dyn, exit_name, signed, u, v, m_u, m_v,
+                        good[side, block], out_physical,
+                    )
+                )
 
     failures: list[SweepFailure] = []
-    point_ok = good[:m] & good[m:]
-    for i in np.nonzero(~point_ok)[0]:
-        worst = cond[i] if not good[i] else cond[m + i]
+    for i in np.nonzero(~(good[0] & good[1]))[0]:
+        worst = cond[0, i] if not good[0, i] else cond[1, i]
         failures.append(
             SweepFailure(
                 index=int(i),
@@ -562,87 +702,15 @@ def spectrum_sweep(
             )
         )
 
-    temps_or_consts = [info.name for info in dyn.ports]
-
-    # Exit rows masked by column physicality.
-    u_all = np.where(mask_u, rows[:, :p], 0.0)
-    v_all = np.where(mask_v, rows[:, p:], 0.0)
-    out_physical = signed + centers[exit_col] > 0.0
-
-    occ_u = np.empty((2 * m, p))
-    occ_v = np.empty((2 * m, p))
-    for j, name in enumerate(temps_or_consts):
-        occ_u[:, j] = env.occupancy_array(name, lab_u[:, j], mask_u[:, j])
-        occ_v[:, j] = env.occupancy_array(name, lab_v[:, j], mask_v[:, j])
-
-    abs_u = np.abs(u_all) ** 2
-    abs_v = np.abs(v_all) ** 2
-    upper_side = signed > 0.0
-
-    eta_signed = np.where(upper_side, abs_u[:, sig_col], abs_v[:, sig_col])
-    eta_signed = np.where(out_physical & good, eta_signed, np.nan)
-
-    u_noise = abs_u.copy()
-    v_noise = abs_v.copy()
-    u_noise[upper_side, sig_col] = 0.0  # signal column is not noise on its own side
-    v_noise[~upper_side, sig_col] = 0.0
-    flux = (u_noise * occ_u).sum(axis=1) + (
-        v_noise * np.where(mask_v, occ_v + 1.0, 0.0)
-    ).sum(axis=1)
-    with np.errstate(invalid="ignore", divide="ignore"):
-        noise_signed = np.where(eta_signed > 0.0, flux / eta_signed, np.nan)
-
-    sumrule_signed = np.abs(
-        abs_u.sum(axis=1) - abs_v.sum(axis=1) - 1.0
-    )
-    sumrule_signed = np.where(out_physical & good, sumrule_signed, np.nan)
-
-    rows_up: list[TransferRow | None] | None = None
-    rows_dn: list[TransferRow | None] | None = None
-    if store_rows:
-        center_map = {info.name: info.band_center for info in dyn.ports}
-        names = [info.name for info in dyn.ports]
-        rows_up, rows_dn = [], []
-        for block, sink in ((0, rows_up), (m, rows_dn)):
-            for i in range(m):
-                a_i = block + i
-                if not good[a_i]:
-                    sink.append(None)
-                    continue
-                dropped = [(names[j], "u") for j in range(p) if not mask_u[a_i, j]]
-                dropped += [(names[j], "v") for j in range(p) if not mask_v[a_i, j]]
-                sink.append(
-                    TransferRow(
-                        omega=float(signed[a_i]),
-                        exit_port=exit_name,
-                        signal_port=signal_name,
-                        u_coeffs={names[j]: complex(u_all[a_i, j]) for j in range(p)},
-                        v_coeffs={names[j]: complex(v_all[a_i, j]) for j in range(p)},
-                        port_centers=center_map,
-                        dropped=tuple(dropped),
-                        physical_output=bool(out_physical[a_i]),
-                    )
-                )
-
-    def _split(arr: NDArray[np.float64]) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        return arr[:m].copy(), arr[m:].copy()
-
-    eta_up, eta_dn = _split(eta_signed)
-    noise_up, noise_dn = _split(noise_signed)
-    sr_up, sr_dn = _split(sumrule_signed)
-    with np.errstate(invalid="ignore"):
-        sumrule = np.where(
-            np.isnan(sr_dn), sr_up, np.fmax(sr_up, sr_dn)
-        )
     return SpectrumGrid(
         omegas=grid,
-        eta_up=eta_up,
-        eta_dn=eta_dn,
-        noise_up=noise_up,
-        noise_dn=noise_dn,
-        sumrule_resid=sumrule,
+        eta_up=efficiency[0],
+        eta_dn=efficiency[1],
+        noise_up=noise[0],
+        noise_dn=noise[1],
+        sumrule_resid=np.fmax(sumrule[0], sumrule[1]),
         symplectic_resid=symp,
-        rows_up=tuple(rows_up) if rows_up is not None else None,
-        rows_dn=tuple(rows_dn) if rows_dn is not None else None,
+        rows_up=tuple(stored[0]) if store_rows else None,
+        rows_dn=tuple(stored[1]) if store_rows else None,
         failures=failures,
     )

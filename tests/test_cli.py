@@ -297,6 +297,35 @@ def test_fom_entangle_reports_both_schemes(
     assert payload["two-click"]["fidelity"] >= payload["one-click"]["fidelity"]
 
 
+def test_fom_entangle_oversized_window_is_numerical_error(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # A window so long that the dark-click probability reaches 1 puts the
+    # protocol outside its domain: numerical-failure exit, as in optimize.
+    code = main(
+        [
+            "fom",
+            "--builtin",
+            "electromech",
+            "--app",
+            "entangle",
+            "--omega-sig",
+            "5e6",
+            "--omega-min",
+            "4e6",
+            "--omega-max",
+            "6e6",
+            "--points",
+            "2001",
+            "--window",
+            "10",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 3
+    assert "dark-click probability" in captured.err
+
+
 def test_counting_numerical_failure_exit_code(
     squeezer_path: str, capsys: pytest.CaptureFixture[str]
 ) -> None:

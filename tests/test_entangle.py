@@ -8,12 +8,14 @@ import pytest
 
 from modescatter import (
     ConfigurationError,
+    DarkCountResult,
     DomainError,
     NoHeraldError,
     ProtocolSpec,
     ValidityWarning,
     entangle_fidelity_asymptotic,
     entangle_fidelity_exact,
+    heralding_spec,
     protocol_enumerate,
     protocol_montecarlo,
 )
@@ -132,6 +134,88 @@ def test_montecarlo_reproducible_across_chunks() -> None:
     assert a.populations == b.populations
     c = protocol_montecarlo(spec, trials=300000, seed=12)
     assert c.fidelity != a.fidelity
+
+
+@pytest.mark.parametrize(
+    ("spec", "trials", "seed", "herald_count", "fidelity", "populations"),
+    [
+        (
+            ProtocolSpec(scheme="one-click", p_e=0.1, p_d=1.0e-3, eta=0.6),
+            300000,
+            7,
+            35166,
+            0.9158846613205938,
+            {
+                "00": 0.013820167206961269,
+                "psi_plus": 0.9152306204856964,
+                "01": 0.0005118580447022692,
+                "10": 0.0007962236250924188,
+                "11": 0.06964113063754764,
+            },
+        ),
+        (
+            ProtocolSpec(scheme="two-click", p_e=0.5, p_d=0.01, eta=0.5),
+            100000,
+            3,
+            13375,
+            0.9285233644859813,
+            {
+                "00": 0.02699065420560748,
+                "psi_plus": 0.9105794392523364,
+                "01": 0.018093457943925233,
+                "10": 0.017794392523364486,
+                "11": 0.026542056074766354,
+            },
+        ),
+    ],
+    ids=["one-click-two-chunks", "two-click"],
+)
+def test_montecarlo_stream_is_pinned(
+    spec: ProtocolSpec,
+    trials: int,
+    seed: int,
+    herald_count: int,
+    fidelity: float,
+    populations: dict[str, float],
+) -> None:
+    # Exact values of a given seed: the random stream, its order of use and
+    # the fidelity-weight sums must not move.
+    result = protocol_montecarlo(spec, trials=trials, seed=seed)
+    assert result.herald_count == herald_count
+    assert result.fidelity == fidelity
+    assert result.populations == populations
+
+
+def _dark(rate: float, eta_plus: float) -> DarkCountResult:
+    return DarkCountResult(
+        eta_plus=eta_plus, n_plus=0.0, bandwidth=1.0, bandwidth_hz=1.0, rate=rate
+    )
+
+
+def test_heralding_spec_policy() -> None:
+    one = heralding_spec(_dark(rate=20.0, eta_plus=0.8), 1.0e-4, "one-click")
+    assert one.p_d == 20.0 * 1.0e-4
+    assert one.p_e == math.sqrt(2.0e-3 / (0.8 * (1.0 - 0.4)))
+    assert heralding_spec(_dark(20.0, 0.8), 1.0e-4, "two-click").p_e == 0.5
+    # The efficiency is capped at 1; the one-click p_e at 1/2 and above 1e-6.
+    assert heralding_spec(_dark(20.0, 1.3), 1.0e-4, "two-click").eta == 1.0
+    assert heralding_spec(_dark(1.0e3, 1.0e-3), 1.0e-4, "one-click").p_e == 0.5
+    assert heralding_spec(_dark(1.0e-9, 0.9), 1.0e-4, "one-click").p_e == 1.0e-6
+    assert heralding_spec(_dark(0.0, 0.9), 1.0e-4, "one-click", p_e=0.3).p_e == 0.3
+
+
+@pytest.mark.parametrize(
+    ("rate", "eta_plus", "scheme"),
+    [
+        (1.0e4, 0.8, "two-click"),  # p_d = 1
+        (-1.0, 0.8, "two-click"),
+        (math.nan, 0.8, "one-click"),
+        (20.0, 0.0, "one-click"),  # no optimal p_e without transfer
+    ],
+)
+def test_heralding_spec_domain_errors(rate: float, eta_plus: float, scheme: str) -> None:
+    with pytest.raises(DomainError):
+        heralding_spec(_dark(rate, eta_plus), 1.0e-4, scheme)  # type: ignore[arg-type]
 
 
 def test_montecarlo_agrees_with_enumeration() -> None:

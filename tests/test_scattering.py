@@ -12,7 +12,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modescatter import (
+    Band,
     ConfigurationError,
+    Coupling,
+    Drive,
+    InternalMode,
+    ModelUnstableError,
+    Port,
+    TransducerModel,
     DomainError,
     NearSingularError,
     NoiseEnvironment,
@@ -32,7 +39,9 @@ from modescatter import (
     transfer_pair,
     transfer_row,
 )
+from modescatter import scattering
 from modescatter.errors import ModeScatterError
+from modescatter.modelfile import get_builtin
 from modescatter.network import DoubledDynamics
 from modescatter.scattering import _BLOCK, CONDITION_LIMIT
 
@@ -422,6 +431,179 @@ def test_exactly_singular_resolvent_is_reported() -> None:
     for name in ("eta_up", "eta_dn", "sumrule_resid", "symplectic_resid"):
         got, want = getattr(grid, name)[[0, 2]], getattr(clean, name)
         assert got.tobytes() == want.tobytes()
+
+
+def _wide_model(rng: np.random.Generator) -> TransducerModel:
+    """Random stable network over more of the model space than
+    ``random_stable_model``: the first mode may sit in a zero-centred
+    (lab-frame) band, as a lab-quadrature mode with lab-quadrature ports or
+    as a rotating one, and couplings may be beam-splitter,
+    two-mode-squeezing or quadrature-position. Ports are thermal or cold;
+    signal and exit are drawn from all ports.
+    """
+    for _ in range(60):
+        n_modes = int(rng.integers(2, 5))
+        zero_centred = rng.random() < 0.6
+        modes = []
+        for j in range(n_modes):
+            if j == 0 and zero_centred:
+                frame = "lab-quadrature" if rng.random() < 0.7 else "rotating"
+                band = Band("b0", 0.0)
+                modes.append(InternalMode("m0", band, frame, 10.0 ** rng.uniform(5.0, 7.0)))
+                continue
+            center = 1.0e12 * (1.0 + 0.35 * j) + rng.uniform(0.0, 1.0e10)
+            detuning = rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(4.0, 6.0)
+            modes.append(InternalMode(f"m{j}", Band(f"b{j}", center), "rotating", center + detuning))
+        ports = [
+            Port(
+                f"p{j}{k}",
+                mode,
+                10.0 ** rng.uniform(3.0, 6.0),
+                0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.1),
+                flavor=mode.frame,
+            )
+            for j, mode in enumerate(modes)
+            for k in range(1 if rng.random() < 0.7 else 2)
+        ]
+        sig, ex = rng.choice(len(ports), size=2, replace=False)
+        ports[sig] = dataclasses.replace(ports[sig], role="signal")
+        ports[ex] = dataclasses.replace(ports[ex], role="exit")
+        rates = {m.name: sum(q.rate for q in ports if q.mode is m) for m in modes}
+        drives, couplings = [], []
+        for j in range(n_modes - 1):
+            a, b = modes[j], modes[j + 1]
+            ca, cb = a.band.center_frequency, b.band.center_frequency
+            forms = ["beam-splitter", "two-mode-squeezing"]
+            if ca == 0.0:
+                forms.append("quadrature-position")
+            form = forms[int(rng.integers(len(forms)))]
+            if form == "beam-splitter":
+                rate = 10.0 ** rng.uniform(3.0, 6.0)
+            else:
+                rate = 0.4 * math.sqrt(rates[a.name] * rates[b.name]) * rng.uniform(0.1, 1.0)
+            drive = Drive(f"d{j}", ca + cb if form == "two-mode-squeezing" else abs(ca - cb))
+            drives.append(drive)
+            couplings.append(Coupling(a, b, rate, form, drive))
+        model = TransducerModel(
+            tuple(m.band for m in modes), tuple(modes), tuple(drives), tuple(couplings), tuple(ports)
+        )
+        try:
+            assemble_dynamics(model)
+        except ModelUnstableError:
+            continue
+        return model
+    raise AssertionError("no stable model drawn")
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_assembled_dynamics_are_particle_hole_symmetric(seed: int) -> None:
+    # M = P conj(M) P, G = P conj(G) Q and G' = Q conj(G') P exactly (up
+    # to the sign of zeros), with P and Q swapping the annihilation and
+    # creation mode/port slots.
+    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    n, p = dyn.n_modes, dyn.n_ports
+    swap_b = np.r_[n : 2 * n, :n]
+    swap_a = np.r_[p : 2 * p, :p]
+    m, g, g_out = dyn.dyn_matrix, dyn.in_coupling, dyn.out_coupling
+    assert np.array_equal(m, m[np.ix_(swap_b, swap_b)].conj())
+    assert np.array_equal(g, g[np.ix_(swap_b, swap_a)].conj())
+    assert np.array_equal(g_out, g_out[np.ix_(swap_a, swap_b)].conj())
+
+
+def _assert_sweep_matches_transfer_pair(
+    dyn: DoubledDynamics, env: NoiseEnvironment, omegas: np.ndarray
+) -> None:
+    grid = spectrum_sweep(dyn, env, omegas, store_rows=True)
+    assert not grid.failures
+    assert grid.rows_up is not None and grid.rows_dn is not None
+    for i, omega in enumerate(omegas):
+        up, dn = transfer_pair(dyn, float(omega))
+        for row, stored, eta_grid, noise_grid in (
+            (up, grid.rows_up[i], grid.eta_up, grid.noise_up),
+            (dn, grid.rows_dn[i], grid.eta_dn, grid.noise_dn),
+        ):
+            # The coefficients themselves, phases included.
+            assert stored is not None and stored.omega == row.omega
+            assert stored.dropped == row.dropped
+            assert stored.physical_output == row.physical_output
+            for coeffs, want in ((stored.u_coeffs, row.u_coeffs), (stored.v_coeffs, row.v_coeffs)):
+                for name, value in want.items():
+                    assert coeffs[name] == pytest.approx(value, rel=1e-12, abs=1e-12)
+            if not row.physical_output:
+                assert math.isnan(eta_grid[i]) and math.isnan(noise_grid[i])
+                continue
+            assert eta_grid[i] == pytest.approx(eta(row), rel=1e-12)
+            if eta(row) > 0.0:
+                assert noise_grid[i] == pytest.approx(added_noise(row, env), rel=1e-12)
+        resid = np.fmax(sum_rule_residual(up), sum_rule_residual(dn))
+        assert grid.sumrule_resid[i] == pytest.approx(resid, abs=1e-12)
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_mirrored_lower_sideband_matches_pointwise_solve(seed: int) -> None:
+    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    _assert_sweep_matches_transfer_pair(dyn, env, np.geomspace(1.0e2, 1.0e8, 37))
+
+
+def test_electromech_masked_lower_sideband_matches_pointwise_solve() -> None:
+    # The exit (waveguide) band is centred at zero: every lower-sideband
+    # exit output is unphysical and the sweep holds NaN there.
+    dyn = assemble_dynamics(get_builtin("electromech"))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.linspace(TAU * 4.0e6, TAU * 6.0e6, 41)
+    _assert_sweep_matches_transfer_pair(dyn, env, omegas)
+    assert np.all(np.isnan(spectrum_sweep(dyn, env, omegas).eta_dn))
+
+
+def test_asymmetric_dynamics_solve_the_lower_sideband(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A squeezing converter has a lower-sideband signal path. Detuning only
+    # the annihilation slot of a mode breaks particle-hole symmetry; the
+    # sweep must then solve at -omega instead of mirroring.
+    model = two_mode_converter()
+    pump = Drive("pump", sum(band.center_frequency for band in model.bands))
+    squeezer = dataclasses.replace(model.couplings[0], form="two-mode-squeezing", drive=pump)
+    model = dataclasses.replace(model, drives=(pump,), couplings=(squeezer,))
+    dyn = assemble_dynamics(model)
+    m = dyn.dyn_matrix.copy()
+    m[0, 0] -= 1j * TAU * 3.0e5
+    dyn = dataclasses.replace(dyn, dyn_matrix=m)
+    env = NoiseEnvironment.constant({info.name: 0.3 for info in dyn.ports})
+    omegas = np.linspace(TAU * 1.0e5, TAU * 3.0e6, 23)
+    _assert_sweep_matches_transfer_pair(dyn, env, omegas)
+
+    # The mirror of the upper solve would be wrong here, by far more than
+    # the tolerance above.
+    mirrored = np.array(
+        [abs(scattering_matrix(dyn, float(w)).matrix[3, 0]) ** 2 for w in omegas]
+    )
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert np.max(np.abs(grid.eta_dn - mirrored) / grid.eta_dn) > 1e-3
+
+    calls = []
+    solve_block = scattering._solve_block
+    monkeypatch.setattr(
+        scattering, "_solve_block", lambda d, w: calls.append(w.size) or solve_block(d, w)
+    )
+    spectrum_sweep(dyn, env, omegas)
+    assert calls == [omegas.size, omegas.size]
+
+
+def test_symmetric_dynamics_solve_once_per_block(monkeypatch: pytest.MonkeyPatch) -> None:
+    dyn = assemble_dynamics(get_builtin("electromech"))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.linspace(TAU * 1.0e3, TAU * 1.0e8, 2 * _BLOCK + 5)
+    calls = []
+    solve_block = scattering._solve_block
+    monkeypatch.setattr(
+        scattering, "_solve_block", lambda d, w: calls.append(w.min()) or solve_block(d, w)
+    )
+    spectrum_sweep(dyn, env, omegas)
+    assert len(calls) == 3 and min(calls) > 0.0
 
 
 @pytest.mark.parametrize(
