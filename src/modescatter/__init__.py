@@ -9,6 +9,8 @@ probability, qubit state-transfer fidelity, photon counting yield, and
 heralded remote-entanglement fidelity.
 """
 
+from types import ModuleType as _ModuleType
+
 from .applications import (
     AsymptoticEntangleResult,
     CountingResult,
@@ -98,87 +100,10 @@ from .scattering import (
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "__version__",
-    # network
-    "Band",
-    "Coupling",
-    "DoubledDynamics",
-    "Drive",
-    "InternalMode",
-    "Port",
-    "RwaReport",
-    "TransducerModel",
-    "ValidationReport",
-    "assemble_dynamics",
-    "random_stable_model",
-    "rwa_report",
-    "validate_model",
-    # scattering
-    "NoiseEnvironment",
-    "ScatteringMatrix",
-    "SpectrumGrid",
-    "SweepFailure",
-    "TransferRow",
-    "added_noise",
-    "bose_occupancy",
-    "eta",
-    "noise_commutator_residual",
-    "noise_flux",
-    "physical_slot_mask",
-    "scattering_matrix",
-    "spectrum_sweep",
-    "sum_rule_residual",
-    "symplectic_residual",
-    "transfer_pair",
-    "transfer_row",
-    # electromechanical reference device
-    "ElectromechParams",
-    "PeakEstimate",
-    "Susceptibilities",
-    "build_model",
-    "closed_form_row",
-    "locate_peak",
-    "peak_eta",
-    "peak_eta_formula",
-    "peak_noise",
-    "peak_noise_formula",
-    "row_scale_calibration",
-    "susceptibilities",
-    # applications
-    "AsymptoticEntangleResult",
-    "CountingResult",
-    "DarkCountResult",
-    "HeterodyneResult",
-    "ProtocolResult",
-    "ProtocolSpec",
-    "SpectralShape",
-    "TemporalShape",
-    "constructive_phase",
-    "counting_yield",
-    "dark_count_rate",
-    "entangle_fidelity_asymptotic",
-    "entangle_fidelity_exact",
-    "heralding_spec",
-    "heterodyne_bound",
-    "heterodyne_sensitivity",
-    "mode_matched_efficiency",
-    "protocol_enumerate",
-    "protocol_montecarlo",
-    "qubit_fidelity",
-    "sideband_correlation",
-    # errors
-    "ModeScatterError",
-    "ConfigurationError",
-    "ModelValidationError",
-    "ModelUnstableError",
-    "NumericalError",
-    "NearSingularError",
-    "DomainError",
-    "UndefinedNoiseError",
-    "SignalNulledError",
-    "PoleError",
-    "QuadratureError",
-    "NoHeraldError",
-    "ValidityWarning",
+# Every public name imported above, and the version; submodules are not part
+# of the star-import surface.
+__all__ = ["__version__"] + [
+    name
+    for name, value in globals().items()
+    if not name.startswith("_") and not isinstance(value, _ModuleType)
 ]

@@ -22,7 +22,10 @@ lower-sideband one through the thermal moments of each shared input, giving
 where ``c_m`` is the band center of port ``m``. The first sum excludes the
 signal port (its annihilation column carries signal, not noise, at the upper
 sideband); the second includes it, because the signal port's creation column
-at ``+omega`` and annihilation column at ``-omega`` are both noise.
+at ``+omega`` and annihilation column at ``-omega`` are both noise. The sums
+run over the noise columns of the upper-sideband row exactly as
+:func:`modescatter.scattering.noise_flux` counts them: one scattering helper
+lists them for both, each with its slot lab frequency.
 """
 
 from __future__ import annotations
@@ -32,7 +35,13 @@ import math
 from dataclasses import dataclass
 
 from ..errors import ConfigurationError, DomainError, SignalNulledError
-from ..scattering import NoiseEnvironment, TransferRow, eta, noise_flux
+from ..scattering import (
+    NoiseEnvironment,
+    TransferRow,
+    _noise_columns,
+    eta,
+    noise_flux,
+)
 
 #: Negative radicand tolerance for the bound; larger violations indicate
 #: inputs inconsistent with commutator bookkeeping.
@@ -93,21 +102,16 @@ def sideband_correlation(
     ever requested at a non-positive frequency.
     """
     _check_pair(row_up, row_dn)
-    omega = row_up.omega
-    signal = row_up.signal_port
+    cols_u, cols_v = _noise_columns(row_up)
     total = 0.0j
-    for name, u in row_up.u_coeffs.items():
-        if name == signal:
-            continue
+    for name, u, lab in cols_u:
         product = u * row_dn.v_coeffs[name]
         if product != 0.0:
-            n = env.occupancy(name, omega + row_up.port_centers[name])
-            total += product * (2.0 * n + 1.0)
-    for name, v in row_up.v_coeffs.items():
+            total += product * (2.0 * env.occupancy(name, lab) + 1.0)
+    for name, v, lab in cols_v:
         product = v * row_dn.u_coeffs[name]
         if product != 0.0:
-            n = env.occupancy(name, -omega + row_up.port_centers[name])
-            total += product * (2.0 * n + 1.0)
+            total += product * (2.0 * env.occupancy(name, lab) + 1.0)
     return total
 
 

@@ -26,7 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Any, Literal, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -257,13 +257,57 @@ def _solve_block(
         x = np.full((a.shape[0], dim, cols), np.nan, dtype=np.complex128)
         x[good] = np.linalg.solve(a[good], dyn.in_coupling)
         return x, good, cond
-    # Column sums of |A| and of |A^-1|, side by side.
-    col = np.abs(np.concatenate([a, sol[:, :, cols:]], axis=2)).sum(axis=1)
-    cond = dim * col[:, :dim].max(axis=1) * col[:, dim:].max(axis=1)
+    # 1-norms of A and of A^-1: their largest column sums, side by side.
+    norms = np.abs(np.concatenate([a, sol[:, :, cols:]], axis=2)).sum(axis=1)
+    norms = norms.reshape(-1, 2, dim).max(axis=2)
+    cond = dim * norms[:, 0] * norms[:, 1]
     flagged = ~(cond <= 0.5 * CONDITION_LIMIT)
     if flagged.any():
         cond[flagged] = np.linalg.cond(a[flagged])
     return sol[:, :, :cols], cond <= CONDITION_LIMIT, cond
+
+
+def _resolve_exit(
+    port_index: Mapping[str, int], default: str, exit_port: str | None
+) -> tuple[str, int]:
+    """Name and column of the exit port: ``default`` unless overridden."""
+    name = default if exit_port is None else exit_port
+    if name not in port_index:
+        raise ConfigurationError(f"unknown exit port {name!r}")
+    return name, port_index[name]
+
+
+def _slots(
+    signed: float | NDArray[np.float64], centers: float | NDArray[np.float64]
+) -> tuple[Any, Any, Any, Any]:
+    """Slot lab frequencies at signed frequency ``signed``, and which are physical.
+
+    Returns ``(lab_u, lab_v, physical_u, physical_v)``: the annihilation
+    slot of a port with band center ``c`` sits at ``signed + c``, the
+    creation slot at ``-signed + c``, and a slot is physical where its lab
+    frequency is positive. Takes floats, or arrays that broadcast.
+    """
+    lab_u = signed + centers
+    lab_v = -signed + centers
+    return lab_u, lab_v, lab_u > 0.0, lab_v > 0.0
+
+
+def _scattering_stack(
+    dyn: DoubledDynamics, signed: NDArray[np.float64]
+) -> NDArray[np.complex128]:
+    """S at each signed frequency, from one block solve.
+
+    Raises :class:`NearSingularError` for the first near-singular point.
+    """
+    x, good, cond = _solve_block(dyn, signed)
+    for omega, ok, c in zip(signed.tolist(), good, cond):
+        if not ok:
+            raise NearSingularError(
+                f"resolvent is near-singular at omega={omega:.9e} rad/s "
+                f"(condition estimate {c:.3e})",
+                omega=omega,
+            )
+    return np.eye(2 * dyn.n_ports, dtype=np.complex128) + dyn.out_coupling @ x
 
 
 def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
@@ -274,15 +318,7 @@ def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
     ``CONDITION_LIMIT``, screened by the exact 1-norm condition) with a
     :class:`NearSingularError` naming the frequency.
     """
-    x, good, cond = _solve_block(dyn, np.array([float(omega)]))
-    if not good[0]:
-        raise NearSingularError(
-            f"resolvent is near-singular at omega={omega:.9e} rad/s "
-            f"(condition estimate {cond[0]:.3e})",
-            omega=omega,
-        )
-    s = np.eye(2 * dyn.n_ports, dtype=np.complex128) + dyn.out_coupling @ x[0]
-    resid = symplectic_residual(s, dyn.metric)
+    s = _scattering_stack(dyn, np.array([float(omega)]))[0]
     return ScatteringMatrix(
         omega=float(omega),
         matrix=s,
@@ -291,7 +327,7 @@ def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
         metric=dyn.metric,
         signal_port=dyn.signal_port,
         exit_port=dyn.exit_port,
-        unitarity_residual=resid,
+        unitarity_residual=symplectic_residual(s, dyn.metric),
     )
 
 
@@ -312,9 +348,59 @@ def symplectic_residual(
 def physical_slot_mask(
     ports: tuple[PortInfo, ...], omega: float
 ) -> NDArray[np.bool_]:
-    """Doubled-port-slot mask: True where the slot lab frequency is positive."""
-    centers = np.array([p.band_center for p in ports])
-    return np.concatenate([omega + centers > 0.0, -omega + centers > 0.0])
+    """Doubled-port-slot mask at signed frequency ``omega``.
+
+    Entry ``m`` (annihilation slot of port ``m``) is True where
+    ``omega + center_m > 0``, entry ``m + n_ports`` (creation slot) where
+    ``-omega + center_m > 0``: the same rule that masks transfer rows.
+    """
+    centers = np.array([info.band_center for info in ports])
+    _, _, physical_u, physical_v = _slots(omega, centers)
+    return np.concatenate([physical_u, physical_v])
+
+
+def _transfer_rows(
+    ports: tuple[PortInfo, ...],
+    signal_port: str,
+    exit_name: str,
+    signed: list[float],
+    exit_rows: list[list[complex]],
+) -> list[TransferRow]:
+    """:class:`TransferRow` views of exit rows of S at signed frequencies.
+
+    ``exit_rows[i]`` is the exit-port row of S at ``signed[i]``, on the
+    doubled port slots, as Python numbers (one ``tolist`` per block).
+    Columns at non-positive slot lab frequencies are zeroed and listed in
+    ``dropped``, annihilation slots first.
+    """
+    names = [info.name for info in ports]
+    centers = [info.band_center for info in ports]
+    port_centers = dict(zip(names, centers))
+    p = len(names)
+    rows = []
+    for omega, row in zip(signed, exit_rows):
+        u, v, dropped_u, dropped_v = {}, {}, [], []
+        for name, center, cu, cv in zip(names, centers, row[:p], row[p:]):
+            _, _, keep_u, keep_v = _slots(omega, center)
+            u[name] = cu if keep_u else 0j
+            v[name] = cv if keep_v else 0j
+            if not keep_u:
+                dropped_u.append((name, "u"))
+            if not keep_v:
+                dropped_v.append((name, "v"))
+        rows.append(
+            TransferRow(
+                omega=omega,
+                exit_port=exit_name,
+                signal_port=signal_port,
+                u_coeffs=u,
+                v_coeffs=v,
+                port_centers=port_centers,
+                dropped=tuple(dropped_u + dropped_v),
+                physical_output=(exit_name, "u") not in dropped_u,
+            )
+        )
+    return rows
 
 
 def transfer_row(s: ScatteringMatrix, exit_port: str | None = None) -> TransferRow:
@@ -322,50 +408,35 @@ def transfer_row(s: ScatteringMatrix, exit_port: str | None = None) -> TransferR
 
     The row is read at the signed frequency the matrix was evaluated at;
     call :func:`scattering_matrix` at ``-omega`` for the lower sideband.
+    Columns whose slot lab frequency is not positive are zeroed and listed
+    in ``dropped``, by the rule of :func:`physical_slot_mask`.
     """
-    name = s.exit_port if exit_port is None else exit_port
-    if name not in s.port_index:
-        raise ConfigurationError(f"unknown exit port {name!r}")
-    p = s.n_ports
-    row = s.matrix[s.port_index[name]]
-    centers = {info.name: info.band_center for info in s.ports}
-    u: dict[str, complex] = {}
-    v: dict[str, complex] = {}
-    dropped: list[tuple[str, str]] = []
-    for info in s.ports:
-        q = s.port_index[info.name]
-        cu = complex(row[q])
-        cv = complex(row[q + p])
-        if s.omega + info.band_center > 0.0:
-            u[info.name] = cu
-        else:
-            u[info.name] = 0.0j
-            dropped.append((info.name, "u"))
-        if -s.omega + info.band_center > 0.0:
-            v[info.name] = cv
-        else:
-            v[info.name] = 0.0j
-            dropped.append((info.name, "v"))
-    return TransferRow(
-        omega=s.omega,
-        exit_port=name,
-        signal_port=s.signal_port,
-        u_coeffs=u,
-        v_coeffs=v,
-        port_centers=centers,
-        dropped=tuple(dropped),
-        physical_output=s.omega + centers[name] > 0.0,
+    name, col = _resolve_exit(s.port_index, s.exit_port, exit_port)
+    (row,) = _transfer_rows(
+        s.ports, s.signal_port, name, [s.omega], [s.matrix[col].tolist()]
     )
+    return row
 
 
 def transfer_pair(
     dyn: DoubledDynamics, omega: float, exit_port: str | None = None
 ) -> tuple[TransferRow, TransferRow]:
-    """Upper/lower-sideband rows at ``+omega`` and ``-omega`` (``omega > 0``)."""
+    """Upper/lower-sideband rows at ``+omega`` and ``-omega`` (``omega > 0``).
+
+    Equal, coefficient for coefficient, to :func:`transfer_row` of
+    :func:`scattering_matrix` at ``+omega`` and at ``-omega``, and raises the
+    same :class:`NearSingularError` (``+omega`` first). Both sidebands come
+    from one two-point block solve. The lower sideband is solved rather
+    than mirrored from the upper one as in :func:`spectrum_sweep`: the
+    exact particle-hole check the mirror needs costs more per new dynamics
+    than the second matrix of the block, and the mirror changes last digits.
+    """
     if omega <= 0.0:
         raise DomainError(f"transfer_pair expects a positive frequency, got {omega!r}")
-    up = transfer_row(scattering_matrix(dyn, omega), exit_port)
-    dn = transfer_row(scattering_matrix(dyn, -omega), exit_port)
+    name, col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
+    signed = np.array([omega, -omega], dtype=np.float64)
+    rows = _scattering_stack(dyn, signed)[:, col].tolist()
+    up, dn = _transfer_rows(dyn.ports, dyn.signal_port, name, signed.tolist(), rows)
     return up, dn
 
 
@@ -388,6 +459,29 @@ def eta(row: TransferRow) -> float:
     raise DomainError("sideband frequency must be nonzero")
 
 
+def _noise_columns(
+    row: TransferRow,
+) -> tuple[list[tuple[str, complex, float]], list[tuple[str, complex, float]]]:
+    """Nonzero noise columns of a row, annihilation side then creation side.
+
+    Each column is ``(port, coefficient, slot lab frequency)``. The signal
+    column is left out on its own side (u on the upper sideband, v on the
+    lower), where it carries the signal; on the other side it is noise.
+    """
+    upper = row.omega > 0.0
+    u = [
+        (name, coeff, row.omega + row.port_centers[name])
+        for name, coeff in row.u_coeffs.items()
+        if coeff != 0.0 and not (upper and name == row.signal_port)
+    ]
+    v = [
+        (name, coeff, -row.omega + row.port_centers[name])
+        for name, coeff in row.v_coeffs.items()
+        if coeff != 0.0 and not (not upper and name == row.signal_port)
+    ]
+    return u, v
+
+
 def noise_flux(row: TransferRow, env: NoiseEnvironment) -> float:
     """Exit-referred noise quanta flux density (the numerator of N).
 
@@ -401,18 +495,12 @@ def noise_flux(row: TransferRow, env: NoiseEnvironment) -> float:
             f"noise flux undefined: exit output of {row.exit_port!r} is "
             f"unphysical at omega={row.omega:.6e} rad/s"
         )
-    upper = row.omega > 0.0
+    cols_u, cols_v = _noise_columns(row)
     total = 0.0
-    for name, coeff in row.u_coeffs.items():
-        if coeff == 0.0 or (upper and name == row.signal_port):
-            continue
-        n = env.occupancy(name, row.omega + row.port_centers[name])
-        total += abs(coeff) ** 2 * n
-    for name, coeff in row.v_coeffs.items():
-        if coeff == 0.0 or (not upper and name == row.signal_port):
-            continue
-        n = env.occupancy(name, -row.omega + row.port_centers[name])
-        total += abs(coeff) ** 2 * (n + 1.0)
+    for name, coeff, lab in cols_u:
+        total += abs(coeff) ** 2 * env.occupancy(name, lab)
+    for name, coeff, lab in cols_v:
+        total += abs(coeff) ** 2 * (env.occupancy(name, lab) + 1.0)
     return total
 
 
@@ -449,17 +537,13 @@ def noise_commutator_residual(row: TransferRow) -> float:
     and ``1 + eta`` on the lower one whenever S is quasi-unitary.
     """
     efficiency = eta(row)
-    upper = row.omega > 0.0
+    cols_u, cols_v = _noise_columns(row)
     commutator = 0.0
-    for name, coeff in row.u_coeffs.items():
-        if upper and name == row.signal_port:
-            continue
+    for _, coeff, _ in cols_u:
         commutator += abs(coeff) ** 2
-    for name, coeff in row.v_coeffs.items():
-        if not upper and name == row.signal_port:
-            continue
+    for _, coeff, _ in cols_v:
         commutator -= abs(coeff) ** 2
-    expected = 1.0 - efficiency if upper else 1.0 + efficiency
+    expected = 1.0 - efficiency if row.omega > 0.0 else 1.0 + efficiency
     return abs(commutator - expected)
 
 
@@ -524,43 +608,6 @@ def _sideband_spectra(
     return efficiency, noise, sumrule
 
 
-def _transfer_rows(
-    dyn: DoubledDynamics,
-    exit_name: str,
-    signed: NDArray[np.float64],
-    u: NDArray[np.complex128],
-    v: NDArray[np.complex128],
-    mask_u: NDArray[np.bool_],
-    mask_v: NDArray[np.bool_],
-    good: NDArray[np.bool_],
-    out_physical: NDArray[np.bool_],
-) -> list[TransferRow | None]:
-    """Per-point :class:`TransferRow` views of masked exit rows (None where failed)."""
-    names = [info.name for info in dyn.ports]
-    centers = {info.name: info.band_center for info in dyn.ports}
-    p = len(names)
-    rows: list[TransferRow | None] = []
-    for i, omega in enumerate(signed):
-        if not good[i]:
-            rows.append(None)
-            continue
-        dropped = [(names[j], "u") for j in range(p) if not mask_u[i, j]]
-        dropped += [(names[j], "v") for j in range(p) if not mask_v[i, j]]
-        rows.append(
-            TransferRow(
-                omega=float(omega),
-                exit_port=exit_name,
-                signal_port=dyn.signal_port,
-                u_coeffs={names[j]: complex(u[i, j]) for j in range(p)},
-                v_coeffs={names[j]: complex(v[i, j]) for j in range(p)},
-                port_centers=centers,
-                dropped=tuple(dropped),
-                physical_output=bool(out_physical[i]),
-            )
-        )
-    return rows
-
-
 def spectrum_sweep(
     dyn: DoubledDynamics,
     env: NoiseEnvironment,
@@ -602,17 +649,15 @@ def spectrum_sweep(
     store_rows:
         Also keep per-point :class:`TransferRow` objects in ``rows_up`` and
         ``rows_dn``, for inspecting the coefficients behind the spectra;
-        no figure of merit reads them, and building them (one Python
-        object per point and sideband) costs several times the spectra.
+        no figure of merit reads them. They come from the builder behind
+        :func:`transfer_row`, one Python object per point and sideband,
+        which roughly triples the time of a sweep.
     """
     grid = np.asarray(omegas, dtype=np.float64)
     _check_grid(grid)
     m = grid.size
     p = dyn.n_ports
-    exit_name = dyn.exit_port if exit_port is None else exit_port
-    if exit_name not in dyn.port_index:
-        raise ConfigurationError(f"unknown exit port {exit_name!r}")
-    exit_col = dyn.port_index[exit_name]
+    exit_name, exit_col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
     sig_col = dyn.port_index[dyn.signal_port]
     centers = np.array([info.band_center for info in dyn.ports])
     mirrored = _particle_hole_symmetric(dyn)
@@ -653,10 +698,7 @@ def spectrum_sweep(
 
         # Slot lab frequencies: the lower sideband sees the upper's u and v
         # slots swapped, and so their masks and occupancies.
-        lab_u = w[:, None] + centers[None, :]
-        lab_v = -w[:, None] + centers[None, :]
-        mask_u = lab_u > 0.0
-        mask_v = lab_v > 0.0
+        lab_u, lab_v, mask_u, mask_v = _slots(w[:, None], centers)
         occ_u = np.empty((w.size, p))
         occ_v = np.empty((w.size, p))
         for j, info in enumerate(dyn.ports):
@@ -673,19 +715,23 @@ def spectrum_sweep(
         for side, (signed, m_u, m_v, o_u, o_v) in enumerate(sides):
             u = np.where(m_u, rows[side, :, :p], 0.0)
             v = np.where(m_v, rows[side, :, p:], 0.0)
-            out_physical = signed + centers[exit_col] > 0.0
             efficiency[side, block], noise[side, block], sumrule[side, block] = (
                 _sideband_spectra(
-                    u, v, o_u, o_v, m_v, out_physical & good[side, block],
+                    u, v, o_u, o_v, m_v, m_u[:, exit_col] & good[side, block],
                     sig_col, side == 0,
                 )
             )
             if store_rows:
+                views = _transfer_rows(
+                    dyn.ports,
+                    dyn.signal_port,
+                    exit_name,
+                    signed.tolist(),
+                    rows[side].tolist(),
+                )
                 stored[side].extend(
-                    _transfer_rows(
-                        dyn, exit_name, signed, u, v, m_u, m_v,
-                        good[side, block], out_physical,
-                    )
+                    row if solved else None
+                    for row, solved in zip(views, good[side, block].tolist())
                 )
 
     failures: list[SweepFailure] = []

@@ -5,6 +5,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+import re
 from io import StringIO
 from pathlib import Path
 
@@ -200,6 +201,43 @@ def test_fom_heterodyne_on_model_file(
     assert payload["eta_dn"] == 0.0
     assert payload["p_s"] <= payload["bound"] + 1e-9
     assert payload["t_lo_abs"] > 0.0
+
+
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            ["--builtin", "electromech", "--app", "qubit", "--omega-sig", "5e6"],
+            [
+                "eta_plus = 0.999618859854",
+                "n_plus = 0.0506157515852",
+                "fidelity = 0.91554551408",
+            ],
+        ),
+        (
+            ["--model", "README.json", "--app", "heterodyne", "--omega-sig", "1e6"],
+            ["p_s = 1.60076575977", "bound = 2.57438685092"],
+        ),
+    ],
+    ids=["qubit", "heterodyne"],
+)
+def test_fom_prints_readme_lines(
+    argv: list[str],
+    lines: list[str],
+    tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # The README's fom examples, line for line; "README.json" stands for the
+    # model file shown in its "Model files" section.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    model = tmp_path / "converter.json"
+    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    code = main(["fom"] + [str(model) if a == "README.json" else a for a in argv])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    for line in lines:
+        assert line in readme
+        assert line in out
 
 
 def test_fom_counting_cold_lines(capsys: pytest.CaptureFixture[str]) -> None:

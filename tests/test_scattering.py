@@ -606,6 +606,67 @@ def test_symmetric_dynamics_solve_once_per_block(monkeypatch: pytest.MonkeyPatch
     assert len(calls) == 3 and min(calls) > 0.0
 
 
+def _assert_pair_equals_single_rows(
+    dyn: DoubledDynamics, omegas: np.ndarray, exit_port: str | None = None
+) -> None:
+    # transfer_pair solves both sidebands in one block; every field, down to
+    # the last bit of each coefficient, must equal the one-point path.
+    for omega in omegas.tolist():
+        pair = transfer_pair(dyn, omega, exit_port)
+        single = (
+            transfer_row(scattering_matrix(dyn, omega), exit_port),
+            transfer_row(scattering_matrix(dyn, -omega), exit_port),
+        )
+        for got, want in zip(pair, single):
+            for f in dataclasses.fields(want):
+                assert getattr(got, f.name) == getattr(want, f.name), f.name
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_transfer_pair_equals_single_rows_on_wide_models(seed: int) -> None:
+    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    _assert_pair_equals_single_rows(dyn, np.geomspace(1.0e2, 1.0e8, 13))
+    for info in dyn.ports:
+        _assert_pair_equals_single_rows(dyn, np.array([3.0e5]), info.name)
+
+
+@pytest.mark.parametrize(
+    "model, omegas",
+    [
+        (get_builtin("electromech"), np.geomspace(TAU * 1.0e3, TAU * 1.0e8, 25)),
+        (two_mode_converter(t_b=0.05), np.geomspace(TAU * 1.0e4, TAU * 1.0e10, 25)),
+    ],
+    ids=["electromech", "converter"],
+)
+def test_transfer_pair_equals_single_rows(
+    model: TransducerModel, omegas: np.ndarray
+) -> None:
+    dyn = assemble_dynamics(model)
+    _assert_pair_equals_single_rows(dyn, omegas)
+    for info in dyn.ports:
+        _assert_pair_equals_single_rows(dyn, omegas[::6], info.name)
+
+
+def test_transfer_pair_near_singular_error_matches_scattering_matrix() -> None:
+    dyn = assemble_dynamics(near_singular_model())
+    omega = TAU * 2.0e6
+    with pytest.raises(NearSingularError) as want:
+        scattering_matrix(dyn, omega)
+    with pytest.raises(NearSingularError) as got:
+        transfer_pair(dyn, omega)
+    assert got.value.omega == want.value.omega == omega
+    assert str(got.value) == str(want.value)
+
+
+def test_transfer_pair_checks_exit_port_before_solving() -> None:
+    # At the singular point the solve would raise NearSingularError; the
+    # unknown exit port is reported first.
+    dyn = assemble_dynamics(near_singular_model())
+    with pytest.raises(ConfigurationError, match="unknown exit port 'nope'"):
+        transfer_pair(dyn, TAU * 2.0e6, exit_port="nope")
+
+
 @pytest.mark.parametrize(
     "omegas",
     [
