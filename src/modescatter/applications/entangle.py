@@ -50,6 +50,11 @@ _SCHEMES = ("one-click", "two-click")
 #: Trials per vectorized Monte Carlo chunk.
 _MC_CHUNK = 1 << 18
 
+#: Boolean scratch rows per Monte Carlo chunk: two emitter flags, five rows
+#: per round (see :func:`_mc_round`) and two idle-emitter flags for the
+#: second round, whose rows the outcome classes reuse.
+_MC_FLAGS = 14
+
 #: Floor on the one-click excitation probability picked by :func:`heralding_spec`.
 _P_E_FLOOR = 1e-6
 
@@ -367,23 +372,34 @@ def _mc_round(
     emit2: np.ndarray,
     eta: float,
     p_d: float,
+    rows: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Vectorized single round: (heralded, all emitted detected, any detected).
 
-    Every uniform is drawn into the scratch buffer ``u``.
+    Every uniform is drawn into the scratch buffer ``u`` and every boolean
+    into the five rows of ``rows``; the results are views of rows 3, 0 and 2.
     """
-    det1 = emit1 & (rng.random(out=u) < eta)
-    det2 = emit2 & (rng.random(out=u) < eta)
-    any_det = det1 | det2
+    det1, det2, any_det, click0, click1 = rows
+    np.logical_and(np.less(rng.random(out=u), eta, out=det1), emit1, out=det1)
+    np.logical_and(np.less(rng.random(out=u), eta, out=det2), emit2, out=det2)
+    np.logical_or(det1, det2, out=any_det)
+    # all_det = (det1 | ~emit1) & (det2 | ~emit2), formed in det1
+    det1 |= np.logical_not(emit1, out=click0)
+    det2 |= np.logical_not(emit2, out=click0)
+    all_det = np.logical_and(det1, det2, out=det1)
     # one arm draw serves both the single-photon and the bunched-pair case
-    arm0 = rng.random(out=u) < 0.5
-    dark0 = rng.random(out=u) < p_d
-    dark1 = rng.random(out=u) < p_d
-    click0 = (any_det & arm0) | dark0
-    click1 = (any_det & ~arm0) | dark1
-    heralded = click0 ^ click1
-    all_det = (det1 | ~emit1) & (det2 | ~emit2)
+    arm0 = np.less(rng.random(out=u), 0.5, out=det2)
+    np.less(rng.random(out=u), p_d, out=click0)  # dark count, arm 0
+    np.less(rng.random(out=u), p_d, out=click1)  # dark count, arm 1
+    click0 |= np.logical_and(arm0, any_det, out=arm0)  # detections in arm 0
+    click1 |= np.logical_xor(arm0, any_det, out=arm0)  # detections in arm 1
+    heralded = np.logical_xor(click0, click1, out=click0)
     return heralded, all_det, any_det
+
+
+def _count_both(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> int:
+    """Number of trials where ``a`` and ``b`` both hold; ``out`` is scratch."""
+    return int(np.count_nonzero(np.logical_and(a, b, out=out)))
 
 
 def protocol_montecarlo(
@@ -416,38 +432,49 @@ def protocol_montecarlo(
     weight_sq_sum = 0.0
     class_counts = {"00": 0, "psi_plus": 0, "01": 0, "10": 0, "11": 0}
 
+    # Scratch for every chunk, allocated once per call: the uniforms and
+    # the boolean rows every intermediate is written into.
     uniforms = np.empty(min(trials, _MC_CHUNK))
+    flags = np.empty((_MC_FLAGS, uniforms.size), dtype=bool)
     done = 0
     for child in children:
         n = min(_MC_CHUNK, trials - done)
         done += n
         rng = np.random.default_rng(child)
-        u = uniforms[:n]
-        emit1 = rng.random(out=u) < p_e
-        emit2 = rng.random(out=u) < p_e
-        heralded, all_det, any_det = _mc_round(rng, u, emit1, emit2, eta, p_d)
-        caused = any_det
+        u, f = uniforms[:n], flags[:, :n]
+        emit1 = np.less(rng.random(out=u), p_e, out=f[0])
+        emit2 = np.less(rng.random(out=u), p_e, out=f[1])
+        heralded, all_det, caused = _mc_round(rng, u, emit1, emit2, eta, p_d, f[2:7])
         if two_click:
-            her2, all2, any2 = _mc_round(rng, u, ~emit1, ~emit2, eta, p_d)
+            idle1 = np.logical_not(emit1, out=f[7])
+            idle2 = np.logical_not(emit2, out=f[8])
+            her2, all2, any2 = _mc_round(rng, u, idle1, idle2, eta, p_d, f[9:14])
             heralded &= her2
             all_det &= all2
-            caused = caused & any2
-        one_exc = emit1 ^ emit2
-        bell = heralded & one_exc & all_det
-        mixed = heralded & one_exc & ~all_det
-        n_bell = int(bell.sum())
-        n_mixed = int(mixed.sum())
+            caused &= any2
+        # Heralded with one excitation: Bell where every emitted photon was
+        # detected, mixed otherwise.
+        single = np.logical_xor(emit1, emit2, out=f[7])
+        single &= heralded
+        bell = np.logical_and(single, all_det, out=f[8])
+        mixed = np.logical_xor(single, bell, out=single)
+        scratch = f[9]
+        n_bell = int(np.count_nonzero(bell))
+        n_mixed = int(np.count_nonzero(mixed))
 
-        herald_count += int(heralded.sum())
-        photon_count += int((heralded & caused).sum())
+        herald_count += int(np.count_nonzero(heralded))
+        photon_count += _count_both(heralded, caused, scratch)
         # Overlap weights are 1 (Bell) and 1/2 (mixed): these sums are exact.
         weight_sum += n_bell + 0.5 * n_mixed
         weight_sq_sum += n_bell + 0.25 * n_mixed
         class_counts["psi_plus"] += n_bell
-        class_counts["00"] += int((heralded & ~emit1 & ~emit2).sum())
-        class_counts["11"] += int((heralded & emit1 & emit2).sum())
-        class_counts["01"] += int((mixed & ~emit1 & emit2).sum())
-        class_counts["10"] += int((mixed & emit1 & ~emit2).sum())
+        neither = np.logical_not(np.logical_or(emit1, emit2, out=scratch), out=scratch)
+        class_counts["00"] += _count_both(heralded, neither, scratch)
+        both = np.logical_and(emit1, emit2, out=scratch)
+        class_counts["11"] += _count_both(heralded, both, scratch)
+        # a mixed trial has exactly one excitation
+        class_counts["01"] += _count_both(mixed, emit2, scratch)
+        class_counts["10"] += _count_both(mixed, emit1, scratch)
 
     if herald_count == 0:
         raise NoHeraldError(

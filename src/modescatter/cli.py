@@ -430,7 +430,7 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             )
         omegas = _grid_omegas(args)
         grid = spectrum_sweep(
-            dyn, env, omegas, exit_port=args.exit, store_rows=False
+            dyn, env, omegas, exit_port=args.exit, store_rows=False, symplectic=False
         )
         result = counting_yield(
             grid,
@@ -454,7 +454,7 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             raise ConfigurationError("fom --app entangle needs --window")
         omegas = _grid_omegas(args)
         grid = spectrum_sweep(
-            dyn, env, omegas, exit_port=args.exit, store_rows=False
+            dyn, env, omegas, exit_port=args.exit, store_rows=False, symplectic=False
         )
         dark = dark_count_rate(grid, omega_sig)
         specs = {

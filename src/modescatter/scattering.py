@@ -152,13 +152,7 @@ class NoiseEnvironment:
 
 @dataclass(frozen=True, eq=False)
 class ScatteringMatrix:
-    """S(omega) on the doubled port basis, with bookkeeping metadata.
-
-    ``unitarity_residual`` is the full-basis max-norm of ``S K S^dag - K``;
-    for networks containing lab-quadrature (viscous) ports this is O(1) in
-    the artifact sectors and only the physically-masked residual is
-    meaningful (see :func:`symplectic_residual`).
-    """
+    """S(omega) on the doubled port basis, with bookkeeping metadata."""
 
     omega: float
     matrix: NDArray[np.complex128]
@@ -167,11 +161,20 @@ class ScatteringMatrix:
     metric: NDArray[np.float64]
     signal_port: str
     exit_port: str
-    unitarity_residual: float
 
     @property
     def n_ports(self) -> int:
         return len(self.ports)
+
+    @property
+    def unitarity_residual(self) -> float:
+        """Full-basis max-norm of ``S K S^dag - K``, computed on access.
+
+        For networks containing lab-quadrature (viscous) ports this is O(1)
+        in the artifact sectors and only the physically-masked residual is
+        meaningful (see :func:`symplectic_residual`).
+        """
+        return symplectic_residual(self.matrix, self.metric)
 
 
 @dataclass(frozen=True, eq=False)
@@ -212,7 +215,8 @@ class SpectrumGrid:
     hold NaN. ``noise_dn``/``eta_dn`` are NaN wherever the lower-sideband
     exit output is unphysical (zero-centered exit band) or, for the noise,
     wherever the corresponding efficiency vanishes. ``symplectic_resid`` is
-    restricted to physical slots; ``sumrule_resid`` is the worst transfer-row
+    restricted to physical slots, and is None when the sweep was run with
+    ``symplectic=False``; ``sumrule_resid`` is the worst transfer-row
     residual at that frequency. Failures carry per-point error messages;
     the surviving points are unaffected.
     """
@@ -223,7 +227,7 @@ class SpectrumGrid:
     noise_up: NDArray[np.float64]
     noise_dn: NDArray[np.float64]
     sumrule_resid: NDArray[np.float64]
-    symplectic_resid: NDArray[np.float64]
+    symplectic_resid: NDArray[np.float64] | None
     rows_up: tuple[TransferRow | None, ...] | None = None
     rows_dn: tuple[TransferRow | None, ...] | None = None
     failures: list[SweepFailure] = field(default_factory=list)
@@ -327,7 +331,6 @@ def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
         metric=dyn.metric,
         signal_port=dyn.signal_port,
         exit_port=dyn.exit_port,
-        unitarity_residual=symplectic_residual(s, dyn.metric),
     )
 
 
@@ -615,6 +618,7 @@ def spectrum_sweep(
     *,
     exit_port: str | None = None,
     store_rows: bool = True,
+    symplectic: bool = True,
 ) -> SpectrumGrid:
     """Vectorized spectra over an ascending positive frequency grid.
 
@@ -652,6 +656,14 @@ def spectrum_sweep(
         no figure of merit reads them. They come from the builder behind
         :func:`transfer_row`, one Python object per point and sideband,
         which roughly triples the time of a sweep.
+    symplectic:
+        Also compute ``symplectic_resid``, the physically masked residual of
+        ``S K S^dag - K``, which needs the full S at every point. When False
+        only the two rows of S the spectra read (``exit`` and
+        ``exit + n_ports``) are formed, and ``symplectic_resid`` is None;
+        every other output is bit-identical. ``fom --app counting|entangle``
+        and the entanglement objectives of :mod:`modescatter.optimize` never
+        read the residual and turn it off; ``spectra`` prints it.
     """
     grid = np.asarray(omegas, dtype=np.float64)
     _check_grid(grid)
@@ -663,6 +675,7 @@ def spectrum_sweep(
     mirrored = _particle_hole_symmetric(dyn)
     kd = dyn.metric
     eye = np.eye(2 * p)
+    pick = [exit_col, exit_col + p]
 
     # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
     good = np.empty((2, m), dtype=bool)
@@ -670,7 +683,7 @@ def spectrum_sweep(
     efficiency = np.empty((2, m))
     noise = np.empty((2, m))
     sumrule = np.empty((2, m))
-    symp = np.full(m, np.nan)
+    symp = np.full(m, np.nan) if symplectic else None
     stored: tuple[list[TransferRow | None], list[TransferRow | None]] = ([], [])
 
     for lo in range(0, m, _BLOCK):
@@ -678,16 +691,32 @@ def spectrum_sweep(
         w = grid[block]
         x, good[0, block], cond[0, block] = _solve_block(dyn, w)
         ok = np.nonzero(good[0, block])[0]
-        # The full S on the upper sideband serves its exit row, the mirrored
-        # lower row and the physically masked symplectic residual. The
-        # contraction stays an einsum: a matmul sums in another order and
-        # changes the last digits of the rows.
-        s = eye + np.einsum("ij,ajk->aik", dyn.out_coupling, x[ok])
+        # Slot lab frequencies: the lower sideband sees the upper's u and v
+        # slots swapped, and so their masks and occupancies.
+        lab_u, lab_v, mask_u, mask_v = _slots(w[:, None], centers)
+
+        # Rows exit and exit + n_ports of S on the upper sideband serve its
+        # exit row and the mirrored lower row; the full S is formed only for
+        # the physically masked symplectic residual, and gives the rows the
+        # same bits. The contraction stays an einsum: a matmul sums in
+        # another order and changes the last digits of the rows.
+        if symp is not None:
+            s = eye + np.einsum("ij,ajk->aik", dyn.out_coupling, x[ok])
+            exit_rows = s[:, pick]
+            slots = np.concatenate([mask_u[ok], mask_v[ok]], axis=1)
+            r = (s * kd) @ s.conj().transpose(0, 2, 1) - np.diag(kd)
+            r_abs = np.abs(r)
+            r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
+            symp[lo + ok] = r_abs.max(axis=(1, 2))
+        else:
+            exit_rows = eye[pick] + np.einsum(
+                "ij,ajk->aik", dyn.out_coupling[pick], x[ok]
+            )
         rows = np.full((2, w.size, 2 * p), np.nan, dtype=np.complex128)
-        rows[0, ok] = s[:, exit_col]
+        rows[0, ok] = exit_rows[:, 0]
         if mirrored:
             good[1, block], cond[1, block] = good[0, block], cond[0, block]
-            mirror = s[:, exit_col + p].conj()
+            mirror = exit_rows[:, 1].conj()
             rows[1, ok, :p], rows[1, ok, p:] = mirror[:, p:], mirror[:, :p]
         else:
             x_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
@@ -696,20 +725,11 @@ def spectrum_sweep(
                 "j,ajk->ak", dyn.out_coupling[exit_col], x_dn[ok_dn]
             )
 
-        # Slot lab frequencies: the lower sideband sees the upper's u and v
-        # slots swapped, and so their masks and occupancies.
-        lab_u, lab_v, mask_u, mask_v = _slots(w[:, None], centers)
         occ_u = np.empty((w.size, p))
         occ_v = np.empty((w.size, p))
         for j, info in enumerate(dyn.ports):
             occ_u[:, j] = env.occupancy_array(info.name, lab_u[:, j], mask_u[:, j])
             occ_v[:, j] = env.occupancy_array(info.name, lab_v[:, j], mask_v[:, j])
-
-        slots = np.concatenate([mask_u[ok], mask_v[ok]], axis=1)
-        r = (s * kd) @ s.conj().transpose(0, 2, 1) - np.diag(kd)
-        r_abs = np.abs(r)
-        r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
-        symp[lo + ok] = r_abs.max(axis=(1, 2))
 
         sides = ((w, mask_u, mask_v, occ_u, occ_v), (-w, mask_v, mask_u, occ_v, occ_u))
         for side, (signed, m_u, m_v, o_u, o_v) in enumerate(sides):

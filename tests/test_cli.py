@@ -203,6 +203,14 @@ def test_fom_heterodyne_on_model_file(
     assert payload["t_lo_abs"] > 0.0
 
 
+# The cold phononic line and 4-6 MHz grid of the README's counting and
+# entanglement examples.
+_README_COLD_GRID = [
+    "--builtin", "electromech", "--set", "t_wg=0", "--set", "t_m=0",
+    "--omega-min", "4e6", "--omega-max", "6e6",
+]
+
+
 @pytest.mark.parametrize(
     "argv, lines",
     [
@@ -218,8 +226,32 @@ def test_fom_heterodyne_on_model_file(
             ["--model", "README.json", "--app", "heterodyne", "--omega-sig", "1e6"],
             ["p_s = 1.60076575977", "bound = 2.57438685092"],
         ),
+        (
+            [
+                *_README_COLD_GRID,
+                "--app", "counting", "--omega-sig", "5e6", "--points", "8001",
+                "--h-in", "delta:center_hz=5e6",
+                "--h-out", "exponential:rate_per_s=2e4", "--window", "2e-4",
+            ],
+            [
+                "bandwidth_hz = 14824.7060017",
+                "dark_rate_per_s = 0.370593615678",
+                "n_out_mean = 0.981384320514",
+            ],
+        ),
+        (
+            [
+                *_README_COLD_GRID,
+                "--app", "entangle", "--omega-sig", "5e6", "--points", "8001",
+                "--window", "1e-5",
+            ],
+            [
+                "one-click.fidelity = 0.997283872666",
+                "two-click.fidelity = 0.999992579705",
+            ],
+        ),
     ],
-    ids=["qubit", "heterodyne"],
+    ids=["qubit", "heterodyne", "counting", "entangle"],
 )
 def test_fom_prints_readme_lines(
     argv: list[str],

@@ -558,12 +558,11 @@ def test_electromech_masked_lower_sideband_matches_pointwise_solve() -> None:
     assert np.all(np.isnan(spectrum_sweep(dyn, env, omegas).eta_dn))
 
 
-def test_asymmetric_dynamics_solve_the_lower_sideband(
-    monkeypatch: pytest.MonkeyPatch,
-) -> None:
-    # A squeezing converter has a lower-sideband signal path. Detuning only
-    # the annihilation slot of a mode breaks particle-hole symmetry; the
-    # sweep must then solve at -omega instead of mirroring.
+def _asymmetric_squeezer() -> DoubledDynamics:
+    """A squeezing converter, which has a lower-sideband signal path, with
+    only the annihilation slot of a mode detuned: not particle-hole
+    symmetric, so the sweep solves at -omega instead of mirroring.
+    """
     model = two_mode_converter()
     pump = Drive("pump", sum(band.center_frequency for band in model.bands))
     squeezer = dataclasses.replace(model.couplings[0], form="two-mode-squeezing", drive=pump)
@@ -571,7 +570,16 @@ def test_asymmetric_dynamics_solve_the_lower_sideband(
     dyn = assemble_dynamics(model)
     m = dyn.dyn_matrix.copy()
     m[0, 0] -= 1j * TAU * 3.0e5
-    dyn = dataclasses.replace(dyn, dyn_matrix=m)
+    return dataclasses.replace(dyn, dyn_matrix=m)
+
+
+def test_asymmetric_dynamics_solve_the_lower_sideband(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A squeezing converter has a lower-sideband signal path. Detuning only
+    # the annihilation slot of a mode breaks particle-hole symmetry; the
+    # sweep must then solve at -omega instead of mirroring.
+    dyn = _asymmetric_squeezer()
     env = NoiseEnvironment.constant({info.name: 0.3 for info in dyn.ports})
     omegas = np.linspace(TAU * 1.0e5, TAU * 3.0e6, 23)
     _assert_sweep_matches_transfer_pair(dyn, env, omegas)
@@ -591,6 +599,65 @@ def test_asymmetric_dynamics_solve_the_lower_sideband(
     )
     spectrum_sweep(dyn, env, omegas)
     assert calls == [omegas.size, omegas.size]
+
+
+def _sweep_case(
+    case: str, rng: np.random.Generator, points: int
+) -> tuple[DoubledDynamics, np.ndarray]:
+    if case == "wide":
+        return assemble_dynamics(_wide_model(rng)), np.geomspace(1.0e2, 1.0e8, points)
+    if case == "electromech":
+        dyn = assemble_dynamics(get_builtin("electromech"))
+        return dyn, np.linspace(TAU * 4.0e6, TAU * 6.0e6, points)
+    if case == "near-singular":
+        # The singular point omega = delta is always on the grid.
+        dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
+        omegas = np.linspace(TAU * 1.0e6, TAU * 3.0e6, points)
+        return dyn, np.union1d(omegas, [TAU * 2.0e6])
+    return _asymmetric_squeezer(), np.linspace(TAU * 1.0e5, TAU * 3.0e6, points)
+
+
+@settings(max_examples=24, deadline=None, derandomize=True)
+@given(
+    case=st.sampled_from(["wide", "electromech", "near-singular", "asymmetric"]),
+    seed=st.integers(0, 2**32 - 1),
+    points=st.integers(1, _BLOCK + 40),
+    store_rows=st.booleans(),
+)
+def test_sweep_without_symplectic_residual_is_bit_identical(
+    case: str, seed: int, points: int, store_rows: bool
+) -> None:
+    # Forming only the exit rows of S must not move a bit of any output.
+    rng = np.random.default_rng(seed)
+    dyn, omegas = _sweep_case(case, rng, points)
+    exit_port = dyn.ports[int(rng.integers(dyn.n_ports))].name
+    env = NoiseEnvironment.from_dynamics(dyn)
+    want = spectrum_sweep(dyn, env, omegas, exit_port=exit_port, store_rows=store_rows)
+    got = spectrum_sweep(
+        dyn, env, omegas, exit_port=exit_port, store_rows=store_rows, symplectic=False
+    )
+    assert got.symplectic_resid is None
+    assert want.symplectic_resid is not None
+    for name in ("eta_up", "eta_dn", "noise_up", "noise_dn", "sumrule_resid"):
+        assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
+    failures = [[(f.index, f.omega, f.message) for f in g.failures] for g in (got, want)]
+    assert failures[0] == failures[1]
+    assert case != "near-singular" or failures[0]
+    if not store_rows:
+        assert got.rows_up is got.rows_dn is None
+        return
+    assert got.rows_up is not None and got.rows_dn is not None
+    assert want.rows_up is not None and want.rows_dn is not None
+    for got_row, want_row in zip(got.rows_up + got.rows_dn, want.rows_up + want.rows_dn):
+        if want_row is None:
+            assert got_row is None
+            continue
+        assert got_row is not None
+        for f in dataclasses.fields(want_row):
+            assert getattr(got_row, f.name) == getattr(want_row, f.name), f.name
+        for coeffs in ("u_coeffs", "v_coeffs"):
+            bits = [np.array(list(getattr(r, coeffs).values())) for r in (got_row, want_row)]
+            assert bits[0].tobytes() == bits[1].tobytes()
 
 
 def test_symmetric_dynamics_solve_once_per_block(monkeypatch: pytest.MonkeyPatch) -> None:
