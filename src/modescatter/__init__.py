@@ -41,6 +41,7 @@ from .electromech import (
     build_model,
     closed_form_row,
     locate_peak,
+    oracle_deviation,
     peak_eta,
     peak_eta_formula,
     peak_noise,
@@ -86,6 +87,7 @@ from .scattering import (
     TransferRow,
     added_noise,
     bose_occupancy,
+    consistency_checks,
     eta,
     noise_commutator_residual,
     noise_flux,

@@ -43,12 +43,11 @@ from .applications.entangle import (
 )
 from .applications.heterodyne import heterodyne_sensitivity
 from .applications.qubit import qubit_fidelity
-from .electromech import closed_form_row
+from .electromech import oracle_deviation
 from .errors import (
     ConfigurationError,
     ModelValidationError,
     ModeScatterError,
-    NearSingularError,
 )
 from .modelfile import (
     BUILTIN_MODELS,
@@ -62,8 +61,8 @@ from .modelfile import (
 from .network import (
     DoubledDynamics,
     TransducerModel,
+    _draw_stable_model,
     assemble_dynamics,
-    random_stable_model,
     rwa_report,
     validate_model,
 )
@@ -71,14 +70,10 @@ from .optimize import OBJECTIVES, OptimizeSpec, run_optimization
 from .scattering import (
     NoiseEnvironment,
     added_noise,
+    consistency_checks,
     eta,
-    physical_slot_mask,
-    scattering_matrix,
     spectrum_sweep,
-    sum_rule_residual,
-    symplectic_residual,
     transfer_pair,
-    transfer_row,
 )
 
 _CSV_HEADER = (
@@ -651,44 +646,6 @@ def _probe_frequencies(dyn: DoubledDynamics, count: int = 7) -> np.ndarray:
     return np.unique(np.concatenate([base, np.asarray(centers, dtype=float)]))
 
 
-def _scattering_checks(
-    dyn: DoubledDynamics, omegas: np.ndarray
-) -> dict[str, float]:
-    """Worst-case residuals over the probe frequencies.
-
-    ``unitarity`` uses the physical-slot-restricted quasi-unitarity defect;
-    ``particle_hole`` checks S(-w) against the slot-swapped conjugate of
-    S(w), which is exact for any doubled-basis model; ``sum_rule`` covers
-    the exit-row flux balance on physically defined rows.
-    """
-    p = dyn.n_ports
-    swap = np.concatenate([np.arange(p, 2 * p), np.arange(0, p)])
-    worst = {"unitarity": 0.0, "particle_hole": 0.0, "sum_rule": 0.0}
-    skipped = 0
-    for omega in omegas:
-        try:
-            s_up = scattering_matrix(dyn, float(omega))
-            s_dn = scattering_matrix(dyn, -float(omega))
-        except NearSingularError:
-            skipped += 1
-            continue
-        mask = physical_slot_mask(dyn.ports, float(omega))
-        worst["unitarity"] = max(
-            worst["unitarity"],
-            symplectic_residual(s_up.matrix, dyn.metric, mask=mask),
-        )
-        mismatch = float(
-            np.max(np.abs(s_dn.matrix - np.conj(s_up.matrix)[np.ix_(swap, swap)]))
-        )
-        worst["particle_hole"] = max(worst["particle_hole"], mismatch)
-        for s in (s_up, s_dn):
-            resid = sum_rule_residual(transfer_row(s))
-            if math.isfinite(resid):
-                worst["sum_rule"] = max(worst["sum_rule"], abs(resid))
-    worst["skipped"] = float(skipped)
-    return worst
-
-
 def _cmd_validate(args: argparse.Namespace) -> int:
     model = _resolve_model(args)
     report = validate_model(model)
@@ -709,7 +666,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         print(f"rwa: minimum separation ratio = {rwa.min_ratio:.3g}")
 
     has_quadrature = any(info.flavor == "lab-quadrature" for info in dyn.ports)
-    worst = _scattering_checks(dyn, _probe_frequencies(dyn))
+    worst = consistency_checks(dyn, _probe_frequencies(dyn))
     print(
         f"checks: unitarity={worst['unitarity']:.3e}"
         f" particle-hole={worst['particle_hole']:.3e}"
@@ -747,24 +704,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
                 for key, value in _parse_set_pairs(args.set or []).items()
             }
         )
-        scale = params.omega_m
-        rel_worst = 0.0
-        for factor in (0.5, 0.9, 1.0, 1.1, 1.5):
-            omega = factor * scale
-            up, _ = transfer_pair(dyn, omega)
-            ref = closed_form_row(params, omega)
-            num = np.array(
-                [up.u_coeffs[k] for k in sorted(up.u_coeffs)]
-                + [up.v_coeffs[k] for k in sorted(up.v_coeffs)]
-            )
-            want = np.array(
-                [ref.u_coeffs[k] for k in sorted(ref.u_coeffs)]
-                + [ref.v_coeffs[k] for k in sorted(ref.v_coeffs)]
-            )
-            denom = max(float(np.max(np.abs(want))), 1e-300)
-            rel_worst = max(
-                rel_worst, float(np.max(np.abs(num - want))) / denom
-            )
+        rel_worst = oracle_deviation(params, dyn)
         print(f"oracle: closed-form row max relative deviation = {rel_worst:.3e}")
         if rel_worst > 1e-6:
             failures.append(
@@ -775,10 +715,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         rng = np.random.default_rng(args.seed)
         ens_worst = {"unitarity": 0.0, "particle_hole": 0.0, "sum_rule": 0.0}
         for _ in range(args.ensemble):
-            sample = random_stable_model(rng)
-            sample_dyn = assemble_dynamics(sample)
-            probe = _probe_frequencies(sample_dyn, count=5)
-            res = _scattering_checks(sample_dyn, probe)
+            _, sample_dyn = _draw_stable_model(rng, None)
+            res = consistency_checks(sample_dyn, _probe_frequencies(sample_dyn, count=5))
             for key in ens_worst:
                 ens_worst[key] = max(ens_worst[key], res[key])
         print(

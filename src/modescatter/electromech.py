@@ -46,6 +46,7 @@ from .scattering import (
     bose_occupancy,
     eta,
     scattering_matrix,
+    transfer_pair,
     transfer_row,
 )
 
@@ -328,6 +329,33 @@ def row_scale_calibration(
     if den == 0.0:
         raise DomainError("calibration requires at least one nonzero coefficient")
     return complex(num / den)
+
+
+def oracle_deviation(p: ElectromechParams, dyn: DoubledDynamics) -> float:
+    """Worst relative deviation of the engine's exit row from the closed form.
+
+    Compares the upper-sideband row of ``dyn`` (from :func:`transfer_pair`)
+    with :func:`closed_form_row` at 0.5, 0.9, 1, 1.1 and 1.5 times
+    ``omega_m``, coefficient by coefficient, each frequency relative to the
+    largest closed-form coefficient there. ``dyn`` must be assembled from
+    ``build_model(p)``; the ``validate`` command fails above 1e-6.
+    """
+    worst = 0.0
+    for factor in (0.5, 0.9, 1.0, 1.1, 1.5):
+        omega = factor * p.omega_m
+        up, _ = transfer_pair(dyn, omega)
+        ref = closed_form_row(p, omega)
+        num = np.array(
+            [up.u_coeffs[k] for k in sorted(up.u_coeffs)]
+            + [up.v_coeffs[k] for k in sorted(up.v_coeffs)]
+        )
+        want = np.array(
+            [ref.u_coeffs[k] for k in sorted(ref.u_coeffs)]
+            + [ref.v_coeffs[k] for k in sorted(ref.v_coeffs)]
+        )
+        denom = max(float(np.max(np.abs(want))), 1e-300)
+        worst = max(worst, float(np.max(np.abs(num - want))) / denom)
+    return worst
 
 
 def peak_eta_formula(

@@ -638,6 +638,13 @@ def random_stable_model(
     and the last the exit. Models are redrawn (bounded) until the assembled
     dynamics are stable.
     """
+    return _draw_stable_model(rng, n_modes)[0]
+
+
+def _draw_stable_model(
+    rng: np.random.Generator, n_modes: int | None
+) -> tuple[TransducerModel, DoubledDynamics]:
+    """:func:`random_stable_model`, with the dynamics its stability test built."""
     if n_modes is None:
         n_modes = int(rng.integers(2, 6))
     if n_modes < 1:
@@ -720,8 +727,8 @@ def random_stable_model(
             ports=tuple(port_objs),
         )
         try:
-            assemble_dynamics(model)
+            dyn = assemble_dynamics(model)
         except ModelUnstableError:
             continue
-        return model
+        return model, dyn
     raise NumericalError("failed to draw a stable model in 60 attempts")

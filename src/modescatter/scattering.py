@@ -577,6 +577,30 @@ def _particle_hole_symmetric(dyn: DoubledDynamics) -> bool:
     )
 
 
+def _masked_symplectic(
+    s: NDArray[np.complex128], metric: NDArray[np.float64], slots: NDArray[np.bool_]
+) -> NDArray[np.float64]:
+    """Max-norm of ``S K S^dag - K`` at each point of a stack of S.
+
+    ``slots`` marks the physical doubled port slots of each point; only
+    entries between two physical slots count.
+    """
+    r_abs = np.abs((s * metric) @ s.conj().transpose(0, 2, 1) - np.diag(metric))
+    r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
+    return r_abs.max(axis=(1, 2))
+
+
+def _flux_balance(
+    abs_u: NDArray[np.float64], abs_v: NDArray[np.float64]
+) -> NDArray[np.float64]:
+    """Sum-rule residual ``|sum |U|^2 - sum |V|^2 - 1|`` of each masked row.
+
+    ``abs_u``/``abs_v`` hold the squared magnitudes of the annihilation and
+    creation halves of the rows, zero on unphysical columns.
+    """
+    return np.abs(abs_u.sum(axis=1) - abs_v.sum(axis=1) - 1.0)
+
+
 def _sideband_spectra(
     u: NDArray[np.complex128],
     v: NDArray[np.complex128],
@@ -605,9 +629,7 @@ def _sideband_spectra(
     ).sum(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
         noise = np.where(efficiency > 0.0, flux / efficiency, np.nan)
-    sumrule = np.where(
-        defined, np.abs(abs_u.sum(axis=1) - abs_v.sum(axis=1) - 1.0), np.nan
-    )
+    sumrule = np.where(defined, _flux_balance(abs_u, abs_v), np.nan)
     return efficiency, noise, sumrule
 
 
@@ -673,7 +695,6 @@ def spectrum_sweep(
     sig_col = dyn.port_index[dyn.signal_port]
     centers = np.array([info.band_center for info in dyn.ports])
     mirrored = _particle_hole_symmetric(dyn)
-    kd = dyn.metric
     eye = np.eye(2 * p)
     pick = [exit_col, exit_col + p]
 
@@ -704,10 +725,7 @@ def spectrum_sweep(
             s = eye + np.einsum("ij,ajk->aik", dyn.out_coupling, x[ok])
             exit_rows = s[:, pick]
             slots = np.concatenate([mask_u[ok], mask_v[ok]], axis=1)
-            r = (s * kd) @ s.conj().transpose(0, 2, 1) - np.diag(kd)
-            r_abs = np.abs(r)
-            r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
-            symp[lo + ok] = r_abs.max(axis=(1, 2))
+            symp[lo + ok] = _masked_symplectic(s, dyn.metric, slots)
         else:
             exit_rows = eye[pick] + np.einsum(
                 "ij,ajk->aik", dyn.out_coupling[pick], x[ok]
@@ -780,3 +798,57 @@ def spectrum_sweep(
         rows_dn=tuple(stored[1]) if store_rows else None,
         failures=failures,
     )
+
+
+def consistency_checks(
+    dyn: DoubledDynamics, omegas: NDArray[np.float64] | list[float]
+) -> dict[str, float]:
+    """Worst residuals of the invariants behind eta and N over probe frequencies.
+
+    S is formed for the whole model in one resolvent block, at every
+    ``+omega`` and every ``-omega`` of the positive probes ``omegas``.
+    S(-omega) is solved independently, never mirrored from S(+omega), so
+    ``particle_hole`` checks the symmetry :func:`spectrum_sweep` relies on.
+    A probe where either sign is near-singular is left out and counted in
+    ``skipped``. Over the other probes the result holds the worst
+
+    - ``unitarity``: max-norm of ``S K S^dag - K`` at ``+omega`` between
+      physical slots, as in ``SpectrumGrid.symplectic_resid``;
+    - ``particle_hole``: max-norm of ``S(-omega) - Q conj(S(omega)) Q``,
+      with ``Q`` swapping the annihilation and creation port slots;
+    - ``sum_rule``: flux balance of the masked exit rows at both signs where
+      the exit output is physical, as in ``SpectrumGrid.sumrule_resid``.
+
+    Each is 0.0 when no probe contributes.
+    """
+    probes = np.asarray(omegas, dtype=np.float64)
+    p = dyn.n_ports
+    signed = np.concatenate([probes, -probes])
+    x, good, _ = _solve_block(dyn, signed)
+    ok = good[: probes.size] & good[probes.size :]
+    both = np.concatenate([ok, ok])
+    n = int(np.count_nonzero(ok))
+    s = np.eye(2 * p, dtype=np.complex128) + dyn.out_coupling @ x[both]
+    s_up, s_dn = s[:n], s[n:]
+
+    centers = np.array([info.band_center for info in dyn.ports])
+    _, _, mask_u, mask_v = _slots(signed[both][:, None], centers)
+    slots = np.concatenate([mask_u[:n], mask_v[:n]], axis=1)
+    swap = np.r_[p : 2 * p, :p]
+    exit_col = dyn.port_index[dyn.exit_port]
+    rows = s[:, exit_col]
+    physical = mask_u[:, exit_col]
+    u = np.where(mask_u, rows[:, :p], 0.0)[physical]
+    v = np.where(mask_v, rows[:, p:], 0.0)[physical]
+    # np.hypot is the libm hypot behind Python's abs of a complex, which
+    # sum_rule_residual squares; NumPy's complex abs can differ in the last bit.
+    abs_u = np.hypot(u.real, u.imag) ** 2
+    abs_v = np.hypot(v.real, v.imag) ** 2
+    residuals = {
+        "unitarity": _masked_symplectic(s_up, dyn.metric, slots),
+        "particle_hole": np.abs(s_dn - s_up.conj()[:, swap][:, :, swap]),
+        "sum_rule": _flux_balance(abs_u, abs_v),
+    }
+    worst = {key: float(np.max(r, initial=0.0)) for key, r in residuals.items()}
+    worst["skipped"] = float(probes.size - n)
+    return worst

@@ -492,6 +492,28 @@ def test_validate_builtin_ok(capsys: pytest.CaptureFixture[str]) -> None:
     assert "particle-hole" in captured.out
 
 
+def test_validate_prints_readme_lines(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The README's validate example on the model file of its "Model files"
+    # section, line for line.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    model = tmp_path / "converter.json"
+    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    code = main(["validate", "--model", str(model), "--ensemble", "5"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    lines = [
+        "checks: unitarity=8.882e-16 particle-hole=0.000e+00 sum-rule=8.882e-16"
+        " (skipped 0 near-singular point(s))",
+        "ensemble(5): unitarity=3.835e-15 particle-hole=1.790e-15 sum-rule=8.882e-16",
+        "validate: OK",
+    ]
+    for line in lines:
+        assert line in readme
+        assert line in out
+
+
 def test_validate_model_file_with_ensemble(
     converter_path: str, capsys: pytest.CaptureFixture[str]
 ) -> None:

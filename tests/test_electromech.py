@@ -19,6 +19,7 @@ from modescatter import (
     closed_form_row,
     eta,
     locate_peak,
+    oracle_deviation,
     peak_eta,
     peak_eta_formula,
     peak_noise,
@@ -28,6 +29,8 @@ from modescatter import (
     susceptibilities,
     transfer_row,
 )
+from modescatter.cli import main
+from modescatter.modelfile import electromech_params, get_builtin
 
 TAU = 2.0 * math.pi
 
@@ -145,6 +148,27 @@ def test_row_scale_calibration_is_unity() -> None:
     omegas = p.omega_m * np.array([0.8, 1.0, 1.2])
     c = row_scale_calibration(p, omegas)
     assert abs(c - 1.0) < 1e-10
+
+
+@pytest.mark.parametrize(
+    "overrides", [{}, {"g": 8.0e4, "t_m": 0.0}], ids=["defaults", "override"]
+)
+def test_oracle_deviation_on_the_builtin(
+    overrides: dict[str, float], capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Overrides in Hz / kelvin, as `--set` passes them.
+    params = electromech_params(overrides)
+    dyn = assemble_dynamics(get_builtin("electromech", overrides))
+    deviation = oracle_deviation(params, dyn)
+    assert deviation < 1e-6
+    # The dynamics of other parameters than the closed form's fail the oracle.
+    other = assemble_dynamics(get_builtin("electromech", {"g": 2.0e4}))
+    assert oracle_deviation(params, other) > 1e-6
+
+    argv = [arg for key, value in overrides.items() for arg in ("--set", f"{key}={value}")]
+    assert main(["validate", "--builtin", "electromech", *argv]) == 0
+    line = f"oracle: closed-form row max relative deviation = {deviation:.3e}"
+    assert line in capsys.readouterr().out.splitlines()
 
 
 def test_peak_eta_formula_limits() -> None:

@@ -27,6 +27,7 @@ from modescatter import (
     added_noise,
     assemble_dynamics,
     bose_occupancy,
+    consistency_checks,
     eta,
     noise_commutator_residual,
     noise_flux,
@@ -732,6 +733,97 @@ def test_transfer_pair_checks_exit_port_before_solving() -> None:
     dyn = assemble_dynamics(near_singular_model())
     with pytest.raises(ConfigurationError, match="unknown exit port 'nope'"):
         transfer_pair(dyn, TAU * 2.0e6, exit_port="nope")
+
+
+def _reference_checks(dyn: DoubledDynamics, omegas: np.ndarray) -> dict[str, float]:
+    """Per-probe loop over one-point solves, the reference for ``consistency_checks``."""
+    p = dyn.n_ports
+    swap = np.concatenate([np.arange(p, 2 * p), np.arange(0, p)])
+    worst = {"unitarity": 0.0, "particle_hole": 0.0, "sum_rule": 0.0}
+    skipped = 0
+    for omega in omegas:
+        try:
+            s_up = scattering_matrix(dyn, float(omega))
+            s_dn = scattering_matrix(dyn, -float(omega))
+        except NearSingularError:
+            skipped += 1
+            continue
+        mask = physical_slot_mask(dyn.ports, float(omega))
+        worst["unitarity"] = max(
+            worst["unitarity"],
+            symplectic_residual(s_up.matrix, dyn.metric, mask=mask),
+        )
+        mismatch = float(
+            np.max(np.abs(s_dn.matrix - np.conj(s_up.matrix)[np.ix_(swap, swap)]))
+        )
+        worst["particle_hole"] = max(worst["particle_hole"], mismatch)
+        for s in (s_up, s_dn):
+            resid = sum_rule_residual(transfer_row(s))
+            if math.isfinite(resid):
+                worst["sum_rule"] = max(worst["sum_rule"], abs(resid))
+    worst["skipped"] = float(skipped)
+    return worst
+
+
+def _assert_checks_match_reference(
+    dyn: DoubledDynamics, omegas: np.ndarray
+) -> dict[str, float]:
+    got = consistency_checks(dyn, omegas)
+    want = _reference_checks(dyn, omegas)
+    assert got.keys() == want.keys()
+    for key in ("unitarity", "particle_hole", "skipped"):
+        assert got[key] == want[key], key
+    # The batched rows square and sum in NumPy's order, the reference in
+    # Python's: the last bits may differ.
+    assert got["sum_rule"] == pytest.approx(want["sum_rule"], rel=0.0, abs=1e-15)
+    return got
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_consistency_checks_match_per_probe_loop_on_wide_models(seed: int) -> None:
+    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    _assert_checks_match_reference(dyn, np.geomspace(1.0e2, 1.0e8, 13))
+
+
+@pytest.mark.parametrize(
+    "model, omegas",
+    [
+        (get_builtin("electromech"), np.geomspace(TAU * 1.0e3, TAU * 1.0e8, 25)),
+        (two_mode_converter(t_b=0.05), np.geomspace(TAU * 1.0e4, TAU * 1.0e10, 25)),
+    ],
+    ids=["electromech", "converter"],
+)
+def test_consistency_checks_match_per_probe_loop(
+    model: TransducerModel, omegas: np.ndarray, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    dyn = assemble_dynamics(model)
+    calls = []
+    solve_block = scattering._solve_block
+    monkeypatch.setattr(
+        scattering, "_solve_block", lambda d, w: calls.append(w.tolist()) or solve_block(d, w)
+    )
+    got = _assert_checks_match_reference(dyn, omegas)
+    assert got["skipped"] == 0.0
+    # One block holds every probe at both signs; the reference then makes
+    # two one-point solves per probe.
+    assert calls[0] == omegas.tolist() + (-omegas).tolist()
+    assert len(calls) == 1 + 2 * omegas.size
+
+
+def test_consistency_checks_skip_the_singular_probe() -> None:
+    dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
+    omegas = np.union1d(np.linspace(TAU * 1.0e6, TAU * 3.0e6, 9), [TAU * 2.0e6])
+    got = _assert_checks_match_reference(dyn, omegas)
+    assert got["skipped"] >= 1.0
+
+
+def test_consistency_checks_solve_the_lower_sideband() -> None:
+    # The asymmetric squeezer breaks particle-hole symmetry: a check that
+    # mirrored S(omega) instead of solving at -omega would read 0 here.
+    dyn = _asymmetric_squeezer()
+    got = _assert_checks_match_reference(dyn, np.linspace(TAU * 1.0e5, TAU * 3.0e6, 23))
+    assert got["particle_hole"] > 1e-3
 
 
 @pytest.mark.parametrize(
