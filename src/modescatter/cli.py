@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import math
 import sys
@@ -312,7 +313,7 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
     _check_exit(dyn, args.exit)
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = _grid_omegas(args, log=args.log)
-    grid = spectrum_sweep(dyn, env, omegas, exit_port=args.exit, store_rows=False)
+    grid = spectrum_sweep(dyn, env, omegas, exit_port=args.exit)
     failures = [
         {"index": f.index, "omega_hz": angular_to_hz(f.omega), "message": f.message}
         for f in grid.failures
@@ -425,7 +426,7 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             )
         omegas = _grid_omegas(args)
         grid = spectrum_sweep(
-            dyn, env, omegas, exit_port=args.exit, store_rows=False, symplectic=False
+            dyn, env, omegas, exit_port=args.exit, symplectic=False
         )
         result = counting_yield(
             grid,
@@ -449,7 +450,7 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             raise ConfigurationError("fom --app entangle needs --window")
         omegas = _grid_omegas(args)
         grid = spectrum_sweep(
-            dyn, env, omegas, exit_port=args.exit, store_rows=False, symplectic=False
+            dyn, env, omegas, exit_port=args.exit, symplectic=False
         )
         dark = dark_count_rate(grid, omega_sig)
         specs = {
@@ -635,7 +636,7 @@ def _cmd_protocol_sim(args: argparse.Namespace) -> int:
 
 
 def _probe_frequencies(dyn: DoubledDynamics, count: int = 7) -> np.ndarray:
-    eigs = np.linalg.eigvals(dyn.dyn_matrix)
+    eigs = dyn.eigenvalues
     scale = float(np.max(np.abs(eigs))) if eigs.size else 1.0
     if not math.isfinite(scale) or scale <= 0.0:
         scale = 1.0
@@ -742,6 +743,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
 # parser
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="modescatter",

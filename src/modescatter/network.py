@@ -223,6 +223,9 @@ class DoubledDynamics:
     mode_index, port_index:
         Name -> annihilation-slot index. Creation slots sit at
         ``index + n`` (modes) and ``index + p`` (ports).
+    eigenvalues:
+        Eigenvalues of ``dyn_matrix`` as assembled, from the stability
+        check.
     """
 
     dimension: int
@@ -236,6 +239,7 @@ class DoubledDynamics:
     ports: tuple[PortInfo, ...]
     signal_port: str
     exit_port: str
+    eigenvalues: NDArray[np.complex128]
 
     @property
     def n_modes(self) -> int:
@@ -585,6 +589,7 @@ def assemble_dynamics(
         ports=infos,
         signal_port=model.signal_port.name,
         exit_port=model.exit_port.name,
+        eigenvalues=eigvals,
     )
 
 

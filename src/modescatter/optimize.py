@@ -158,7 +158,7 @@ def _evaluate_figure(
     assert spec.omega_min is not None and spec.omega_max is not None
     omegas = np.linspace(spec.omega_min, spec.omega_max, spec.points)
     grid = spectrum_sweep(
-        dyn, env, omegas, exit_port=spec.exit_port, store_rows=False, symplectic=False
+        dyn, env, omegas, exit_port=spec.exit_port, symplectic=False
     )
     scheme = "two-click" if objective == "max-F2c" else "one-click"
     dark = dark_count_rate(grid, spec.omega_sig)

@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Any, Literal, Mapping
 
 import numpy as np
@@ -219,6 +220,13 @@ class SpectrumGrid:
     ``symplectic=False``; ``sumrule_resid`` is the worst transfer-row
     residual at that frequency. Failures carry per-point error messages;
     the surviving points are unaffected.
+
+    ``exit_rows[0, i]`` and ``exit_rows[1, i]`` are the exit-port rows of S
+    at ``+omegas[i]`` and ``-omegas[i]`` on the doubled port slots, before
+    physicality masking, and NaN where the point failed. ``rows_up`` and
+    ``rows_dn`` are :class:`TransferRow` views of them, built on first read
+    and then kept, with None where the point failed. Both views are None on
+    a grid built without ``exit_rows``.
     """
 
     omegas: NDArray[np.float64]
@@ -228,9 +236,29 @@ class SpectrumGrid:
     noise_dn: NDArray[np.float64]
     sumrule_resid: NDArray[np.float64]
     symplectic_resid: NDArray[np.float64] | None
-    rows_up: tuple[TransferRow | None, ...] | None = None
-    rows_dn: tuple[TransferRow | None, ...] | None = None
     failures: list[SweepFailure] = field(default_factory=list)
+    exit_rows: NDArray[np.complex128] | None = None
+    # Ports, signal port and exit port name of the views.
+    _row_labels: tuple[tuple[PortInfo, ...], str, str] | None = field(
+        default=None, repr=False
+    )
+
+    @cached_property
+    def rows_up(self) -> tuple[TransferRow | None, ...] | None:
+        return self._row_views(0)
+
+    @cached_property
+    def rows_dn(self) -> tuple[TransferRow | None, ...] | None:
+        return self._row_views(1)
+
+    def _row_views(self, side: int) -> tuple[TransferRow | None, ...] | None:
+        if self.exit_rows is None or self._row_labels is None:
+            return None
+        rows = self.exit_rows[side]
+        signed = self.omegas if side == 0 else -self.omegas
+        views = _transfer_rows(*self._row_labels, signed.tolist(), rows.tolist())
+        failed = np.isnan(rows).all(axis=1).tolist()
+        return tuple(None if bad else row for row, bad in zip(views, failed))
 
 
 def _solve_block(
@@ -639,7 +667,6 @@ def spectrum_sweep(
     omegas: NDArray[np.float64] | list[float],
     *,
     exit_port: str | None = None,
-    store_rows: bool = True,
     symplectic: bool = True,
 ) -> SpectrumGrid:
     """Vectorized spectra over an ascending positive frequency grid.
@@ -662,6 +689,11 @@ def spectrum_sweep(
     points are recorded in ``failures`` and hold NaN in every output
     array; all other points are computed normally.
 
+    The exit rows at both sidebands are kept as one array,
+    ``exit_rows``; the per-point :class:`TransferRow` views ``rows_up``
+    and ``rows_dn`` are built from it on first read, by the builder behind
+    :func:`transfer_row`. No figure of merit reads them.
+
     Parameters
     ----------
     dyn:
@@ -672,12 +704,6 @@ def spectrum_sweep(
         Strictly ascending, strictly positive sideband frequencies [rad/s].
     exit_port:
         Override of the model's exit port.
-    store_rows:
-        Also keep per-point :class:`TransferRow` objects in ``rows_up`` and
-        ``rows_dn``, for inspecting the coefficients behind the spectra;
-        no figure of merit reads them. They come from the builder behind
-        :func:`transfer_row`, one Python object per point and sideband,
-        which roughly triples the time of a sweep.
     symplectic:
         Also compute ``symplectic_resid``, the physically masked residual of
         ``S K S^dag - K``, which needs the full S at every point. When False
@@ -705,7 +731,7 @@ def spectrum_sweep(
     noise = np.empty((2, m))
     sumrule = np.empty((2, m))
     symp = np.full(m, np.nan) if symplectic else None
-    stored: tuple[list[TransferRow | None], list[TransferRow | None]] = ([], [])
+    all_rows = np.full((2, m, 2 * p), np.nan, dtype=np.complex128)
 
     for lo in range(0, m, _BLOCK):
         block = slice(lo, lo + _BLOCK)
@@ -730,7 +756,7 @@ def spectrum_sweep(
             exit_rows = eye[pick] + np.einsum(
                 "ij,ajk->aik", dyn.out_coupling[pick], x[ok]
             )
-        rows = np.full((2, w.size, 2 * p), np.nan, dtype=np.complex128)
+        rows = all_rows[:, block]
         rows[0, ok] = exit_rows[:, 0]
         if mirrored:
             good[1, block], cond[1, block] = good[0, block], cond[0, block]
@@ -749,8 +775,8 @@ def spectrum_sweep(
             occ_u[:, j] = env.occupancy_array(info.name, lab_u[:, j], mask_u[:, j])
             occ_v[:, j] = env.occupancy_array(info.name, lab_v[:, j], mask_v[:, j])
 
-        sides = ((w, mask_u, mask_v, occ_u, occ_v), (-w, mask_v, mask_u, occ_v, occ_u))
-        for side, (signed, m_u, m_v, o_u, o_v) in enumerate(sides):
+        sides = ((mask_u, mask_v, occ_u, occ_v), (mask_v, mask_u, occ_v, occ_u))
+        for side, (m_u, m_v, o_u, o_v) in enumerate(sides):
             u = np.where(m_u, rows[side, :, :p], 0.0)
             v = np.where(m_v, rows[side, :, p:], 0.0)
             efficiency[side, block], noise[side, block], sumrule[side, block] = (
@@ -759,18 +785,6 @@ def spectrum_sweep(
                     sig_col, side == 0,
                 )
             )
-            if store_rows:
-                views = _transfer_rows(
-                    dyn.ports,
-                    dyn.signal_port,
-                    exit_name,
-                    signed.tolist(),
-                    rows[side].tolist(),
-                )
-                stored[side].extend(
-                    row if solved else None
-                    for row, solved in zip(views, good[side, block].tolist())
-                )
 
     failures: list[SweepFailure] = []
     for i in np.nonzero(~(good[0] & good[1]))[0]:
@@ -794,9 +808,9 @@ def spectrum_sweep(
         noise_dn=noise[1],
         sumrule_resid=np.fmax(sumrule[0], sumrule[1]),
         symplectic_resid=symp,
-        rows_up=tuple(stored[0]) if store_rows else None,
-        rows_dn=tuple(stored[1]) if store_rows else None,
         failures=failures,
+        exit_rows=all_rows,
+        _row_labels=(dyn.ports, dyn.signal_port, exit_name),
     )
 
 

@@ -107,7 +107,7 @@ def test_c03_electromech_closed_form_oracle() -> None:
     dyn = assemble_dynamics(build_model(p))
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = np.geomspace(0.3 * p.omega_m, 3.0 * p.omega_m, 1000)
-    grid = spectrum_sweep(dyn, env, omegas, store_rows=True)
+    grid = spectrum_sweep(dyn, env, omegas)
     assert not grid.failures
     worst = 0.0
     for i, omega in enumerate(omegas):
@@ -364,7 +364,7 @@ def test_c11_dense_sweep_completes_quickly() -> None:
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = np.linspace(0.5 * p.omega_m, 1.5 * p.omega_m, 10_000)
     start = time.monotonic()
-    grid = spectrum_sweep(dyn, env, omegas, store_rows=False)
+    grid = spectrum_sweep(dyn, env, omegas)
     elapsed = time.monotonic() - start
     assert elapsed < 5.0
     assert not grid.failures

@@ -272,6 +272,25 @@ def test_fom_prints_readme_lines(
         assert line in out
 
 
+def test_main_twice_in_one_process_forgets_overrides(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # The parser is built once per process; the --set list of one call must
+    # not reach the next.
+    argv = ["fom", "--builtin", "electromech", "--app", "qubit", "--omega-sig", "5e6"]
+    lines = [
+        "eta_plus = 0.999618859854",
+        "n_plus = 0.0506157515852",
+        "fidelity = 0.91554551408",
+    ]
+    assert main([*argv, "--set", "t_wg=0"]) == 0
+    assert lines[1] not in capsys.readouterr().out.splitlines()
+    assert main(argv) == 0
+    out = capsys.readouterr().out.splitlines()
+    for line in lines:
+        assert line in out
+
+
 def test_fom_counting_cold_lines(capsys: pytest.CaptureFixture[str]) -> None:
     code = main(
         [

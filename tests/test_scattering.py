@@ -276,7 +276,7 @@ def test_spectrum_sweep_rows_match_transfer_rows() -> None:
     dyn = assemble_dynamics(two_mode_converter())
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = np.array([TAU * 5.0e5, TAU * 1.0e6])
-    grid = spectrum_sweep(dyn, env, omegas, store_rows=True)
+    grid = spectrum_sweep(dyn, env, omegas)
     assert grid.rows_up is not None and grid.rows_dn is not None
     up, dn = transfer_pair(dyn, float(omegas[1]))
     stored_up = grid.rows_up[1]
@@ -287,14 +287,36 @@ def test_spectrum_sweep_rows_match_transfer_rows() -> None:
         assert stored_dn.v_coeffs[name] == pytest.approx(dn.v_coeffs[name], abs=1e-14)
 
 
-def test_spectrum_sweep_store_rows_off() -> None:
+def test_spectrum_sweep_builds_rows_on_first_read(monkeypatch: pytest.MonkeyPatch) -> None:
     dyn = assemble_dynamics(two_mode_converter())
     env = NoiseEnvironment.from_dynamics(dyn)
-    grid = spectrum_sweep(
-        dyn, env, np.linspace(TAU * 1.0e5, TAU * 2.0e6, 11), store_rows=False
+    calls = []
+    transfer_rows = scattering._transfer_rows
+    monkeypatch.setattr(
+        scattering,
+        "_transfer_rows",
+        lambda *args: calls.append(len(args[3])) or transfer_rows(*args),
     )
-    assert grid.rows_up is None
-    assert grid.rows_dn is None
+    grid = spectrum_sweep(dyn, env, np.linspace(TAU * 1.0e5, TAU * 2.0e6, 11))
+    assert calls == []
+    rows = grid.rows_up
+    assert calls == [11]
+    assert grid.rows_up is rows
+    assert calls == [11]
+    assert grid.rows_dn is not None and len(grid.rows_dn) == 11
+    assert calls == [11, 11]
+
+
+def test_spectrum_sweep_rows_are_none_at_failed_points() -> None:
+    dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.array([TAU * 1.0e6, TAU * 2.0e6, TAU * 3.0e6])
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert [f.index for f in grid.failures] == [1]
+    for rows in (grid.rows_up, grid.rows_dn):
+        assert rows is not None and len(rows) == 3
+        assert rows[1] is None
+        assert rows[0] is not None and rows[2] is not None
 
 
 def test_spectrum_sweep_records_singular_points_as_failures() -> None:
@@ -322,7 +344,7 @@ def test_spectrum_sweep_blocks_match_pointwise_evaluation(seed: int, points: int
     dyn = assemble_dynamics(random_stable_model(rng))
     env = NoiseEnvironment.constant({info.name: 0.3 for info in dyn.ports})
     omegas = np.geomspace(1.0e3, 1.0e10, points)
-    grid = spectrum_sweep(dyn, env, omegas, store_rows=False)
+    grid = spectrum_sweep(dyn, env, omegas)
     assert not grid.failures
     # Both sides of every block edge of the signed grid (upper block, then
     # lower block), plus a random sample.
@@ -515,7 +537,7 @@ def test_assembled_dynamics_are_particle_hole_symmetric(seed: int) -> None:
 def _assert_sweep_matches_transfer_pair(
     dyn: DoubledDynamics, env: NoiseEnvironment, omegas: np.ndarray
 ) -> None:
-    grid = spectrum_sweep(dyn, env, omegas, store_rows=True)
+    grid = spectrum_sweep(dyn, env, omegas)
     assert not grid.failures
     assert grid.rows_up is not None and grid.rows_dn is not None
     for i, omega in enumerate(omegas):
@@ -623,30 +645,24 @@ def _sweep_case(
     case=st.sampled_from(["wide", "electromech", "near-singular", "asymmetric"]),
     seed=st.integers(0, 2**32 - 1),
     points=st.integers(1, _BLOCK + 40),
-    store_rows=st.booleans(),
 )
 def test_sweep_without_symplectic_residual_is_bit_identical(
-    case: str, seed: int, points: int, store_rows: bool
+    case: str, seed: int, points: int
 ) -> None:
     # Forming only the exit rows of S must not move a bit of any output.
     rng = np.random.default_rng(seed)
     dyn, omegas = _sweep_case(case, rng, points)
     exit_port = dyn.ports[int(rng.integers(dyn.n_ports))].name
     env = NoiseEnvironment.from_dynamics(dyn)
-    want = spectrum_sweep(dyn, env, omegas, exit_port=exit_port, store_rows=store_rows)
-    got = spectrum_sweep(
-        dyn, env, omegas, exit_port=exit_port, store_rows=store_rows, symplectic=False
-    )
+    want = spectrum_sweep(dyn, env, omegas, exit_port=exit_port)
+    got = spectrum_sweep(dyn, env, omegas, exit_port=exit_port, symplectic=False)
     assert got.symplectic_resid is None
     assert want.symplectic_resid is not None
-    for name in ("eta_up", "eta_dn", "noise_up", "noise_dn", "sumrule_resid"):
+    for name in ("eta_up", "eta_dn", "noise_up", "noise_dn", "sumrule_resid", "exit_rows"):
         assert getattr(got, name).tobytes() == getattr(want, name).tobytes(), name
     failures = [[(f.index, f.omega, f.message) for f in g.failures] for g in (got, want)]
     assert failures[0] == failures[1]
     assert case != "near-singular" or failures[0]
-    if not store_rows:
-        assert got.rows_up is got.rows_dn is None
-        return
     assert got.rows_up is not None and got.rows_dn is not None
     assert want.rows_up is not None and want.rows_dn is not None
     for got_row, want_row in zip(got.rows_up + got.rows_dn, want.rows_up + want.rows_dn):
