@@ -5,6 +5,7 @@ from __future__ import annotations
 import dataclasses
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from conftest import TAU, near_singular_model, two_mode_converter
@@ -579,6 +580,81 @@ def test_electromech_masked_lower_sideband_matches_pointwise_solve() -> None:
     omegas = np.linspace(TAU * 4.0e6, TAU * 6.0e6, 41)
     _assert_sweep_matches_transfer_pair(dyn, env, omegas)
     assert np.all(np.isnan(spectrum_sweep(dyn, env, omegas).eta_dn))
+
+
+def _reference_exit_rows(dyn: DoubledDynamics, signed: np.ndarray) -> list[list[mpmath.mpc]]:
+    """Exit rows of S at each signed frequency, by LU at mpmath's working precision.
+
+    Row ``exit`` of ``S = 1 + G' A^-1 G`` is ``e_exit + y^T G`` with
+    ``A^T y = G'[exit]^T``: one solve per frequency, on the float inputs
+    taken as exact.
+    """
+    d, p = dyn.dimension, dyn.n_ports
+    col = dyn.port_index[dyn.exit_port]
+    m = mpmath.matrix([[mpmath.mpc(complex(v)) for v in r] for r in dyn.dyn_matrix])
+    g = [[mpmath.mpc(complex(v)) for v in r] for r in dyn.in_coupling]
+    g_out = mpmath.matrix([mpmath.mpc(complex(v)) for v in dyn.out_coupling[col]])
+    rows = []
+    for omega in signed.tolist():
+        a = m.copy()
+        for k in range(d):
+            a[k, k] += mpmath.mpc(0.0, omega)
+        y = mpmath.lu_solve(a.T, g_out)
+        row = [mpmath.fsum(y[k] * g[k][j] for k in range(d)) for j in range(2 * p)]
+        row[col] += 1
+        rows.append(row)
+    return rows
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3, 4, 5, 6, 7, 999999])
+def test_sweep_matches_fifty_digit_reference(seed: int) -> None:
+    # The bounds are about 2.5 times the worst relative errors of an LU
+    # solve against [G | 1] on these seeds: rows 2.1e-13 and N 1.6e-13 on
+    # seed 2, eta 2.1e-14 on seed 6. Seed 999999 takes eta down to 7e-41.
+    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.geomspace(1.0e2, 1.0e8, 37)
+    grid = spectrum_sweep(dyn, env, omegas, symplectic=False)
+    assert not grid.failures and grid.exit_rows is not None
+    p, sig = dyn.n_ports, dyn.port_index[dyn.signal_port]
+    exit_col = dyn.port_index[dyn.exit_port]
+    centers = np.array([info.band_center for info in dyn.ports])
+    worst = {"rows": 0.0, "eta": 0.0, "noise": 0.0}
+    # The reference, and every quantity built from it, to 50 digits.
+    with mpmath.workdps(50):
+        for side, signed in enumerate((omegas, -omegas)):
+            lab_u, lab_v, mask_u, mask_v = scattering._slots(signed[:, None], centers)
+            for i, ref in enumerate(_reference_exit_rows(dyn, signed)):
+                for got, want in zip(grid.exit_rows[side, i].tolist(), ref):
+                    if want == 0:
+                        assert got == 0.0
+                    else:
+                        worst["rows"] = max(worst["rows"], float(abs(got - want) / abs(want)))
+                if not mask_u[i, exit_col]:
+                    continue
+                u = [c if keep else 0 for c, keep in zip(ref[:p], mask_u[i])]
+                v = [c if keep else 0 for c, keep in zip(ref[p:], mask_v[i])]
+                efficiency = abs((u if side == 0 else v)[sig]) ** 2
+                flux = mpmath.mpf(0)
+                for j, info in enumerate(dyn.ports):
+                    if mask_u[i, j] and (j != sig or side == 1):
+                        flux += abs(u[j]) ** 2 * env.occupancy(info.name, float(lab_u[i, j]))
+                    if mask_v[i, j] and (j != sig or side == 0):
+                        flux += abs(v[j]) ** 2 * (env.occupancy(info.name, float(lab_v[i, j])) + 1)
+                got_eta = (grid.eta_up, grid.eta_dn)[side][i]
+                got_noise = (grid.noise_up, grid.noise_dn)[side][i]
+                if efficiency == 0:
+                    assert got_eta == 0.0 and math.isnan(got_noise)
+                    continue
+                worst["eta"] = max(worst["eta"], float(abs(got_eta - efficiency) / efficiency))
+                if flux == 0:
+                    assert got_noise == 0.0
+                    continue
+                noise = flux / efficiency
+                worst["noise"] = max(worst["noise"], float(abs(got_noise - noise) / noise))
+    assert worst["rows"] <= 5e-13
+    assert worst["eta"] <= 5e-14
+    assert worst["noise"] <= 4e-13
 
 
 def _asymmetric_squeezer() -> DoubledDynamics:
