@@ -14,6 +14,11 @@ the doubled basis is particle-hole symmetric, ``S(-omega)`` is the
 conjugate of ``S(omega)`` with annihilation and creation slots swapped;
 :func:`spectrum_sweep` uses this to solve once per frequency.
 
+One kernel evaluates the resolvent for every entry point: it inverts
+``i*omega + M`` once per signed frequency, a block of frequencies at a
+time, and forms ``A^-1 G`` and the rows of S that a caller needs as one
+matrix product over the block.
+
 Physicality masking: a port column only describes a real input field when
 its absolute (lab-frame) frequency ``+-omega + band_center`` is positive.
 Columns that fall at non-positive lab frequencies are artifacts of the
@@ -43,11 +48,12 @@ from .network import DoubledDynamics, PortInfo
 
 #: Threshold on the 2-norm condition number of the resolvent ``i*omega + M``
 #: above which a point is treated as singular. The exact 2-norm condition
-#: (an SVD) is computed only where the exact 1-norm condition, which the
-#: solve gives for free, cannot rule it out: ``cond_2 <= d * cond_1``.
+#: (an SVD) is computed only where the exact 1-norm condition, read off
+#: the inverse the kernel forms anyway, cannot rule it out:
+#: ``cond_2 <= d * cond_1``.
 CONDITION_LIMIT = 1.0e12
 
-#: Signed frequencies per resolvent block: keeps the resolvent, solution
+#: Signed frequencies per resolvent block: keeps the resolvent, inverse
 #: and S stacks cache-resident and their size independent of the grid.
 _BLOCK = 1024
 
@@ -227,6 +233,12 @@ class SpectrumGrid:
     ``rows_dn`` are :class:`TransferRow` views of them, built on first read
     and then kept, with None where the point failed. Both views are None on
     a grid built without ``exit_rows``.
+
+    ``cond[0, i]`` and ``cond[1, i]`` describe the 2-norm condition of the
+    resolvent ``i*omega + M`` at ``+omegas[i]`` and ``-omegas[i]``: the
+    exact value wherever it may exceed half of ``CONDITION_LIMIT``, and an
+    upper bound on it (``d`` times the exact 1-norm condition) elsewhere.
+    A point fails where it exceeds ``CONDITION_LIMIT`` at either sign.
     """
 
     omegas: NDArray[np.float64]
@@ -238,6 +250,7 @@ class SpectrumGrid:
     symplectic_resid: NDArray[np.float64] | None
     failures: list[SweepFailure] = field(default_factory=list)
     exit_rows: NDArray[np.complex128] | None = None
+    cond: NDArray[np.float64] | None = None
     # Ports, signal port and exit port name of the views.
     _row_labels: tuple[tuple[PortInfo, ...], str, str] | None = field(
         default=None, repr=False
@@ -272,31 +285,52 @@ def _solve_block(
     wherever it may exceed half the limit, and an upper bound below half
     the limit elsewhere.
 
-    One solve against ``[G | 1]`` gives ``A^-1 G`` and ``A^-1`` from the
-    same factorization, hence the exact 1-norm condition; since
-    ``cond_2 <= d * cond_1``, only points where that bound reaches half
-    the limit (or is not finite) need the exact 2-norm condition, an SVD.
-    A block holding an exactly singular resolvent is screened by SVD first.
+    Each resolvent is inverted once; ``A^-1`` gives the exact 1-norm
+    condition and, through one matrix product over the whole block,
+    ``A^-1 G``. Since ``cond_2 <= d * cond_1``, only points where that
+    bound reaches half the limit (or is not finite) need the exact 2-norm
+    condition, an SVD. A block holding an exactly singular resolvent is
+    screened by SVD first, and only its good points are inverted.
     """
     dim, cols = dyn.in_coupling.shape
-    eye = np.eye(dim)
-    a = 1j * omegas[:, None, None] * eye + dyn.dyn_matrix
+    a = 1j * omegas[:, None, None] * np.eye(dim) + dyn.dyn_matrix
     try:
-        sol = np.linalg.solve(a, np.concatenate([dyn.in_coupling, eye], axis=1))
+        inv = np.linalg.inv(a)
     except np.linalg.LinAlgError:
         cond = np.linalg.cond(a)
         good = cond <= CONDITION_LIMIT
         x = np.full((a.shape[0], dim, cols), np.nan, dtype=np.complex128)
-        x[good] = np.linalg.solve(a[good], dyn.in_coupling)
+        x[good] = _times_coupling(np.linalg.inv(a[good]), dyn.in_coupling)
         return x, good, cond
     # 1-norms of A and of A^-1: their largest column sums, side by side.
-    norms = np.abs(np.concatenate([a, sol[:, :, cols:]], axis=2)).sum(axis=1)
+    norms = np.abs(np.concatenate([a, inv], axis=2)).sum(axis=1)
     norms = norms.reshape(-1, 2, dim).max(axis=2)
     cond = dim * norms[:, 0] * norms[:, 1]
     flagged = ~(cond <= 0.5 * CONDITION_LIMIT)
     if flagged.any():
         cond[flagged] = np.linalg.cond(a[flagged])
-    return sol[:, :, :cols], cond <= CONDITION_LIMIT, cond
+    return _times_coupling(inv, dyn.in_coupling), cond <= CONDITION_LIMIT, cond
+
+
+def _times_coupling(
+    inv: NDArray[np.complex128], g: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """``A^-1 G`` at every point of a stack of inverses, as one matrix product."""
+    n, dim, _ = inv.shape
+    return (inv.reshape(n * dim, dim) @ g).reshape(n, dim, g.shape[1])
+
+
+def _s_rows(
+    g_out: NDArray[np.complex128], x: NDArray[np.complex128]
+) -> NDArray[np.complex128]:
+    """Rows ``g_out`` of ``G'`` times each ``X`` of a stack, as one matrix product.
+
+    Entry ``[r, i]`` is ``g_out[r] @ x[i]``: that row of ``S - 1`` at point
+    ``i`` when ``x`` holds ``A^-1 G``.
+    """
+    n, dim, cols = x.shape
+    stacked = x.transpose(1, 0, 2).reshape(dim, n * cols)
+    return (g_out @ stacked).reshape(g_out.shape[0], n, cols)
 
 
 def _resolve_exit(
@@ -687,7 +721,8 @@ def spectrum_sweep(
     condition; with the mirror both sidebands share that one condition
     number, as the two resolvents have the same singular values. Such
     points are recorded in ``failures`` and hold NaN in every output
-    array; all other points are computed normally.
+    array; all other points are computed normally. The condition number
+    or bound of every point is kept as ``cond``.
 
     The exit rows at both sidebands are kept as one array,
     ``exit_rows``; the per-point :class:`TransferRow` views ``rows_up``
@@ -743,31 +778,27 @@ def spectrum_sweep(
         lab_u, lab_v, mask_u, mask_v = _slots(w[:, None], centers)
 
         # Rows exit and exit + n_ports of S on the upper sideband serve its
-        # exit row and the mirrored lower row; the full S is formed only for
-        # the physically masked symplectic residual, and gives the rows the
-        # same bits. The contraction stays an einsum: a matmul sums in
-        # another order and changes the last digits of the rows.
+        # exit row and the mirrored lower row. They come from one product
+        # whether or not the full S is formed, which it is only for the
+        # physically masked symplectic residual.
+        x_ok = x[ok]
+        exit_rows = eye[pick, None, :] + _s_rows(dyn.out_coupling[pick], x_ok)
         if symp is not None:
-            s = eye + np.einsum("ij,ajk->aik", dyn.out_coupling, x[ok])
-            exit_rows = s[:, pick]
+            s = eye + _s_rows(dyn.out_coupling, x_ok).transpose(1, 0, 2)
             slots = np.concatenate([mask_u[ok], mask_v[ok]], axis=1)
             symp[lo + ok] = _masked_symplectic(s, dyn.metric, slots)
-        else:
-            exit_rows = eye[pick] + np.einsum(
-                "ij,ajk->aik", dyn.out_coupling[pick], x[ok]
-            )
         rows = all_rows[:, block]
-        rows[0, ok] = exit_rows[:, 0]
+        rows[0, ok] = exit_rows[0]
         if mirrored:
             good[1, block], cond[1, block] = good[0, block], cond[0, block]
-            mirror = exit_rows[:, 1].conj()
+            mirror = exit_rows[1].conj()
             rows[1, ok, :p], rows[1, ok, p:] = mirror[:, p:], mirror[:, :p]
         else:
             x_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
             ok_dn = np.nonzero(good[1, block])[0]
-            rows[1, ok_dn] = eye[exit_col] + np.einsum(
-                "j,ajk->ak", dyn.out_coupling[exit_col], x_dn[ok_dn]
-            )
+            rows[1, ok_dn] = eye[exit_col] + _s_rows(
+                dyn.out_coupling[[exit_col]], x_dn[ok_dn]
+            )[0]
 
         occ_u = np.empty((w.size, p))
         occ_v = np.empty((w.size, p))
@@ -810,6 +841,7 @@ def spectrum_sweep(
         symplectic_resid=symp,
         failures=failures,
         exit_rows=all_rows,
+        cond=cond,
         _row_labels=(dyn.ports, dyn.signal_port, exit_name),
     )
 

@@ -426,6 +426,81 @@ def test_spectrum_sweep_failures_match_two_norm_condition(
             transfer_pair(dyn, float(omegas[i]))
 
 
+def _approach(omega0: float) -> np.ndarray:
+    """Both signs of a grid closing in on ``omega0`` from both sides."""
+    offsets = np.geomspace(1.0e-15, 1.0e-2, 40)
+    grid = np.concatenate([omega0 * (1.0 - offsets), omega0 * (1.0 + offsets)])
+    return np.concatenate([grid, -grid])
+
+
+def _resolvent_cases() -> list[tuple[DoubledDynamics, np.ndarray, bool]]:
+    electromech = assemble_dynamics(get_builtin("electromech"))
+    network = assemble_dynamics(random_stable_model(np.random.default_rng(3)))
+    near = assemble_dynamics(near_singular_model(2.0e6, 1.0e5))
+    return [
+        (electromech, np.array([TAU * 5.0e6]), False),
+        (electromech, np.array([TAU * 5.0e6, -TAU * 5.0e6]), False),
+        (electromech, np.linspace(TAU * 4.0e6, TAU * 6.0e6, _BLOCK + 7), False),
+        (network, -np.geomspace(1.0e3, 1.0e10, _BLOCK - 5), False),
+        (near, _approach(TAU * 2.0e6), True),
+    ]
+
+
+@pytest.mark.parametrize(
+    ("dyn", "omegas", "near"),
+    _resolvent_cases(),
+    ids=["1-point", "2-point", "block+7", "network-block-5", "near-singular"],
+)
+def test_solve_block_matches_pointwise_solve(
+    dyn: DoubledDynamics, omegas: np.ndarray, near: bool
+) -> None:
+    x, good, cond = scattering._solve_block(dyn, omegas)
+    dim = dyn.dimension
+    flagged = 0
+    for i, omega in enumerate(omegas.tolist()):
+        a = 1j * omega * np.eye(dim) + dyn.dyn_matrix
+        cond_2 = np.linalg.cond(a)
+        assert good[i] == (cond_2 <= CONDITION_LIMIT)
+        bound = dim * np.linalg.norm(a, 1) * np.linalg.norm(np.linalg.inv(a), 1)
+        if bound <= 0.5 * CONDITION_LIMIT:
+            assert cond[i] == pytest.approx(bound, rel=1e-14)
+        else:
+            flagged += 1
+            assert cond[i] == pytest.approx(cond_2, rel=1e-14)
+        if good[i]:
+            want = np.linalg.solve(a, dyn.in_coupling)
+            assert np.abs(x[i] - want).max() <= 1e-13 * np.abs(want).max()
+    # The near-singular grid holds points flagged by the 1-norm screen
+    # that pass on the 2-norm condition, and points that fail.
+    if near:
+        assert 0 < np.count_nonzero(~good) < flagged
+    else:
+        assert flagged == 0 and good.all()
+
+
+@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "solved"])
+def test_spectrum_sweep_keeps_the_condition_of_each_resolvent(mirrored: bool) -> None:
+    # Without particle-hole symmetry the lower sideband has its own solve.
+    if mirrored:
+        dyn = assemble_dynamics(near_singular_model(2.0e6, 1.0e5))
+    else:
+        dyn = _asymmetric_squeezer()
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.sort(_approach(TAU * 2.0e6)[:80])
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert grid.cond is not None and grid.cond.shape == (2, omegas.size)
+    eye = np.eye(dyn.dimension)
+    # The mirror gives the lower sideband the condition of the upper
+    # resolvent, which has the same singular values.
+    for side, signed in enumerate((omegas, omegas if mirrored else -omegas)):
+        cond_2 = np.linalg.cond(1j * signed[:, None, None] * eye + dyn.dyn_matrix)
+        exact = grid.cond[side] > 0.5 * CONDITION_LIMIT
+        np.testing.assert_allclose(grid.cond[side, exact], cond_2[exact], rtol=1e-14)
+        assert np.all(cond_2[~exact] <= grid.cond[side, ~exact] * (1.0 + 1e-14))
+    failed = np.any(grid.cond > CONDITION_LIMIT, axis=0)
+    assert [f.index for f in grid.failures] == np.nonzero(failed)[0].tolist()
+
+
 def test_exactly_singular_resolvent_is_reported() -> None:
     # A resolvent with an exactly zero row at omega0: the LU solve itself
     # fails, and that block falls back to the condition-first screen.
