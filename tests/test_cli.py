@@ -667,3 +667,175 @@ def test_optimize_var_parse_error(capsys: pytest.CaptureFixture[str]) -> None:
     captured = capsys.readouterr()
     assert code == 2
     assert "PATH:LOW:HIGH" in captured.err
+
+
+# The cold counting request of the README on a coarse grid; the shape flags
+# are appended per case.
+_COUNTING_ARGV = [
+    "fom", *_README_COLD_GRID, "--app", "counting", "--omega-sig", "5e6",
+    "--points", "201", "--window", "2e-4",
+]
+
+
+@pytest.mark.parametrize(
+    "h_in, h_out, message",
+    [
+        (
+            "bogus:center_hz=5e6",
+            "exponential:rate_per_s=2e4",
+            "--h-in: unknown kind 'bogus' (delta, gaussian, lorentzian)",
+        ),
+        (
+            "gaussian:center_hz=5e6",
+            "exponential:rate_per_s=2e4",
+            "--h-in gaussian: missing parameter 'sigma_hz'",
+        ),
+        (
+            "delta:center_hz=5e6,foo=1,bar=2",
+            "exponential:rate_per_s=2e4",
+            "--h-in delta: unexpected parameters ['bar', 'foo']",
+        ),
+        (
+            "delta:center_hz",
+            "exponential:rate_per_s=2e4",
+            "--h-in: expected key=value, got 'center_hz'",
+        ),
+        (
+            "delta:center_hz=abc",
+            "exponential:rate_per_s=2e4",
+            "--h-in center_hz: 'abc' is not a number",
+        ),
+        (
+            "delta:center_hz=5e6",
+            "bogus",
+            "--h-out: unknown kind 'bogus' (exponential, boxcar)",
+        ),
+        (
+            "delta:center_hz=5e6",
+            "boxcar",
+            "--h-out boxcar: missing parameter 'duration_s'",
+        ),
+        (
+            "delta:center_hz=5e6",
+            "boxcar:duration_s=1e-4,x=2",
+            "--h-out boxcar: unexpected parameters ['x']",
+        ),
+        (
+            "delta:center_hz=5e6",
+            "boxcar:duration_s",
+            "--h-out: expected key=value, got 'duration_s'",
+        ),
+        (
+            "delta:center_hz=5e6",
+            "boxcar:duration_s=zz",
+            "--h-out duration_s: 'zz' is not a number",
+        ),
+    ],
+    ids=[
+        "in-kind", "in-missing", "in-unexpected", "in-key-value", "in-number",
+        "out-kind", "out-missing", "out-unexpected", "out-key-value", "out-number",
+    ],
+)
+def test_shape_spec_errors_exact_text(
+    h_in: str, h_out: str, message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main([*_COUNTING_ARGV, "--h-in", h_in, "--h-out", h_out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+def test_protocol_sim_prints_readme_table(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # The README's protocol-sim request; the README shows the rows marked
+    # with "shown", this pins every row of the table.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    code = main(
+        [
+            "protocol-sim", "--scheme", "two-click", "--p-e", "0.5",
+            "--p-d", "0.001", "--eta", "0.8", "--trials", "200000", "--seed", "1",
+        ]
+    )
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    table = [
+        ("shown", "scheme=two-click p_e=0.5 p_d=0.001 eta=0.8 trials=200000 seed=1"),
+        ("shown", "quantity                      exact    enumerate   monte-carlo"),
+        ("shown", "fidelity                 0.99651357   0.99651357   0.996477 +/- 0.000226"),
+        ("", "success_probability      0.32063792   0.32063792   0.320045 +/- 0.001043"),
+        ("", "photon_herald_prob       0.31936032   0.31936032   0.318755"),
+        ("", "pop[00]                  0.00149415   0.00149415   0.001547"),
+        ("", "pop[psi_plus]            0.99601544   0.99601544   0.995969"),
+        ("", "pop[01]                  0.00049813   0.00049813   0.000453"),
+        ("", "pop[10]                  0.00049813   0.00049813   0.000562"),
+        ("", "pop[11]                  0.00149415   0.00149415   0.001469"),
+        ("shown", "max |exact - enumerate| = 1.110e-16; heralds = 64009"),
+    ]
+    assert out == [line for _, line in table]
+    for shown, line in table:
+        assert (line in readme) == bool(shown)
+
+
+_FAILING_CHECKS = {
+    "unitarity": 2e-8,
+    "particle_hole": 3e-8,
+    "sum_rule": 4e-8,
+    "skipped": 1.0,
+}
+
+
+def test_validate_failure_list_without_quadrature_port(
+    converter_path: str,
+    monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    monkeypatch.setattr(
+        "modescatter.cli.consistency_checks", lambda dyn, omegas: _FAILING_CHECKS
+    )
+    code = main(["validate", "--model", converter_path, "--ensemble", "2"])
+    captured = capsys.readouterr()
+    assert code == 1
+    assert captured.out.splitlines()[-2:] == [
+        "checks: unitarity=2.000e-08 particle-hole=3.000e-08 sum-rule=4.000e-08"
+        " (skipped 1 near-singular point(s))",
+        "ensemble(2): unitarity=2.000e-08 particle-hole=3.000e-08 sum-rule=4.000e-08",
+    ]
+    assert captured.err.splitlines() == [
+        "error: consistency checks failed",
+        "  - particle-hole symmetry residual 3.000e-08 exceeds 1e-08",
+        "  - quasi-unitarity residual 2.000e-08 exceeds 1e-08",
+        "  - sum-rule residual 4.000e-08 exceeds 1e-08",
+        "  - ensemble unitarity residual 2.000e-08 exceeds 1e-08",
+        "  - ensemble particle_hole residual 3.000e-08 exceeds 1e-08",
+        "  - ensemble sum_rule residual 4.000e-08 exceeds 1e-08",
+    ]
+
+
+def test_validate_failure_list_with_quadrature_port(
+    monkeypatch: pytest.MonkeyPatch, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The electromech builtin couples lab-quadrature ports: only the
+    # particle-hole residual is a verdict there.
+    monkeypatch.setattr(
+        "modescatter.cli.consistency_checks", lambda dyn, omegas: _FAILING_CHECKS
+    )
+    code = main(["validate", "--builtin", "electromech"])
+    captured = capsys.readouterr()
+    assert code == 1
+    *_, checks, note, oracle = captured.out.splitlines()
+    assert checks == (
+        "checks: unitarity=2.000e-08 particle-hole=3.000e-08 sum-rule=4.000e-08"
+        " (skipped 1 near-singular point(s))"
+    )
+    assert note == (
+        "note: model couples quadrature ports; restricted unitarity and sum-rule"
+        " residuals are informational (exact only at the quadrature mode's"
+        " resonance)"
+    )
+    assert oracle.startswith("oracle: closed-form row max relative deviation = ")
+    assert captured.err.splitlines() == [
+        "error: consistency checks failed",
+        "  - particle-hole symmetry residual 3.000e-08 exceeds 1e-08",
+    ]
