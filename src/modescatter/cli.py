@@ -89,6 +89,14 @@ _CSV_HEADER = (
 
 _CHECK_TOL = 1e-8
 
+# Residuals of ``consistency_checks``, in print order, and their names in
+# validate's failure list.
+_RESIDUALS = {
+    "unitarity": "quasi-unitarity",
+    "particle_hole": "particle-hole symmetry",
+    "sum_rule": "sum-rule",
+}
+
 
 # ---------------------------------------------------------------------------
 # shared argument handling
@@ -101,16 +109,25 @@ def _parse_float(text: str, what: str) -> float:
         raise ConfigurationError(f"{what}: {text!r} is not a number") from None
 
 
-def _parse_set_pairs(pairs: Sequence[str]) -> dict[str, str]:
-    out: dict[str, str] = {}
+def _model_units(path: str, value: float) -> float:
+    """A ``--set`` or ``--var`` value in model units: ``.rate`` paths are in Hz."""
+    return hz_to_angular(value) if path.endswith(".rate") else value
+
+
+def _parse_set_pairs(pairs: Sequence[str]) -> dict[str, float]:
+    """``--set KEY=VALUE`` pairs as numbers, every pair checked for ``=`` first."""
+    texts: dict[str, str] = {}
     for pair in pairs:
         key, sep, value = pair.partition("=")
         if not sep or not key:
             raise ConfigurationError(
                 f"--set expects KEY=VALUE, got {pair!r}"
             )
-        out[key.strip()] = value.strip()
-    return out
+        texts[key.strip()] = value.strip()
+    return {
+        key: _model_units(key, _parse_float(value, f"--set {key}"))
+        for key, value in texts.items()
+    }
 
 
 def _add_model_args(parser: argparse.ArgumentParser) -> None:
@@ -134,34 +151,27 @@ def _add_model_args(parser: argparse.ArgumentParser) -> None:
     )
 
 
-def _resolve_model(args: argparse.Namespace) -> TransducerModel:
+def _resolve_model(
+    args: argparse.Namespace,
+) -> tuple[TransducerModel, dict[str, float]]:
+    """The model named by the model source, and its ``--set`` overrides."""
     if bool(args.model) == bool(args.builtin):
         raise ConfigurationError(
             "provide exactly one model source: --model PATH or --builtin NAME"
         )
     sets = _parse_set_pairs(args.set or [])
     if args.builtin:
-        overrides = {
-            key: _parse_float(value, f"--set {key}")
-            for key, value in sets.items()
-        }
-        return get_builtin(args.builtin, overrides)
+        return get_builtin(args.builtin, sets), sets
     model = load_model(args.model)
     if sets:
-        assignments: dict[str, float] = {}
-        for key, value in sets.items():
-            number = _parse_float(value, f"--set {key}")
-            if key.endswith(".rate"):
-                number = hz_to_angular(number)
-            assignments[key] = number
-        model = model_with(model, assignments)
+        model = model_with(model, sets)
         report = validate_model(model)
         if report.errors:
             raise ModelValidationError(
                 "model failed validation after --set overrides",
                 errors=tuple(report.errors),
             )
-    return model
+    return model, sets
 
 
 def _add_grid_args(parser: argparse.ArgumentParser, required: bool) -> None:
@@ -193,74 +203,46 @@ def _grid_omegas(args: argparse.Namespace, log: bool = False) -> np.ndarray:
     return np.linspace(lo, hi, args.points)
 
 
-def _check_exit(dyn: DoubledDynamics, exit_name: str | None) -> None:
-    if exit_name is None:
-        return
-    names = {info.name for info in dyn.ports}
-    if exit_name not in names:
-        raise ConfigurationError(
-            f"--exit {exit_name!r}: no such port (have {', '.join(sorted(names))})"
-        )
+# Per shape flag: kind -> (constructor, parameter names). Values of
+# ``*_hz`` parameters are converted to rad/s.
+_SHAPES = {
+    "--h-in": {
+        "delta": (SpectralShape.delta, ("center_hz",)),
+        "gaussian": (SpectralShape.gaussian, ("center_hz", "sigma_hz")),
+        "lorentzian": (SpectralShape.lorentzian, ("center_hz", "fwhm_hz")),
+    },
+    "--h-out": {
+        "exponential": (TemporalShape.exponential, ("rate_per_s",)),
+        "boxcar": (TemporalShape.boxcar, ("duration_s",)),
+    },
+}
 
 
-def _parse_kv_spec(text: str, what: str) -> tuple[str, dict[str, float]]:
+def _parse_shape(flag: str, text: str) -> SpectralShape | TemporalShape:
+    """A ``KIND:key=value,...`` spec of ``--h-in`` or ``--h-out``."""
     kind, _, rest = text.partition(":")
     params: dict[str, float] = {}
-    if rest:
-        for chunk in rest.split(","):
-            key, sep, value = chunk.partition("=")
-            if not sep:
-                raise ConfigurationError(
-                    f"{what}: expected key=value, got {chunk!r}"
-                )
-            params[key.strip()] = _parse_float(value, f"{what} {key.strip()}")
-    return kind.strip(), params
-
-
-def _spectral_shape(text: str) -> SpectralShape:
-    kind, params = _parse_kv_spec(text, "--h-in")
-    try:
-        if kind == "delta":
-            shape = SpectralShape.delta(hz_to_angular(params.pop("center_hz")))
-        elif kind == "gaussian":
-            shape = SpectralShape.gaussian(
-                hz_to_angular(params.pop("center_hz")),
-                hz_to_angular(params.pop("sigma_hz")),
-            )
-        elif kind == "lorentzian":
-            shape = SpectralShape.lorentzian(
-                hz_to_angular(params.pop("center_hz")),
-                hz_to_angular(params.pop("fwhm_hz")),
-            )
-        else:
-            raise ConfigurationError(
-                f"--h-in: unknown kind {kind!r} (delta, gaussian, lorentzian)"
-            )
-    except KeyError as exc:
-        raise ConfigurationError(f"--h-in {kind}: missing parameter {exc}") from None
-    if params:
+    for chunk in rest.split(",") if rest else ():
+        key, sep, value = chunk.partition("=")
+        if not sep:
+            raise ConfigurationError(f"{flag}: expected key=value, got {chunk!r}")
+        key = key.strip()
+        number = _parse_float(value, f"{flag} {key}")
+        params[key] = hz_to_angular(number) if key.endswith("_hz") else number
+    kind = kind.strip()
+    kinds = _SHAPES[flag]
+    if kind not in kinds:
         raise ConfigurationError(
-            f"--h-in {kind}: unexpected parameters {sorted(params)}"
+            f"{flag}: unknown kind {kind!r} ({', '.join(kinds)})"
         )
-    return shape
-
-
-def _temporal_shape(text: str) -> TemporalShape:
-    kind, params = _parse_kv_spec(text, "--h-out")
+    make, names = kinds[kind]
     try:
-        if kind == "exponential":
-            shape = TemporalShape.exponential(params.pop("rate_per_s"))
-        elif kind == "boxcar":
-            shape = TemporalShape.boxcar(params.pop("duration_s"))
-        else:
-            raise ConfigurationError(
-                f"--h-out: unknown kind {kind!r} (exponential, boxcar)"
-            )
+        shape = make(*[params.pop(name) for name in names])
     except KeyError as exc:
-        raise ConfigurationError(f"--h-out {kind}: missing parameter {exc}") from None
+        raise ConfigurationError(f"{flag} {kind}: missing parameter {exc}") from None
     if params:
         raise ConfigurationError(
-            f"--h-out {kind}: unexpected parameters {sorted(params)}"
+            f"{flag} {kind}: unexpected parameters {sorted(params)}"
         )
     return shape
 
@@ -308,9 +290,8 @@ def _emit(payload: Mapping[str, Any], as_json: bool) -> None:
 
 
 def _cmd_spectra(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
+    model, _ = _resolve_model(args)
     dyn = assemble_dynamics(model)
-    _check_exit(dyn, args.exit)
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = _grid_omegas(args, log=args.log)
     grid = spectrum_sweep(dyn, env, omegas, exit_port=args.exit)
@@ -389,12 +370,21 @@ def _cmd_spectra(args: argparse.Namespace) -> int:
 
 
 def _cmd_fom(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
+    model, _ = _resolve_model(args)
     dyn = assemble_dynamics(model)
-    _check_exit(dyn, args.exit)
     env = NoiseEnvironment.from_dynamics(dyn)
     omega_sig = hz_to_angular(args.omega_sig)
     payload: dict[str, Any] = {"app": args.app, "omega_sig_hz": args.omega_sig}
+    if args.app in ("counting", "entangle"):
+        if args.app == "counting" and None in (args.h_in, args.h_out, args.window):
+            raise ConfigurationError(
+                "fom --app counting needs --h-in, --h-out, and --window"
+            )
+        if args.window is None:
+            raise ConfigurationError("fom --app entangle needs --window")
+        grid = spectrum_sweep(
+            dyn, env, _grid_omegas(args), exit_port=args.exit, symplectic=False
+        )
 
     if args.app == "qubit":
         up, _ = transfer_pair(dyn, omega_sig, exit_port=args.exit)
@@ -420,18 +410,10 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             t_lo_abs=abs(result.t_lo),
         )
     elif args.app == "counting":
-        if args.h_in is None or args.h_out is None or args.window is None:
-            raise ConfigurationError(
-                "fom --app counting needs --h-in, --h-out, and --window"
-            )
-        omegas = _grid_omegas(args)
-        grid = spectrum_sweep(
-            dyn, env, omegas, exit_port=args.exit, symplectic=False
-        )
         result = counting_yield(
             grid,
-            _spectral_shape(args.h_in),
-            _temporal_shape(args.h_out),
+            _parse_shape("--h-in", args.h_in),
+            _parse_shape("--h-out", args.h_out),
             args.window,
             omega_sig,
         )
@@ -446,12 +428,6 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             n_out_mean=result.n_out_mean,
         )
     else:  # entangle
-        if args.window is None:
-            raise ConfigurationError("fom --app entangle needs --window")
-        omegas = _grid_omegas(args)
-        grid = spectrum_sweep(
-            dyn, env, omegas, exit_port=args.exit, symplectic=False
-        )
         dark = dark_count_rate(grid, omega_sig)
         specs = {
             scheme: heralding_spec(dark, args.window, scheme, args.p_e)
@@ -496,13 +472,11 @@ def _parse_var(text: str) -> tuple[str, float, float]:
     path = parts[0]
     low = _parse_float(parts[1], f"--var {path} low")
     high = _parse_float(parts[2], f"--var {path} high")
-    if path.endswith(".rate"):
-        low, high = hz_to_angular(low), hz_to_angular(high)
-    return path, low, high
+    return path, _model_units(path, low), _model_units(path, high)
 
 
 def _cmd_optimize(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
+    model, _ = _resolve_model(args)
     variables = tuple(_parse_var(text) for text in args.var)
     spec = OptimizeSpec(
         variables=variables,
@@ -573,52 +547,28 @@ def _cmd_protocol_sim(args: argparse.Namespace) -> int:
     enum = protocol_enumerate(spec)
     mc = protocol_montecarlo(spec, args.trials, args.seed)
 
-    def row(label: str, a: float, b: float, c: float, se: float | None) -> str:
-        mc_text = f"{c:.6f}" + (f" +/- {se:.6f}" if se is not None else "")
-        return f"{label:<22} {a:>12.8f} {b:>12.8f}   {mc_text}"
-
+    # One row per quantity: its exact, enumerated and Monte Carlo values,
+    # and the Monte Carlo standard error where there is one.
+    results = (exact, enum, mc)
+    table = [
+        (label, [getattr(r, name) for r in results], se)
+        for label, name, se in (
+            ("fidelity", "fidelity", mc.fidelity_stderr),
+            ("success_probability", "success_probability", mc.success_stderr),
+            ("photon_herald_prob", "photon_herald_probability", None),
+        )
+    ] + [
+        (f"pop[{key}]", [r.populations[key] for r in results], None)
+        for key in ("00", "psi_plus", "01", "10", "11")
+    ]
     print(
         f"scheme={spec.scheme} p_e={spec.p_e} p_d={spec.p_d} eta={spec.eta}"
         f" trials={args.trials} seed={args.seed}"
     )
     print(f"{'quantity':<22} {'exact':>12} {'enumerate':>12}   monte-carlo")
-    print(
-        row(
-            "fidelity",
-            exact.fidelity,
-            enum.fidelity,
-            mc.fidelity,
-            mc.fidelity_stderr,
-        )
-    )
-    print(
-        row(
-            "success_probability",
-            exact.success_probability,
-            enum.success_probability,
-            mc.success_probability,
-            mc.success_stderr,
-        )
-    )
-    print(
-        row(
-            "photon_herald_prob",
-            exact.photon_herald_probability,
-            enum.photon_herald_probability,
-            mc.photon_herald_probability,
-            None,
-        )
-    )
-    for key in ("00", "psi_plus", "01", "10", "11"):
-        print(
-            row(
-                f"pop[{key}]",
-                exact.populations[key],
-                enum.populations[key],
-                mc.populations[key],
-                None,
-            )
-        )
+    for label, (a, b, c), se in table:
+        mc_text = f"{c:.6f}" + (f" +/- {se:.6f}" if se is not None else "")
+        print(f"{label:<22} {a:>12.8f} {b:>12.8f}   {mc_text}")
     gap = max(
         abs(exact.fidelity - enum.fidelity),
         abs(exact.success_probability - enum.success_probability),
@@ -647,8 +597,16 @@ def _probe_frequencies(dyn: DoubledDynamics, count: int = 7) -> np.ndarray:
     return np.unique(np.concatenate([base, np.asarray(centers, dtype=float)]))
 
 
+def _residual_text(worst: Mapping[str, float]) -> str:
+    return " ".join(f"{key.replace('_', '-')}={worst[key]:.3e}" for key in _RESIDUALS)
+
+
 def _cmd_validate(args: argparse.Namespace) -> int:
-    model = _resolve_model(args)
+    if args.ensemble < 0:
+        raise ConfigurationError(
+            f"--ensemble must be non-negative, got {args.ensemble}"
+        )
+    model, sets = _resolve_model(args)
     report = validate_model(model)
     for line in report.errors:
         print(f"error:   {line}")
@@ -669,18 +627,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     has_quadrature = any(info.flavor == "lab-quadrature" for info in dyn.ports)
     worst = consistency_checks(dyn, _probe_frequencies(dyn))
     print(
-        f"checks: unitarity={worst['unitarity']:.3e}"
-        f" particle-hole={worst['particle_hole']:.3e}"
-        f" sum-rule={worst['sum_rule']:.3e}"
+        f"checks: {_residual_text(worst)}"
         f" (skipped {int(worst['skipped'])} near-singular point(s))"
     )
-
-    failures: list[str] = []
-    if worst["particle_hole"] > _CHECK_TOL:
-        failures.append(
-            f"particle-hole symmetry residual {worst['particle_hole']:.3e}"
-            f" exceeds {_CHECK_TOL:g}"
-        )
+    keys = ["particle_hole"]
     if has_quadrature:
         print(
             "note: model couples quadrature ports; restricted unitarity and"
@@ -688,49 +638,34 @@ def _cmd_validate(args: argparse.Namespace) -> int:
             " quadrature mode's resonance)"
         )
     else:
-        if worst["unitarity"] > _CHECK_TOL:
-            failures.append(
-                f"quasi-unitarity residual {worst['unitarity']:.3e} exceeds"
-                f" {_CHECK_TOL:g}"
-            )
-        if worst["sum_rule"] > _CHECK_TOL:
-            failures.append(
-                f"sum-rule residual {worst['sum_rule']:.3e} exceeds {_CHECK_TOL:g}"
-            )
+        keys += ["unitarity", "sum_rule"]
+    # (what, value, limit) of each verdict, in the order failures are listed.
+    verdicts = [(f"{_RESIDUALS[key]} residual", worst[key], _CHECK_TOL) for key in keys]
 
     if args.builtin == "electromech":
-        params = electromech_params(
-            {
-                key: _parse_float(value, f"--set {key}")
-                for key, value in _parse_set_pairs(args.set or []).items()
-            }
-        )
-        rel_worst = oracle_deviation(params, dyn)
+        rel_worst = oracle_deviation(electromech_params(sets), dyn)
         print(f"oracle: closed-form row max relative deviation = {rel_worst:.3e}")
-        if rel_worst > 1e-6:
-            failures.append(
-                f"closed-form oracle deviation {rel_worst:.3e} exceeds 1e-06"
-            )
+        verdicts.append(("closed-form oracle deviation", rel_worst, 1e-6))
 
     if args.ensemble:
         rng = np.random.default_rng(args.seed)
-        ens_worst = {"unitarity": 0.0, "particle_hole": 0.0, "sum_rule": 0.0}
+        ens_worst = dict.fromkeys(_RESIDUALS, 0.0)
         for _ in range(args.ensemble):
             _, sample_dyn = _draw_stable_model(rng, None)
             res = consistency_checks(sample_dyn, _probe_frequencies(sample_dyn, count=5))
             for key in ens_worst:
                 ens_worst[key] = max(ens_worst[key], res[key])
-        print(
-            f"ensemble({args.ensemble}): unitarity={ens_worst['unitarity']:.3e}"
-            f" particle-hole={ens_worst['particle_hole']:.3e}"
-            f" sum-rule={ens_worst['sum_rule']:.3e}"
-        )
-        for key, value in ens_worst.items():
-            if value > _CHECK_TOL:
-                failures.append(
-                    f"ensemble {key} residual {value:.3e} exceeds {_CHECK_TOL:g}"
-                )
+        print(f"ensemble({args.ensemble}): {_residual_text(ens_worst)}")
+        verdicts += [
+            (f"ensemble {key} residual", value, _CHECK_TOL)
+            for key, value in ens_worst.items()
+        ]
 
+    failures = [
+        f"{what} {value:.3e} exceeds {limit:g}"
+        for what, value, limit in verdicts
+        if value > limit
+    ]
     if failures:
         raise ModelValidationError(
             "consistency checks failed", errors=tuple(failures)

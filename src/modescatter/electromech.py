@@ -43,7 +43,6 @@ from .scattering import (
     NoiseEnvironment,
     TransferRow,
     added_noise,
-    bose_occupancy,
     eta,
     scattering_matrix,
     transfer_pair,
@@ -416,13 +415,12 @@ def peak_noise(p: ElectromechParams, env: NoiseEnvironment | None = None) -> flo
     _warn_peak_regime(p)
     image = p.omega_lc - 2.0 * p.omega_m
     if env is None:
-        n_tx = bose_occupancy(image, p.t_tx) if p.t_tx > 0 else 0.0
-        n_m = bose_occupancy(p.omega_m, p.t_m) if p.t_m > 0 else 0.0
-        n_wg = bose_occupancy(p.omega_m, p.t_wg) if p.t_wg > 0 else 0.0
-    else:
-        n_tx = env.occupancy("tx", image)
-        n_m = env.occupancy("mech_loss", p.omega_m) if p.gamma_m > 0 else 0.0
-        n_wg = env.occupancy("wg", p.omega_m)
+        env = NoiseEnvironment.from_temperatures(
+            {"tx": p.t_tx, "mech_loss": p.t_m, "wg": p.t_wg}
+        )
+    n_tx = env.occupancy("tx", image)
+    n_m = env.occupancy("mech_loss", p.omega_m) if p.gamma_m > 0 else 0.0
+    n_wg = env.occupancy("wg", p.omega_m)
     return peak_noise_formula(
         p.gamma_wg,
         p.gamma_m,

@@ -7,7 +7,9 @@ random restarts. Every candidate is evaluated by rebuilding the model,
 assembling its dynamics, and computing the requested figure of merit;
 candidates whose models fail validation, are unstable, or hit a numerical
 failure are recorded as infeasible and repelled with an infinite objective
-value rather than aborting the search.
+value rather than aborting the search. A configuration error (an unknown
+exit port or override path, a signal frequency off the spectrum grid) holds
+for every candidate alike, so it aborts the search.
 """
 
 from __future__ import annotations
@@ -175,6 +177,8 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
 
     Raises
     ------
+    ConfigurationError
+        As soon as one evaluation raises it: no candidate can mend it.
     NumericalError
         If every evaluated candidate was infeasible.
     """
@@ -197,6 +201,8 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
                 figure = _evaluate_figure(model, spec, dict(zip(paths, point)))
             if not math.isfinite(figure):
                 raise NumericalError("figure of merit is not finite")
+        except ConfigurationError:
+            raise
         except ModeScatterError:
             trace.append(TraceEntry(tuple(point), math.nan, False))
             return math.inf

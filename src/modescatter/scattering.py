@@ -339,7 +339,9 @@ def _resolve_exit(
     """Name and column of the exit port: ``default`` unless overridden."""
     name = default if exit_port is None else exit_port
     if name not in port_index:
-        raise ConfigurationError(f"unknown exit port {name!r}")
+        raise ConfigurationError(
+            f"unknown exit port {name!r} (have {', '.join(sorted(port_index))})"
+        )
     return name, port_index[name]
 
 
@@ -382,8 +384,13 @@ def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
     Solves the resolvent through a pivoted factorization and rejects
     numerically singular points (2-norm condition above
     ``CONDITION_LIMIT``, screened by the exact 1-norm condition) with a
-    :class:`NearSingularError` naming the frequency.
+    :class:`NearSingularError` naming the frequency, and a non-finite
+    frequency with a :class:`DomainError`.
     """
+    if not -math.inf < omega < math.inf:
+        raise DomainError(
+            f"scattering_matrix expects a finite frequency, got {omega!r}"
+        )
     s = _scattering_stack(dyn, np.array([float(omega)]))[0]
     return ScatteringMatrix(
         omega=float(omega),
@@ -496,8 +503,10 @@ def transfer_pair(
     exact particle-hole check the mirror needs costs more per new dynamics
     than the second matrix of the block, and the mirror changes last digits.
     """
-    if omega <= 0.0:
-        raise DomainError(f"transfer_pair expects a positive frequency, got {omega!r}")
+    if not 0.0 < omega < math.inf:
+        raise DomainError(
+            f"transfer_pair expects a positive finite frequency, got {omega!r}"
+        )
     name, col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
     signed = np.array([omega, -omega], dtype=np.float64)
     rows = _scattering_stack(dyn, signed)[:, col].tolist()

@@ -839,3 +839,82 @@ def test_validate_failure_list_with_quadrature_port(
         "error: consistency checks failed",
         "  - particle-hole symmetry residual 3.000e-08 exceeds 1e-08",
     ]
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["fom", "--app", "qubit", "--omega-sig", "5e6"],
+        ["spectra", "--omega-min", "4e6", "--omega-max", "6e6", "--points", "5"],
+        [
+            "optimize", "--objective", "max-eta", "--var", "ports.wg.rate:1e3:1e6",
+            "--omega-sig", "5e6", "--budget", "8",
+        ],
+    ],
+    ids=["fom", "spectra", "optimize"],
+)
+def test_unknown_exit_port_is_config_error(
+    argv: list[str], capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main([*argv, "--builtin", "electromech", "--exit", "bogus"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: unknown exit port 'bogus' (have mech_loss, tx, wg)\n"
+    )
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        (
+            ["--var", "ports.nope.rate:1e3:1e6", "--omega-sig", "5e6"],
+            "ports.nope.rate: no port named 'nope'",
+        ),
+        (
+            [
+                "--var", "ports.wg.rate:1e4:1e5", "--omega-sig", "7e6",
+                "--objective", "max-F1c", "--omega-min", "4e6", "--omega-max", "6e6",
+                "--points", "201", "--window", "1e-5",
+            ],
+            "signal frequency 4.398230e+07 rad/s lies outside the grid"
+            " [2.513274e+07, 3.769911e+07]",
+        ),
+    ],
+    ids=["variable-path", "signal-off-grid"],
+)
+def test_optimize_configuration_error_exits_2(
+    extra: list[str], message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Not "all candidates infeasible" (exit 3): the first evaluation reports it.
+    code = main(
+        ["optimize", "--builtin", "electromech", "--objective", "max-eta",
+         "--budget", "4", *extra]
+    )
+    assert code == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("app", ["qubit", "heterodyne"])
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_fom_non_finite_signal_is_numerical_error(
+    app: str, value: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main(
+        ["fom", "--builtin", "electromech", "--app", app, "--omega-sig", value]
+    )
+    assert code == 3
+    assert capsys.readouterr().err == (
+        f"error: transfer_pair expects a positive finite frequency, got {value}\n"
+    )
+
+
+def test_validate_rejects_negative_ensemble(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    code = main(["validate", "--builtin", "electromech", "--ensemble", "-2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: --ensemble must be non-negative, got -2\n"

@@ -156,6 +156,45 @@ def test_all_infeasible_raises_numerical_error() -> None:
         run_optimization(model, spec)
 
 
+@pytest.mark.parametrize(
+    "changes, message",
+    [
+        ({"exit_port": "bogus"}, "unknown exit port 'bogus'"),
+        (
+            {"variables": (("ports.nope.rate", TAU * 1.0e3, TAU * 1.0e6),)},
+            "no port named 'nope'",
+        ),
+        (
+            {
+                "objective": "max-F1c",
+                "omega_sig": TAU * 7.0e6,
+                "omega_min": TAU * 4.0e6,
+                "omega_max": TAU * 6.0e6,
+                "points": 201,
+                "window": 1.0e-5,
+            },
+            "lies outside the grid",
+        ),
+    ],
+    ids=["exit-port", "variable-path", "signal-off-grid"],
+)
+def test_configuration_error_aborts_search(
+    changes: dict[str, object], message: str
+) -> None:
+    # The same error at every candidate is not infeasibility: the first
+    # evaluation raises it instead of the search ending as NumericalError.
+    p = ElectromechParams(t_wg=0.0, t_m=0.0)
+    fields: dict[str, object] = {
+        "variables": (("ports.wg.rate", TAU * 1.0e4, TAU * 1.0e5),),
+        "objective": "max-eta",
+        "omega_sig": p.omega_m,
+        "budget": 8,
+    }
+    spec = OptimizeSpec(**{**fields, **changes})
+    with pytest.raises(ConfigurationError, match=message):
+        run_optimization(build_model(p), spec)
+
+
 def test_entangle_objective_smoke() -> None:
     p = ElectromechParams(t_wg=0.0, t_m=0.0)
     model = build_model(p)

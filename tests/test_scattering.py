@@ -191,6 +191,16 @@ def test_transfer_pair_requires_positive_frequency() -> None:
         transfer_pair(dyn, 0.0)
 
 
+@pytest.mark.parametrize("omega", [math.nan, math.inf, -math.inf])
+def test_non_finite_frequency_is_domain_error(omega: float) -> None:
+    # Rejected before the solve, whose SVD would not converge on NaN entries.
+    dyn = assemble_dynamics(two_mode_converter())
+    with pytest.raises(DomainError, match="finite frequency"):
+        scattering_matrix(dyn, omega)
+    with pytest.raises(DomainError, match="positive finite frequency"):
+        transfer_pair(dyn, omega)
+
+
 def test_row_invariants_on_rotating_network() -> None:
     dyn = assemble_dynamics(two_mode_converter())
     for omega_hz in (2.0e5, 1.0e6, 8.0e6):
