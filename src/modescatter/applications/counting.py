@@ -173,9 +173,19 @@ def _clean_upper_arrays(
     return omegas, eta, noise
 
 
+def check_window(window: float) -> None:
+    """Reject a detection window (seconds) that is negative or not finite."""
+    if not 0.0 <= window < math.inf:
+        raise ConfigurationError(
+            f"detection window must be non-negative and finite, got {window!r} s"
+        )
+
+
 def _interp_signal(
     omegas: NDArray[np.float64], values: NDArray[np.float64], omega_sig: float
 ) -> float:
+    if not -math.inf < omega_sig < math.inf:
+        raise DomainError(f"signal frequency must be finite, got {omega_sig!r}")
     if not (omegas[0] <= omega_sig <= omegas[-1]):
         raise ConfigurationError(
             f"signal frequency {omega_sig:.6e} rad/s lies outside the grid "
@@ -287,7 +297,13 @@ def counting_yield(
     signal photon captured within the window, plus the dark counts
     accumulated over it. A transducer with identically zero added noise has
     zero dark-count rate and the bandwidth is reported as 0.
+
+    Raises
+    ------
+    ConfigurationError
+        If ``window`` is negative or not finite.
     """
+    check_window(window)
     omegas, eta, noise = _clean_upper_arrays(spectrum)
     eta_plus = _interp_signal(omegas, eta, omega_sig)
     n_plus = _interp_signal(omegas, noise, omega_sig)

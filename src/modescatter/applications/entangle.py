@@ -41,7 +41,7 @@ from typing import Iterator, Literal, Mapping
 import numpy as np
 
 from ..errors import ConfigurationError, DomainError, NoHeraldError, ValidityWarning
-from .counting import DarkCountResult
+from .counting import DarkCountResult, check_window
 
 Scheme = Literal["one-click", "two-click"]
 
@@ -195,10 +195,13 @@ def heralding_spec(
 
     Raises
     ------
+    ConfigurationError
+        If ``window`` is negative or not finite.
     DomainError
         If ``p_d`` falls outside [0, 1), or if the one-click optimum is
         requested where the transfer efficiency is not positive.
     """
+    check_window(window)
     p_d = dark.rate * window
     if not 0.0 <= p_d < 1.0:
         raise DomainError(

@@ -31,6 +31,7 @@ from . import __version__
 from .applications.counting import (
     SpectralShape,
     TemporalShape,
+    check_window,
     counting_yield,
     dark_count_rate,
 )
@@ -382,6 +383,8 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             )
         if args.window is None:
             raise ConfigurationError("fom --app entangle needs --window")
+        # Bad input, whatever the sweep would give: check it before the sweep.
+        check_window(args.window)
         grid = spectrum_sweep(
             dyn, env, _grid_omegas(args), exit_port=args.exit, symplectic=False
         )
@@ -482,8 +485,8 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         variables=variables,
         objective=args.objective,
         omega_sig=hz_to_angular(args.omega_sig),
-        omega_min=hz_to_angular(args.omega_min) if args.omega_min else None,
-        omega_max=hz_to_angular(args.omega_max) if args.omega_max else None,
+        omega_min=None if args.omega_min is None else hz_to_angular(args.omega_min),
+        omega_max=None if args.omega_max is None else hz_to_angular(args.omega_max),
         points=args.points,
         window=args.window if args.window is not None else 0.0,
         exit_port=args.exit,

@@ -26,7 +26,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize_scalar
 
 from .errors import ConfigurationError, DomainError, PoleError, ValidityWarning
 from .network import (
@@ -470,6 +469,9 @@ def locate_peak(
     expected spring shift plus several conversion linewidths, so the result
     is the true numeric peak rather than the value at the nominal resonance.
     """
+    # Imported here so that importing the package does not load SciPy.
+    from scipy.optimize import minimize_scalar
+
     if dyn is None:
         dyn = assemble_dynamics(build_model(p))
     if env is None:

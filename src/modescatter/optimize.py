@@ -20,7 +20,6 @@ from dataclasses import dataclass, field
 from typing import Mapping
 
 import numpy as np
-from scipy.optimize import Bounds, minimize
 
 from .applications.entangle import entangle_fidelity_exact, heralding_spec
 from .applications.counting import dark_count_rate
@@ -182,6 +181,10 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     NumericalError
         If every evaluated candidate was infeasible.
     """
+    # Imported here, not at module level, so that only an optimization
+    # pays for loading SciPy.
+    from scipy.optimize import Bounds, minimize
+
     paths = tuple(v[0] for v in spec.variables)
     lows = np.array([v[1] for v in spec.variables], dtype=float)
     highs = np.array([v[2] for v in spec.variables], dtype=float)

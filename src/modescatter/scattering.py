@@ -36,7 +36,6 @@ from typing import Any, Literal, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
-from scipy.constants import hbar, k as k_boltzmann
 
 from .errors import (
     ConfigurationError,
@@ -45,6 +44,11 @@ from .errors import (
     UndefinedNoiseError,
 )
 from .network import DoubledDynamics, PortInfo
+
+#: Reduced Planck and Boltzmann constants (J s, J/K): the exact SI 2019
+#: values, the same floats as ``scipy.constants.hbar`` and ``.k``.
+hbar = 6.62607015e-34 / (2.0 * math.pi)
+k_boltzmann = 1.380649e-23
 
 #: Threshold on the 2-norm condition number of the resolvent ``i*omega + M``
 #: above which a point is treated as singular. The exact 2-norm condition

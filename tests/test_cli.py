@@ -910,6 +910,71 @@ def test_fom_non_finite_signal_is_numerical_error(
     )
 
 
+# The README's cold counting and entanglement requests on a coarse grid,
+# with the signal frequency appended per case.
+_GRID_APP_ARGV = {
+    "counting": [
+        *_README_COLD_GRID, "--points", "201", "--app", "counting",
+        "--h-in", "delta:center_hz=5e6", "--h-out", "exponential:rate_per_s=2e4",
+        "--window", "2e-4",
+    ],
+    "entangle": [
+        *_README_COLD_GRID, "--points", "201", "--app", "entangle", "--window", "1e-5",
+    ],
+}
+
+
+@pytest.mark.parametrize("app", ["qubit", "heterodyne", "counting", "entangle"])
+def test_fom_nan_signal_exits_3_on_every_app(
+    app: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    argv = _GRID_APP_ARGV.get(app, ["--builtin", "electromech", "--app", app])
+    code = main(["fom", *argv, "--omega-sig", "nan"])
+    captured = capsys.readouterr()
+    assert code == 3
+    assert captured.out == ""
+    if app in _GRID_APP_ARGV:
+        assert captured.err == "error: signal frequency must be finite, got nan\n"
+
+
+@pytest.mark.parametrize("points", ["201", "3"])
+@pytest.mark.parametrize("app", ["counting", "entangle"])
+def test_fom_negative_window_is_config_error(
+    app: str, points: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Bad input (exit 2), not a dark-click probability outside [0, 1), nor,
+    # on a 3-point grid, an unconverged quadrature (both exit 3).
+    code = main(
+        ["fom", *_GRID_APP_ARGV[app], "--omega-sig", "5e6", "--window", "-1",
+         "--points", points]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: detection window must be non-negative and finite, got -1.0 s\n"
+    )
+
+
+def test_optimize_zero_omega_min_reaches_grid_check(
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # A zero bound is set, not absent: the grid check, not "set omega_min".
+    code = main(
+        [
+            "optimize", "--builtin", "electromech", "--objective", "max-F1c",
+            "--var", "ports.wg.rate:1e3:1e6", "--omega-sig", "5e6",
+            "--omega-min", "0", "--omega-max", "6e6", "--window", "1e-5",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == (
+        "error: need 0 < omega_min < omega_max for the spectrum grid\n"
+    )
+
+
 def test_validate_rejects_negative_ensemble(
     capsys: pytest.CaptureFixture[str],
 ) -> None:

@@ -127,6 +127,15 @@ def test_dark_count_rejects_nan_entries() -> None:
         dark_count_rate(_grid(omegas, eta, np.ones(11)), float(omegas[5]))
 
 
+@pytest.mark.parametrize("omega_sig", [math.nan, math.inf, -math.inf])
+def test_dark_count_rejects_non_finite_signal(omega_sig: float) -> None:
+    # A numerical failure (exit 3), as in transfer_pair: not "off the grid".
+    omegas = np.linspace(TAU * 1.0e6, TAU * 2.0e6, 11)
+    grid = _grid(omegas, np.ones(11), np.ones(11))
+    with pytest.raises(DomainError, match="signal frequency must be finite"):
+        dark_count_rate(grid, omega_sig)
+
+
 def test_unconverged_quadrature_raises() -> None:
     center = TAU * 5.0e6
     kappa = TAU * 100.0
@@ -252,3 +261,19 @@ def test_counting_yield_zero_noise_has_no_dark_counts() -> None:
     assert result.bandwidth == 0.0
     assert result.rate == 0.0
     assert result.n_out_mean == pytest.approx(0.9, rel=1e-12)
+
+
+@pytest.mark.parametrize("window", [-1.0, -1.0e-300, math.nan, math.inf])
+def test_counting_yield_rejects_bad_window(window: float) -> None:
+    # Bad input (exit 2), whatever the grid holds.
+    center = TAU * 5.0e6
+    omegas = np.linspace(center - TAU * 1.0e4, center + TAU * 1.0e4, 51)
+    grid = _grid(omegas, np.full(51, 0.9), np.full(51, 0.1))
+    with pytest.raises(ConfigurationError) as info:
+        counting_yield(
+            grid, SpectralShape.delta(center), TemporalShape.boxcar(1.0e-3), window,
+            center,
+        )
+    assert str(info.value) == (
+        f"detection window must be non-negative and finite, got {window!r} s"
+    )

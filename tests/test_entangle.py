@@ -218,6 +218,21 @@ def test_heralding_spec_domain_errors(rate: float, eta_plus: float, scheme: str)
         heralding_spec(_dark(rate, eta_plus), 1.0e-4, scheme)  # type: ignore[arg-type]
 
 
+@pytest.mark.parametrize("window", [-1.0, math.nan, math.inf])
+@pytest.mark.parametrize("rate", [0.0, 20.0])
+def test_heralding_spec_rejects_bad_window(rate: float, window: float) -> None:
+    # Bad input (exit 2), not a dark-click probability out of range.
+    with pytest.raises(ConfigurationError) as info:
+        heralding_spec(_dark(rate, 0.8), window, "two-click")
+    assert str(info.value) == (
+        f"detection window must be non-negative and finite, got {window!r} s"
+    )
+
+
+def test_heralding_spec_accepts_zero_window() -> None:
+    assert heralding_spec(_dark(20.0, 0.8), 0.0, "two-click").p_d == 0.0
+
+
 def test_montecarlo_agrees_with_enumeration() -> None:
     spec = ProtocolSpec(scheme="two-click", p_e=0.5, p_d=0.01, eta=0.6)
     exact = protocol_enumerate(spec)

@@ -58,6 +58,15 @@ def test_bose_occupancy_zero_temperature() -> None:
     assert bose_occupancy(TAU * 5.0e9, 0.0) == 0.0
 
 
+def test_physical_constants_are_scipys_floats() -> None:
+    # The exact SI values, written out so that importing the package does
+    # not load SciPy; every occupancy keeps its bits.
+    import scipy.constants
+
+    assert scattering.hbar == scipy.constants.hbar
+    assert scattering.k_boltzmann == scipy.constants.k
+
+
 def test_bose_occupancy_classical_limit() -> None:
     # k T >> hbar omega: occupancy approaches kT / (hbar omega) - 1/2.
     from scipy.constants import hbar, k
