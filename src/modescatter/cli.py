@@ -385,6 +385,9 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             raise ConfigurationError("fom --app entangle needs --window")
         # Bad input, whatever the sweep would give: check it before the sweep.
         check_window(args.window)
+        if args.app == "counting":
+            h_in = _parse_shape("--h-in", args.h_in)
+            h_out = _parse_shape("--h-out", args.h_out)
         grid = spectrum_sweep(
             dyn, env, _grid_omegas(args), exit_port=args.exit, symplectic=False
         )
@@ -413,13 +416,7 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             t_lo_abs=abs(result.t_lo),
         )
     elif args.app == "counting":
-        result = counting_yield(
-            grid,
-            _parse_shape("--h-in", args.h_in),
-            _parse_shape("--h-out", args.h_out),
-            args.window,
-            omega_sig,
-        )
+        result = counting_yield(grid, h_in, h_out, args.window, omega_sig)
         payload.update(
             eta_plus=result.eta_plus,
             n_plus=result.n_plus,

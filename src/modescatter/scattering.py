@@ -239,10 +239,13 @@ class SpectrumGrid:
     a grid built without ``exit_rows``.
 
     ``cond[0, i]`` and ``cond[1, i]`` describe the 2-norm condition of the
-    resolvent ``i*omega + M`` at ``+omegas[i]`` and ``-omegas[i]``: the
-    exact value wherever it may exceed half of ``CONDITION_LIMIT``, and an
-    upper bound on it (``d`` times the exact 1-norm condition) elsewhere.
-    A point fails where it exceeds ``CONDITION_LIMIT`` at either sign.
+    resolvent ``A = i*omega + M`` at ``+omegas[i]`` and ``-omegas[i]``:
+    the exact value (an SVD) wherever it may exceed half of
+    ``CONDITION_LIMIT``, and elsewhere the upper bound
+    ``d * |A|_1 * |A^-1|_1``, ``d`` times the exact 1-norm condition. The
+    1-norms are the largest column sums of ``|A|`` and of the ``|A^-1|``
+    the kernel forms anyway, each column summed row by row. A point fails
+    where the condition exceeds ``CONDITION_LIMIT`` at either sign.
     """
 
     omegas: NDArray[np.float64]
@@ -295,24 +298,37 @@ def _solve_block(
     bound reaches half the limit (or is not finite) need the exact 2-norm
     condition, an SVD. A block holding an exactly singular resolvent is
     screened by SVD first, and only its good points are inverted.
+
+    The resolvents are built with the points last, ``a[:, :, k]`` being
+    the resolvent at ``omegas[k]``, and the 1-norms are taken in that
+    layout: the largest column sums of ``|A|`` and ``|A^-1|``, each column
+    summed row by row in order, with the sums over rows and the maxima over
+    columns running along the points.
     """
+    n = omegas.size
     dim, cols = dyn.in_coupling.shape
-    a = 1j * omegas[:, None, None] * np.eye(dim) + dyn.dyn_matrix
+    a = np.empty((dim, dim, n), dtype=np.complex128)
+    a[:] = dyn.dyn_matrix[:, :, None]
+    a.reshape(dim * dim, n)[:: dim + 1].imag += omegas
+    stack = a.transpose(2, 0, 1)
     try:
-        inv = np.linalg.inv(a)
+        inv = np.linalg.inv(stack)
     except np.linalg.LinAlgError:
-        cond = np.linalg.cond(a)
+        cond = np.linalg.cond(stack)
         good = cond <= CONDITION_LIMIT
-        x = np.full((a.shape[0], dim, cols), np.nan, dtype=np.complex128)
-        x[good] = _times_coupling(np.linalg.inv(a[good]), dyn.in_coupling)
+        x = np.full((n, dim, cols), np.nan, dtype=np.complex128)
+        x[good] = _times_coupling(np.linalg.inv(stack[good]), dyn.in_coupling)
         return x, good, cond
-    # 1-norms of A and of A^-1: their largest column sums, side by side.
-    norms = np.abs(np.concatenate([a, inv], axis=2)).sum(axis=1)
-    norms = norms.reshape(-1, 2, dim).max(axis=2)
-    cond = dim * norms[:, 0] * norms[:, 1]
-    flagged = ~(cond <= 0.5 * CONDITION_LIMIT)
-    if flagged.any():
-        cond[flagged] = np.linalg.cond(a[flagged])
+    # mags[i, j] holds |A_ij| and mags[i, dim + j] holds |A^-1_ij|.
+    mags = np.empty((dim, 2 * dim, n))
+    np.abs(a, out=mags[:, :dim])
+    np.abs(inv.transpose(1, 2, 0), out=mags[:, dim:])
+    norms = np.maximum.reduce(np.add.reduce(mags).reshape(2, dim, n), axis=1)
+    cond = dim * norms[0] * norms[1]
+    screened = cond <= 0.5 * CONDITION_LIMIT
+    if not screened.all():
+        flagged = ~screened
+        cond[flagged] = np.linalg.cond(stack[flagged])
     return _times_coupling(inv, dyn.in_coupling), cond <= CONDITION_LIMIT, cond
 
 
@@ -364,10 +380,10 @@ def _slots(
     return lab_u, lab_v, lab_u > 0.0, lab_v > 0.0
 
 
-def _scattering_stack(
+def _solve_regular(
     dyn: DoubledDynamics, signed: NDArray[np.float64]
 ) -> NDArray[np.complex128]:
-    """S at each signed frequency, from one block solve.
+    """``A^-1 G`` at each signed frequency, from one block solve.
 
     Raises :class:`NearSingularError` for the first near-singular point.
     """
@@ -379,7 +395,7 @@ def _scattering_stack(
                 f"(condition estimate {c:.3e})",
                 omega=omega,
             )
-    return np.eye(2 * dyn.n_ports, dtype=np.complex128) + dyn.out_coupling @ x
+    return x
 
 
 def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
@@ -395,7 +411,8 @@ def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
         raise DomainError(
             f"scattering_matrix expects a finite frequency, got {omega!r}"
         )
-    s = _scattering_stack(dyn, np.array([float(omega)]))[0]
+    x = _solve_regular(dyn, np.array([float(omega)]))[0]
+    s = np.eye(2 * dyn.n_ports, dtype=np.complex128) + dyn.out_coupling @ x
     return ScatteringMatrix(
         omega=float(omega),
         matrix=s,
@@ -502,10 +519,11 @@ def transfer_pair(
     Equal, coefficient for coefficient, to :func:`transfer_row` of
     :func:`scattering_matrix` at ``+omega`` and at ``-omega``, and raises the
     same :class:`NearSingularError` (``+omega`` first). Both sidebands come
-    from one two-point block solve. The lower sideband is solved rather
-    than mirrored from the upper one as in :func:`spectrum_sweep`: the
-    exact particle-hole check the mirror needs costs more per new dynamics
-    than the second matrix of the block, and the mirror changes last digits.
+    from one two-point block solve, and only the exit row of S is formed.
+    The lower sideband is solved rather than mirrored from the upper one as
+    in :func:`spectrum_sweep`: the exact particle-hole check the mirror
+    needs costs more per new dynamics than the second matrix of the block,
+    and the mirror changes last digits.
     """
     if not 0.0 < omega < math.inf:
         raise DomainError(
@@ -513,7 +531,15 @@ def transfer_pair(
         )
     name, col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
     signed = np.array([omega, -omega], dtype=np.float64)
-    rows = _scattering_stack(dyn, signed)[:, col].tolist()
+    x = _solve_regular(dyn, signed)
+    # Rows exit and exit + n_ports of G' give the exit row with the bits of
+    # S: a product of two rows takes the matrix path that forms S, where
+    # one row would take NumPy's matrix-vector path and can move last bits.
+    p = dyn.n_ports
+    g_rows = dyn.out_coupling[col : col + p + 1 : p]
+    eye_row = np.zeros(2 * p, dtype=np.complex128)
+    eye_row[col] = 1.0
+    rows = (eye_row + (g_rows @ x)[:, 0]).tolist()
     up, dn = _transfer_rows(dyn.ports, dyn.signal_port, name, signed.tolist(), rows)
     return up, dn
 
@@ -665,15 +691,27 @@ def _masked_symplectic(
     return r_abs.max(axis=(1, 2))
 
 
+def _port_sums(x: NDArray[np.float64]) -> NDArray[np.float64]:
+    """Sums over the leading (port) axis of ``x``, one per point.
+
+    The bits are those of NumPy's sum along a contiguous port axis: the
+    terms in order below eight ports, and NumPy's pairwise order from eight
+    on, which only a contiguous copy with the ports last reproduces.
+    """
+    if x.shape[0] < 8:
+        return np.add.reduce(x, axis=0)
+    return np.ascontiguousarray(x.T).sum(axis=1)
+
+
 def _flux_balance(
     abs_u: NDArray[np.float64], abs_v: NDArray[np.float64]
 ) -> NDArray[np.float64]:
     """Sum-rule residual ``|sum |U|^2 - sum |V|^2 - 1|`` of each masked row.
 
     ``abs_u``/``abs_v`` hold the squared magnitudes of the annihilation and
-    creation halves of the rows, zero on unphysical columns.
+    creation halves of the rows, port-major, zero on unphysical columns.
     """
-    return np.abs(abs_u.sum(axis=1) - abs_v.sum(axis=1) - 1.0)
+    return np.abs(_port_sums(abs_u) - _port_sums(abs_v) - 1.0)
 
 
 def _sideband_spectra(
@@ -689,23 +727,33 @@ def _sideband_spectra(
     """Efficiency, added noise and sum-rule residual of masked exit rows.
 
     ``u``/``v`` are the annihilation/creation halves of the exit rows at
-    one signed sideband, zeroed on unphysical columns; ``defined`` marks
-    the points whose exit output is physical and whose solve succeeded.
+    one signed sideband, zeroed on unphysical columns; they, the
+    occupancies and ``mask_v`` are port-major, ``(n_ports, points)``.
+    ``defined`` marks the points whose exit output is physical and whose
+    solve succeeded.
     """
     abs_u = np.abs(u) ** 2
     abs_v = np.abs(v) ** 2
-    efficiency = np.where(defined, (abs_u if upper else abs_v)[:, sig_col], np.nan)
+    efficiency = np.where(defined, (abs_u if upper else abs_v)[sig_col], np.nan)
     u_noise = abs_u.copy()
     v_noise = abs_v.copy()
     # The signal column is not noise on its own side.
-    (u_noise if upper else v_noise)[:, sig_col] = 0.0
-    flux = (u_noise * occ_u).sum(axis=1) + (
+    (u_noise if upper else v_noise)[sig_col] = 0.0
+    flux = _port_sums(u_noise * occ_u) + _port_sums(
         v_noise * np.where(mask_v, occ_v + 1.0, 0.0)
-    ).sum(axis=1)
+    )
     with np.errstate(invalid="ignore", divide="ignore"):
         noise = np.where(efficiency > 0.0, flux / efficiency, np.nan)
     sumrule = np.where(defined, _flux_balance(abs_u, abs_v), np.nan)
     return efficiency, noise, sumrule
+
+
+def _good_index(good: NDArray[np.bool_]) -> slice | NDArray[np.intp]:
+    """Index of the good points of a block: a slice when all are good.
+
+    Reading and writing through a slice takes views rather than copies.
+    """
+    return slice(None) if good.all() else np.nonzero(good)[0]
 
 
 def spectrum_sweep(
@@ -727,15 +775,20 @@ def spectrum_sweep(
     the upper solve: the conjugate of row ``exit + n_ports`` with its
     halves swapped. Other dynamics get a second solve at ``-omega``. All
     post-processing runs inside the same block loop, so only the outputs
-    span the grid.
+    span the grid. After the solve it works port-major, on ``(n_ports,
+    points)`` arrays of slot lab frequencies, masks, occupancies and
+    squared coefficients, so that each operation and each sum over ports
+    runs along the points of the block; a block whose points all passed
+    the screen is read and written through slices, not copies.
 
     A point is near-singular when the 2-norm condition of its resolvent
     exceeds ``CONDITION_LIMIT`` (1e12), screened by the exact 1-norm
-    condition; with the mirror both sidebands share that one condition
-    number, as the two resolvents have the same singular values. Such
-    points are recorded in ``failures`` and hold NaN in every output
-    array; all other points are computed normally. The condition number
-    or bound of every point is kept as ``cond``.
+    condition ``d * |A|_1 * |A^-1|_1`` (see ``SpectrumGrid.cond``); with
+    the mirror both sidebands share that one condition number, as the two
+    resolvents have the same singular values. Such points are recorded in
+    ``failures`` and hold NaN in every output array; all other points are
+    computed normally. The condition number or bound of every point is
+    kept as ``cond``.
 
     The exit rows at both sidebands are kept as one array,
     ``exit_rows``; the per-point :class:`TransferRow` views ``rows_up``
@@ -767,10 +820,11 @@ def spectrum_sweep(
     p = dyn.n_ports
     exit_name, exit_col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
     sig_col = dyn.port_index[dyn.signal_port]
-    centers = np.array([info.band_center for info in dyn.ports])
+    centers = np.array([[info.band_center] for info in dyn.ports])
     mirrored = _particle_hole_symmetric(dyn)
     eye = np.eye(2 * p)
     pick = [exit_col, exit_col + p]
+    eye_pick, g_pick = eye[pick, None, :], dyn.out_coupling[pick]
 
     # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
     good = np.empty((2, m), dtype=bool)
@@ -785,21 +839,22 @@ def spectrum_sweep(
         block = slice(lo, lo + _BLOCK)
         w = grid[block]
         x, good[0, block], cond[0, block] = _solve_block(dyn, w)
-        ok = np.nonzero(good[0, block])[0]
-        # Slot lab frequencies: the lower sideband sees the upper's u and v
-        # slots swapped, and so their masks and occupancies.
-        lab_u, lab_v, mask_u, mask_v = _slots(w[:, None], centers)
+        ok = _good_index(good[0, block])
+        # Slot lab frequencies, port-major like everything after the solve:
+        # the lower sideband sees the upper's u and v slots swapped, and so
+        # their masks and occupancies.
+        lab_u, lab_v, mask_u, mask_v = _slots(w, centers)
 
         # Rows exit and exit + n_ports of S on the upper sideband serve its
         # exit row and the mirrored lower row. They come from one product
         # whether or not the full S is formed, which it is only for the
         # physically masked symplectic residual.
         x_ok = x[ok]
-        exit_rows = eye[pick, None, :] + _s_rows(dyn.out_coupling[pick], x_ok)
+        exit_rows = eye_pick + _s_rows(g_pick, x_ok)
         if symp is not None:
             s = eye + _s_rows(dyn.out_coupling, x_ok).transpose(1, 0, 2)
-            slots = np.concatenate([mask_u[ok], mask_v[ok]], axis=1)
-            symp[lo + ok] = _masked_symplectic(s, dyn.metric, slots)
+            slots = np.concatenate([mask_u, mask_v])[:, ok].T
+            symp[block][ok] = _masked_symplectic(s, dyn.metric, slots)
         rows = all_rows[:, block]
         rows[0, ok] = exit_rows[0]
         if mirrored:
@@ -808,24 +863,25 @@ def spectrum_sweep(
             rows[1, ok, :p], rows[1, ok, p:] = mirror[:, p:], mirror[:, :p]
         else:
             x_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
-            ok_dn = np.nonzero(good[1, block])[0]
+            ok_dn = _good_index(good[1, block])
             rows[1, ok_dn] = eye[exit_col] + _s_rows(
                 dyn.out_coupling[[exit_col]], x_dn[ok_dn]
             )[0]
 
-        occ_u = np.empty((w.size, p))
-        occ_v = np.empty((w.size, p))
+        occ_u = np.empty((p, w.size))
+        occ_v = np.empty((p, w.size))
         for j, info in enumerate(dyn.ports):
-            occ_u[:, j] = env.occupancy_array(info.name, lab_u[:, j], mask_u[:, j])
-            occ_v[:, j] = env.occupancy_array(info.name, lab_v[:, j], mask_v[:, j])
+            occ_u[j] = env.occupancy_array(info.name, lab_u[j], mask_u[j])
+            occ_v[j] = env.occupancy_array(info.name, lab_v[j], mask_v[j])
 
         sides = ((mask_u, mask_v, occ_u, occ_v), (mask_v, mask_u, occ_v, occ_u))
         for side, (m_u, m_v, o_u, o_v) in enumerate(sides):
-            u = np.where(m_u, rows[side, :, :p], 0.0)
-            v = np.where(m_v, rows[side, :, p:], 0.0)
+            row = rows[side].T
             efficiency[side, block], noise[side, block], sumrule[side, block] = (
                 _sideband_spectra(
-                    u, v, o_u, o_v, m_v, m_u[:, exit_col] & good[side, block],
+                    np.where(m_u, row[:p], 0.0),
+                    np.where(m_v, row[p:], 0.0),
+                    o_u, o_v, m_v, m_u[exit_col] & good[side, block],
                     sig_col, side == 0,
                 )
             )
@@ -893,7 +949,8 @@ def consistency_checks(
     centers = np.array([info.band_center for info in dyn.ports])
     _, _, mask_u, mask_v = _slots(signed[both][:, None], centers)
     slots = np.concatenate([mask_u[:n], mask_v[:n]], axis=1)
-    swap = np.r_[p : 2 * p, :p]
+    # Q as an index: -p..-1 are the creation slots p..2p-1.
+    swap = np.arange(-p, p)
     exit_col = dyn.port_index[dyn.exit_port]
     rows = s[:, exit_col]
     physical = mask_u[:, exit_col]
@@ -905,8 +962,8 @@ def consistency_checks(
     abs_v = np.hypot(v.real, v.imag) ** 2
     residuals = {
         "unitarity": _masked_symplectic(s_up, dyn.metric, slots),
-        "particle_hole": np.abs(s_dn - s_up.conj()[:, swap][:, :, swap]),
-        "sum_rule": _flux_balance(abs_u, abs_v),
+        "particle_hole": np.abs(s_dn - s_up.conj()[:, swap[:, None], swap]),
+        "sum_rule": _flux_balance(abs_u.T, abs_v.T),
     }
     worst = {key: float(np.max(r, initial=0.0)) for key, r in residuals.items()}
     worst["skipped"] = float(probes.size - n)

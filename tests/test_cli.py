@@ -677,68 +677,88 @@ _COUNTING_ARGV = [
 ]
 
 
-@pytest.mark.parametrize(
-    "h_in, h_out, message",
-    [
-        (
-            "bogus:center_hz=5e6",
-            "exponential:rate_per_s=2e4",
-            "--h-in: unknown kind 'bogus' (delta, gaussian, lorentzian)",
-        ),
-        (
-            "gaussian:center_hz=5e6",
-            "exponential:rate_per_s=2e4",
-            "--h-in gaussian: missing parameter 'sigma_hz'",
-        ),
-        (
-            "delta:center_hz=5e6,foo=1,bar=2",
-            "exponential:rate_per_s=2e4",
-            "--h-in delta: unexpected parameters ['bar', 'foo']",
-        ),
-        (
-            "delta:center_hz",
-            "exponential:rate_per_s=2e4",
-            "--h-in: expected key=value, got 'center_hz'",
-        ),
-        (
-            "delta:center_hz=abc",
-            "exponential:rate_per_s=2e4",
-            "--h-in center_hz: 'abc' is not a number",
-        ),
-        (
-            "delta:center_hz=5e6",
-            "bogus",
-            "--h-out: unknown kind 'bogus' (exponential, boxcar)",
-        ),
-        (
-            "delta:center_hz=5e6",
-            "boxcar",
-            "--h-out boxcar: missing parameter 'duration_s'",
-        ),
-        (
-            "delta:center_hz=5e6",
-            "boxcar:duration_s=1e-4,x=2",
-            "--h-out boxcar: unexpected parameters ['x']",
-        ),
-        (
-            "delta:center_hz=5e6",
-            "boxcar:duration_s",
-            "--h-out: expected key=value, got 'duration_s'",
-        ),
-        (
-            "delta:center_hz=5e6",
-            "boxcar:duration_s=zz",
-            "--h-out duration_s: 'zz' is not a number",
-        ),
-    ],
-    ids=[
-        "in-kind", "in-missing", "in-unexpected", "in-key-value", "in-number",
-        "out-kind", "out-missing", "out-unexpected", "out-key-value", "out-number",
-    ],
-)
+# Malformed --h-in/--h-out specs and the exact error each prints.
+_SHAPE_ERRORS = [
+    (
+        "bogus:center_hz=5e6",
+        "exponential:rate_per_s=2e4",
+        "--h-in: unknown kind 'bogus' (delta, gaussian, lorentzian)",
+    ),
+    (
+        "gaussian:center_hz=5e6",
+        "exponential:rate_per_s=2e4",
+        "--h-in gaussian: missing parameter 'sigma_hz'",
+    ),
+    (
+        "delta:center_hz=5e6,foo=1,bar=2",
+        "exponential:rate_per_s=2e4",
+        "--h-in delta: unexpected parameters ['bar', 'foo']",
+    ),
+    (
+        "delta:center_hz",
+        "exponential:rate_per_s=2e4",
+        "--h-in: expected key=value, got 'center_hz'",
+    ),
+    (
+        "delta:center_hz=abc",
+        "exponential:rate_per_s=2e4",
+        "--h-in center_hz: 'abc' is not a number",
+    ),
+    (
+        "delta:center_hz=5e6",
+        "bogus",
+        "--h-out: unknown kind 'bogus' (exponential, boxcar)",
+    ),
+    (
+        "delta:center_hz=5e6",
+        "boxcar",
+        "--h-out boxcar: missing parameter 'duration_s'",
+    ),
+    (
+        "delta:center_hz=5e6",
+        "boxcar:duration_s=1e-4,x=2",
+        "--h-out boxcar: unexpected parameters ['x']",
+    ),
+    (
+        "delta:center_hz=5e6",
+        "boxcar:duration_s",
+        "--h-out: expected key=value, got 'duration_s'",
+    ),
+    (
+        "delta:center_hz=5e6",
+        "boxcar:duration_s=zz",
+        "--h-out duration_s: 'zz' is not a number",
+    ),
+]
+_SHAPE_ERROR_IDS = [
+    "in-kind", "in-missing", "in-unexpected", "in-key-value", "in-number",
+    "out-kind", "out-missing", "out-unexpected", "out-key-value", "out-number",
+]
+
+
+@pytest.mark.parametrize("h_in, h_out, message", _SHAPE_ERRORS, ids=_SHAPE_ERROR_IDS)
 def test_shape_spec_errors_exact_text(
     h_in: str, h_out: str, message: str, capsys: pytest.CaptureFixture[str]
 ) -> None:
+    code = main([*_COUNTING_ARGV, "--h-in", h_in, "--h-out", h_out])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("h_in, h_out, message", _SHAPE_ERRORS, ids=_SHAPE_ERROR_IDS)
+def test_shape_spec_errors_come_before_the_sweep(
+    h_in: str,
+    h_out: str,
+    message: str,
+    monkeypatch: pytest.MonkeyPatch,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    def no_sweep(*args: object, **kwargs: object) -> None:
+        raise AssertionError("spectrum_sweep called before the shapes were parsed")
+
+    monkeypatch.setattr("modescatter.cli.spectrum_sweep", no_sweep)
     code = main([*_COUNTING_ARGV, "--h-in", h_in, "--h-out", h_out])
     captured = capsys.readouterr()
     assert code == 2

@@ -465,6 +465,17 @@ def _resolvent_cases() -> list[tuple[DoubledDynamics, np.ndarray, bool]]:
     ]
 
 
+def test_port_sums_keep_the_bits_of_a_point_major_sum() -> None:
+    # The sweep sums over ports on port-major arrays; the bits must be
+    # those of a sum along the contiguous port axis of point-major rows.
+    rng = np.random.default_rng(7)
+    for ports in range(1, 21):
+        rows = rng.random((1000, ports)) * 10.0 ** rng.uniform(-8.0, 8.0, (1000, ports))
+        want = rows.sum(axis=1).tobytes()
+        assert scattering._port_sums(np.ascontiguousarray(rows.T)).tobytes() == want, ports
+        assert scattering._port_sums(rows.T).tobytes() == want, ports
+
+
 @pytest.mark.parametrize(
     ("dyn", "omegas", "near"),
     _resolvent_cases(),
@@ -518,6 +529,37 @@ def test_spectrum_sweep_keeps_the_condition_of_each_resolvent(mirrored: bool) ->
         assert np.all(cond_2[~exact] <= grid.cond[side, ~exact] * (1.0 + 1e-14))
     failed = np.any(grid.cond > CONDITION_LIMIT, axis=0)
     assert [f.index for f in grid.failures] == np.nonzero(failed)[0].tolist()
+
+
+@pytest.mark.parametrize("points", [1, 2, _BLOCK + 40], ids=["1-point", "2-point", "block+40"])
+@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "solved"])
+def test_spectrum_sweep_condition_bound_is_the_one_norm_product(
+    mirrored: bool, points: int
+) -> None:
+    # Where the 1-norm screen rules out failure, cond holds its bound
+    # d * |A|_1 * |A^-1|_1 itself, not some looser number.
+    dyn = assemble_dynamics(near_singular_model(2.0e6, 1.0e5)) if mirrored else _asymmetric_squeezer()
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.array([TAU * 1.0e6, TAU * 3.0e6])[:points]
+    if points > 2:
+        # Two blocks, the second holding points near the singular one.
+        omegas = np.unique(np.concatenate([np.linspace(TAU * 1.0e5, TAU * 1.0e7, _BLOCK), _approach(TAU * 2.0e6)[:40]]))
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert grid.cond is not None
+    eye = np.eye(dyn.dimension)
+    for side, signed in enumerate((omegas, omegas if mirrored else -omegas)):
+        a = 1j * signed[:, None, None] * eye + dyn.dyn_matrix
+        bound = (
+            dyn.dimension
+            * np.linalg.norm(a, 1, axis=(1, 2))
+            * np.linalg.norm(np.linalg.inv(a), 1, axis=(1, 2))
+        )
+        screened = bound <= 0.5 * CONDITION_LIMIT
+        assert screened.sum() >= min(points, _BLOCK)
+        np.testing.assert_allclose(grid.cond[side, screened], bound[screened], rtol=1e-14)
+        # Elsewhere the screen gave way to the exact 2-norm condition.
+        cond_2 = np.linalg.cond(a[~screened])
+        np.testing.assert_allclose(grid.cond[side, ~screened], cond_2, rtol=1e-14)
 
 
 def test_exactly_singular_resolvent_is_reported() -> None:
