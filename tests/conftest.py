@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -11,10 +12,12 @@ from modescatter import (
     Coupling,
     Drive,
     InternalMode,
+    ModelUnstableError,
     NoiseEnvironment,
     Port,
     TransducerModel,
     TransferRow,
+    assemble_dynamics,
 )
 
 TAU = 2.0 * math.pi
@@ -135,3 +138,65 @@ def plain_row(
         dropped=(),
         physical_output=True,
     )
+
+
+def wide_model(rng: np.random.Generator) -> TransducerModel:
+    """Random stable network over more of the model space than
+    ``random_stable_model``: the first mode may sit in a zero-centred
+    (lab-frame) band, as a lab-quadrature mode with lab-quadrature ports or
+    as a rotating one, and couplings may be beam-splitter,
+    two-mode-squeezing or quadrature-position. Ports are thermal or cold;
+    signal and exit are drawn from all ports.
+    """
+    for _ in range(60):
+        n_modes = int(rng.integers(2, 5))
+        zero_centred = rng.random() < 0.6
+        modes = []
+        for j in range(n_modes):
+            if j == 0 and zero_centred:
+                frame = "lab-quadrature" if rng.random() < 0.7 else "rotating"
+                band = Band("b0", 0.0)
+                modes.append(InternalMode("m0", band, frame, 10.0 ** rng.uniform(5.0, 7.0)))
+                continue
+            center = 1.0e12 * (1.0 + 0.35 * j) + rng.uniform(0.0, 1.0e10)
+            detuning = rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(4.0, 6.0)
+            modes.append(InternalMode(f"m{j}", Band(f"b{j}", center), "rotating", center + detuning))
+        ports = [
+            Port(
+                f"p{j}{k}",
+                mode,
+                10.0 ** rng.uniform(3.0, 6.0),
+                0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.1),
+                flavor=mode.frame,
+            )
+            for j, mode in enumerate(modes)
+            for k in range(1 if rng.random() < 0.7 else 2)
+        ]
+        sig, ex = rng.choice(len(ports), size=2, replace=False)
+        ports[sig] = dataclasses.replace(ports[sig], role="signal")
+        ports[ex] = dataclasses.replace(ports[ex], role="exit")
+        rates = {m.name: sum(q.rate for q in ports if q.mode is m) for m in modes}
+        drives, couplings = [], []
+        for j in range(n_modes - 1):
+            a, b = modes[j], modes[j + 1]
+            ca, cb = a.band.center_frequency, b.band.center_frequency
+            forms = ["beam-splitter", "two-mode-squeezing"]
+            if ca == 0.0:
+                forms.append("quadrature-position")
+            form = forms[int(rng.integers(len(forms)))]
+            if form == "beam-splitter":
+                rate = 10.0 ** rng.uniform(3.0, 6.0)
+            else:
+                rate = 0.4 * math.sqrt(rates[a.name] * rates[b.name]) * rng.uniform(0.1, 1.0)
+            drive = Drive(f"d{j}", ca + cb if form == "two-mode-squeezing" else abs(ca - cb))
+            drives.append(drive)
+            couplings.append(Coupling(a, b, rate, form, drive))
+        model = TransducerModel(
+            tuple(m.band for m in modes), tuple(modes), tuple(drives), tuple(couplings), tuple(ports)
+        )
+        try:
+            assemble_dynamics(model)
+        except ModelUnstableError:
+            continue
+        return model
+    raise AssertionError("no stable model drawn")

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TAU, two_mode_converter
+from conftest import TAU, two_mode_converter, wide_model
 
 from modescatter import (
     Band,
@@ -25,6 +28,7 @@ from modescatter import (
     scattering_matrix,
 )
 import modescatter.network
+from modescatter.modelfile import get_builtin, parse_model
 from modescatter.network import validate_model
 
 
@@ -150,6 +154,50 @@ def test_validate_warns_on_marginal_band_separation() -> None:
     assert any("RWA separation" in w for w in report.warnings)
 
 
+def test_validate_lists_every_fault_in_order() -> None:
+    # Faults in ports, signal roles, mode totals and couplings together,
+    # and a marginal band gap: the full lists, text and order.
+    b1, b2 = Band("b1", TAU * 5.0e9), Band("b2", TAU * 4.0e9)
+    m1 = InternalMode("m1", b1, "rotating", TAU * 5.001e9)
+    m2 = InternalMode("m2", b2, "rotating", TAU * 4.001e9)
+    m3 = InternalMode("m3", b2, "rotating", TAU * 4.002e9)
+    ghost = InternalMode("ghost", b2, "rotating", TAU * 4.003e9)
+    pump = Drive("pump", 1.0e9)
+    ports = (
+        Port("p", m1, -1.0, 0.0, role="signal"),
+        Port("p", m1, TAU * 3.0e8, 0.01, role="signal", flavor="lab-quadrature"),
+        Port("q", m2, 0.0, 0.0, role="exit"),
+        Port("r", m2, TAU * 1.0e6, -1.0),
+        Port("s", m3, -5.0, 0.0),
+        Port("t", ghost, TAU * 1.0e6, 0.0),
+    )
+    couplings = (
+        Coupling(m1, m2, TAU * 1.0e6, "beam-splitter", drive=pump),
+        Coupling(m2, m3, TAU * 1.0e6, "beam-splitter", drive=Drive("ghost", 0.0)),
+    )
+    model = TransducerModel((b1, b2), (m1, m2, m3), (pump,), couplings, ports)
+    report = validate_model(model)
+    assert report.errors == [
+        "duplicate port name 'p'",
+        "port 'p': rate must be positive, got -1.0",
+        "port 'p': lab-quadrature flavor requires a lab-quadrature mode, but 'm1' is rotating",
+        "port 'q': rate must be positive, got 0.0",
+        "port 'r': temperature must be non-negative",
+        "port 's': rate must be positive, got -5.0",
+        "port 't': unknown mode 'ghost'",
+        "exactly one signal port is required, found 2",
+        "mode 'm3': total port rate must be positive",
+        "coupling[0] (m1-m2): drive mismatch, band structure requires 6.283185e+09"
+        " rad/s but the drive supplies 1.000000e+09",
+        "coupling[1] (m2-m3): unknown drive 'ghost'",
+    ]
+    assert report.warnings == [
+        "RWA separation violated on coupling[0]: band gap 6.283e+09 rad/s vs 10"
+        " x max linewidth 1.885e+09 rad/s"
+    ]
+    assert report.notes == [modescatter.network.OCCUPANCY_NOTE]
+
+
 def test_degenerate_model_raises() -> None:
     with pytest.raises(ConfigurationError):
         validate_model(TransducerModel((), (), (), (), ()))
@@ -208,6 +256,46 @@ def test_output_coupling_follows_metric_relation() -> None:
         None, :
     ]
     np.testing.assert_allclose(dyn.out_coupling, expected, atol=0.0)
+
+
+def _readme_converter() -> TransducerModel:
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    return parse_model(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+
+
+_ASSEMBLY_DIGESTS = {
+    "electromech": "ba47970cabd3a37f8995b8c7a8f26931e3f6a921e5d047cabd777f88f9964850",
+    "readme-converter": "1d186255ae2279c5ba43f6bcd189a9573d6053fad22f4090d566ae140c23c89f",
+    "wide-0": "ed6b2962eae279d229e0251ef13cdc90dba29b7ccffb3f04abdfb23e3dfe5bbc",
+    "wide-1": "6a25aa6642ba1b8160ab6fa5cc3c3ba238d8efdf533c7a3e136d0e5f4ad1745c",
+    "wide-2": "721804636e12234512823285e77f8eb77a7f26fc8b32125ee2b398d05a8b7603",
+    "wide-3": "d3ed80bccf578257d2603d1c85915cd5ba1a11f38136a5cbb2f1c38fd47e0fca",
+    "wide-4": "3658086d7c0188e7f61518669366bcb57e6d77d305725fda8823598c6b3b3faa",
+    "wide-5": "b45a4dd1bd958993a93e0c8bb6bfea6787577b23b3332b766ba69ae61aba7518",
+}
+
+
+@pytest.mark.parametrize("case", sorted(_ASSEMBLY_DIGESTS))
+def test_assembled_arrays_are_pinned(case: str) -> None:
+    # SHA-256 over the shape, strides and bytes of M, G and G': assembly is
+    # plain IEEE arithmetic, so its bits hold on every platform, and the
+    # memory layout decides which BLAS path later products take. The
+    # eigenvalues come from the platform's LAPACK, whose last bits vary
+    # between builds, so they are pinned to those of M itself.
+    if case == "electromech":
+        model = get_builtin("electromech")
+    elif case == "readme-converter":
+        model = _readme_converter()
+    else:
+        model = wide_model(np.random.default_rng(int(case.removeprefix("wide-"))))
+    dyn = assemble_dynamics(model)
+    digest = hashlib.sha256()
+    for array in (dyn.dyn_matrix, dyn.in_coupling, dyn.out_coupling):
+        assert array.dtype == np.complex128
+        digest.update(repr((array.shape, array.strides)).encode())
+        digest.update(array.tobytes())
+    assert digest.hexdigest() == _ASSEMBLY_DIGESTS[case]
+    assert dyn.eigenvalues.tobytes() == np.linalg.eigvals(dyn.dyn_matrix).tobytes()
 
 
 def test_unstable_squeezer_rejected() -> None:

@@ -8,7 +8,7 @@ import math
 import mpmath
 import numpy as np
 import pytest
-from conftest import TAU, near_singular_model, two_mode_converter
+from conftest import TAU, near_singular_model, two_mode_converter, wide_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -18,7 +18,6 @@ from modescatter import (
     Coupling,
     Drive,
     InternalMode,
-    ModelUnstableError,
     Port,
     TransducerModel,
     DomainError,
@@ -97,6 +96,46 @@ def test_bose_occupancy_rejects_nonpositive_frequency() -> None:
 def test_bose_occupancy_rejects_negative_temperature() -> None:
     with pytest.raises(DomainError):
         bose_occupancy(1.0e9, -0.1)
+
+
+@pytest.mark.parametrize("temperature", [0.0, 1.0e-3, 0.05, 2.0])
+def test_bose_array_follows_bose_occupancy_point_by_point(temperature: float) -> None:
+    # Every branch of the scalar rule, at every point: masked points (some
+    # at negative lab frequencies) and T = 0 give +0.0, x <= 700 gives
+    # 1/expm1(x) (700 itself and its neighbours included), the tail
+    # exp(-x), floored at exp(-745). NumPy's expm1 and exp are not libm's
+    # (SIMD loops on some hosts), so the rule is evaluated with NumPy's
+    # functions for the bits, and with bose_occupancy to within 2 ulp.
+    t_ref = temperature or 0.05
+    xs = np.concatenate(
+        [
+            np.geomspace(1.0e-9, 40.0, 301),
+            np.linspace(650.0, 760.0, 301),
+            [np.nextafter(700.0, 0.0), 700.0, np.nextafter(700.0, 800.0)],
+            [745.0, 745.2, 800.0, 1.0e4],
+        ]
+    )
+    omegas = xs * scattering.k_boltzmann * t_ref / scattering.hbar
+    valid = np.random.default_rng(7).random(omegas.size) < 0.7
+    omegas[~valid & (np.arange(omegas.size) % 2 == 0)] *= -1.0
+
+    got = scattering._bose_array(omegas, temperature, valid)
+
+    def rule(omega: float) -> float:
+        if temperature == 0.0:
+            return 0.0
+        x = scattering.hbar * omega / (scattering.k_boltzmann * temperature)
+        if x > 700.0:
+            return float(np.exp(-min(x, 745.0)))
+        return float(1.0 / np.expm1(x))
+
+    want = np.array([rule(w) if ok else 0.0 for w, ok in zip(omegas.tolist(), valid)])
+    assert got.dtype == np.float64 and got.tobytes() == want.tobytes()
+    scalar = np.array([bose_occupancy(w, temperature) for w in omegas[valid].tolist()])
+    floored = (scalar == 0.0) & (got[valid] > 0.0)
+    assert np.all(got[valid][floored] == np.exp(-745.0))
+    ulps = np.abs(got[valid].view(np.int64) - scalar.view(np.int64))
+    assert np.max(ulps[~floored], initial=0) <= 2
 
 
 def test_environment_constant_and_temperature() -> None:
@@ -593,75 +632,13 @@ def test_exactly_singular_resolvent_is_reported() -> None:
         assert got.tobytes() == want.tobytes()
 
 
-def _wide_model(rng: np.random.Generator) -> TransducerModel:
-    """Random stable network over more of the model space than
-    ``random_stable_model``: the first mode may sit in a zero-centred
-    (lab-frame) band, as a lab-quadrature mode with lab-quadrature ports or
-    as a rotating one, and couplings may be beam-splitter,
-    two-mode-squeezing or quadrature-position. Ports are thermal or cold;
-    signal and exit are drawn from all ports.
-    """
-    for _ in range(60):
-        n_modes = int(rng.integers(2, 5))
-        zero_centred = rng.random() < 0.6
-        modes = []
-        for j in range(n_modes):
-            if j == 0 and zero_centred:
-                frame = "lab-quadrature" if rng.random() < 0.7 else "rotating"
-                band = Band("b0", 0.0)
-                modes.append(InternalMode("m0", band, frame, 10.0 ** rng.uniform(5.0, 7.0)))
-                continue
-            center = 1.0e12 * (1.0 + 0.35 * j) + rng.uniform(0.0, 1.0e10)
-            detuning = rng.uniform(-2.0, 2.0) * 10.0 ** rng.uniform(4.0, 6.0)
-            modes.append(InternalMode(f"m{j}", Band(f"b{j}", center), "rotating", center + detuning))
-        ports = [
-            Port(
-                f"p{j}{k}",
-                mode,
-                10.0 ** rng.uniform(3.0, 6.0),
-                0.0 if rng.random() < 0.5 else rng.uniform(0.0, 0.1),
-                flavor=mode.frame,
-            )
-            for j, mode in enumerate(modes)
-            for k in range(1 if rng.random() < 0.7 else 2)
-        ]
-        sig, ex = rng.choice(len(ports), size=2, replace=False)
-        ports[sig] = dataclasses.replace(ports[sig], role="signal")
-        ports[ex] = dataclasses.replace(ports[ex], role="exit")
-        rates = {m.name: sum(q.rate for q in ports if q.mode is m) for m in modes}
-        drives, couplings = [], []
-        for j in range(n_modes - 1):
-            a, b = modes[j], modes[j + 1]
-            ca, cb = a.band.center_frequency, b.band.center_frequency
-            forms = ["beam-splitter", "two-mode-squeezing"]
-            if ca == 0.0:
-                forms.append("quadrature-position")
-            form = forms[int(rng.integers(len(forms)))]
-            if form == "beam-splitter":
-                rate = 10.0 ** rng.uniform(3.0, 6.0)
-            else:
-                rate = 0.4 * math.sqrt(rates[a.name] * rates[b.name]) * rng.uniform(0.1, 1.0)
-            drive = Drive(f"d{j}", ca + cb if form == "two-mode-squeezing" else abs(ca - cb))
-            drives.append(drive)
-            couplings.append(Coupling(a, b, rate, form, drive))
-        model = TransducerModel(
-            tuple(m.band for m in modes), tuple(modes), tuple(drives), tuple(couplings), tuple(ports)
-        )
-        try:
-            assemble_dynamics(model)
-        except ModelUnstableError:
-            continue
-        return model
-    raise AssertionError("no stable model drawn")
-
-
 @settings(max_examples=60, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_assembled_dynamics_are_particle_hole_symmetric(seed: int) -> None:
     # M = P conj(M) P, G = P conj(G) Q and G' = Q conj(G') P exactly (up
     # to the sign of zeros), with P and Q swapping the annihilation and
     # creation mode/port slots.
-    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    dyn = assemble_dynamics(wide_model(np.random.default_rng(seed)))
     n, p = dyn.n_modes, dyn.n_ports
     swap_b = np.r_[n : 2 * n, :n]
     swap_a = np.r_[p : 2 * p, :p]
@@ -703,7 +680,7 @@ def _assert_sweep_matches_transfer_pair(
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_mirrored_lower_sideband_matches_pointwise_solve(seed: int) -> None:
-    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    dyn = assemble_dynamics(wide_model(np.random.default_rng(seed)))
     env = NoiseEnvironment.from_dynamics(dyn)
     _assert_sweep_matches_transfer_pair(dyn, env, np.geomspace(1.0e2, 1.0e8, 37))
 
@@ -747,7 +724,7 @@ def test_sweep_matches_fifty_digit_reference(seed: int) -> None:
     # The bounds are about 2.5 times the worst relative errors of an LU
     # solve against [G | 1] on these seeds: rows 2.1e-13 and N 1.6e-13 on
     # seed 2, eta 2.1e-14 on seed 6. Seed 999999 takes eta down to 7e-41.
-    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+    dyn = assemble_dynamics(wide_model(np.random.default_rng(seed)))
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = np.geomspace(1.0e2, 1.0e8, 37)
     grid = spectrum_sweep(dyn, env, omegas, symplectic=False)
@@ -840,7 +817,7 @@ def _sweep_case(
     case: str, rng: np.random.Generator, points: int
 ) -> tuple[DoubledDynamics, np.ndarray]:
     if case == "wide":
-        return assemble_dynamics(_wide_model(rng)), np.geomspace(1.0e2, 1.0e8, points)
+        return assemble_dynamics(wide_model(rng)), np.geomspace(1.0e2, 1.0e8, points)
     if case == "electromech":
         dyn = assemble_dynamics(get_builtin("electromech"))
         return dyn, np.linspace(TAU * 4.0e6, TAU * 6.0e6, points)
@@ -920,8 +897,8 @@ def _assert_pair_equals_single_rows(
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_transfer_pair_equals_single_rows_on_wide_models(seed: int) -> None:
-    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+def test_transfer_pair_equals_single_rows_onwide_models(seed: int) -> None:
+    dyn = assemble_dynamics(wide_model(np.random.default_rng(seed)))
     _assert_pair_equals_single_rows(dyn, np.geomspace(1.0e2, 1.0e8, 13))
     for info in dyn.ports:
         _assert_pair_equals_single_rows(dyn, np.array([3.0e5]), info.name)
@@ -1009,8 +986,8 @@ def _assert_checks_match_reference(
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_consistency_checks_match_per_probe_loop_on_wide_models(seed: int) -> None:
-    dyn = assemble_dynamics(_wide_model(np.random.default_rng(seed)))
+def test_consistency_checks_match_per_probe_loop_onwide_models(seed: int) -> None:
+    dyn = assemble_dynamics(wide_model(np.random.default_rng(seed)))
     _assert_checks_match_reference(dyn, np.geomspace(1.0e2, 1.0e8, 13))
 
 
