@@ -387,8 +387,16 @@ def validate_model(
             f"no exit port declared; signal port {signal_ports[0].name!r} doubles as exit"
         )
 
-    for mode in model.modes:
-        if model.total_port_rate(mode) <= 0:
+    # Each mode's ports, in port order: the totals are the sums that
+    # TransducerModel.total_port_rate forms, one per mode.
+    ports_of: dict[str, list[Port]] = {}
+    for port in model.ports:
+        ports_of.setdefault(port.mode.name, []).append(port)
+    totals = [
+        float(sum(p.rate for p in ports_of.get(mode.name, ()))) for mode in model.modes
+    ]
+    for mode, total in zip(model.modes, totals):
+        if total <= 0:
             errs.append(f"mode {mode.name!r}: total port rate must be positive")
 
     # lab-quadrature frames only make sense when something couples both slots
@@ -396,7 +404,7 @@ def validate_model(
         if mode.frame != "lab-quadrature":
             continue
         has_quadrature_port = any(
-            p.flavor == "lab-quadrature" for p in model.mode_ports(mode)
+            p.flavor == "lab-quadrature" for p in ports_of.get(mode.name, ())
         )
         has_position_coupling = any(
             c.form == "quadrature-position"
@@ -443,7 +451,7 @@ def validate_model(
             errs.append(f"{label}: DC coupling requires a shared band center")
 
     # rotating-wave separation between drive-bridged bands
-    max_linewidth = max(model.total_port_rate(m) for m in model.modes)
+    max_linewidth = max(totals)
     for i, coupling in enumerate(model.couplings):
         if _drive_frequency(coupling) == 0.0:
             continue
@@ -499,66 +507,70 @@ def assemble_dynamics(
     mode_index = {m.name: i for i, m in enumerate(model.modes)}
     port_index = {q.name: i for i, q in enumerate(model.ports)}
 
-    dyn = np.zeros((dim, dim), dtype=np.complex128)
-    gin = np.zeros((dim, 2 * p), dtype=np.complex128)
+    # M and G are filled as Python lists and converted once: the additions
+    # are the same IEEE operations, in the same order, as on the arrays.
+    dyn = [[0j] * dim for _ in range(dim)]
+    gin = [[0j] * (2 * p) for _ in range(dim)]
 
     for mode in model.modes:
         j, jc = _slot_pairs(mode_index[mode.name], n)
         detuning = mode.resonance_frequency - mode.band.center_frequency
-        dyn[j, j] += -1j * detuning
-        dyn[jc, jc] += 1j * detuning
+        dyn[j][j] += -1j * detuning
+        dyn[jc][jc] += 1j * detuning
 
     for port in model.ports:
         j, jc = _slot_pairs(mode_index[port.mode.name], n)
         q, qc = _slot_pairs(port_index[port.name], p)
         root = math.sqrt(port.rate)
         half = port.rate / 2.0
-        dyn[j, j] += -half
-        dyn[jc, jc] += -half
+        dyn[j][j] += -half
+        dyn[jc][jc] += -half
         if port.flavor == "rotating":
-            gin[j, q] = 1j * root
-            gin[jc, qc] = -1j * root
+            gin[j][q] = 1j * root
+            gin[jc][qc] = -1j * root
         else:  # lab-quadrature: damping and forcing act on the position slot pair
-            dyn[j, jc] += half
-            dyn[jc, j] += half
-            gin[j, q] = 1j * root
-            gin[j, qc] = 1j * root
-            gin[jc, q] = -1j * root
-            gin[jc, qc] = -1j * root
+            dyn[j][jc] += half
+            dyn[jc][j] += half
+            gin[j][q] = 1j * root
+            gin[j][qc] = 1j * root
+            gin[jc][q] = -1j * root
+            gin[jc][qc] = -1j * root
 
     for coupling in model.couplings:
         a, ac = _slot_pairs(mode_index[coupling.mode_a.name], n)
         b, bc = _slot_pairs(mode_index[coupling.mode_b.name], n)
         g = coupling.rate
         if coupling.form == "beam-splitter":
-            dyn[a, b] += -1j * g
-            dyn[b, a] += -1j * g
-            dyn[ac, bc] += 1j * g
-            dyn[bc, ac] += 1j * g
+            dyn[a][b] += -1j * g
+            dyn[b][a] += -1j * g
+            dyn[ac][bc] += 1j * g
+            dyn[bc][ac] += 1j * g
         elif coupling.form == "two-mode-squeezing":
-            dyn[a, bc] += -1j * g
-            dyn[b, ac] += -1j * g
-            dyn[ac, b] += 1j * g
-            dyn[bc, a] += 1j * g
+            dyn[a][bc] += -1j * g
+            dyn[b][ac] += -1j * g
+            dyn[ac][b] += 1j * g
+            dyn[bc][a] += 1j * g
         else:  # quadrature-position: both retained bilinears at half rate
             gh = g / 2.0
-            dyn[a, b] += -1j * gh
-            dyn[a, bc] += -1j * gh
-            dyn[ac, b] += 1j * gh
-            dyn[ac, bc] += 1j * gh
-            dyn[b, a] += -1j * gh
-            dyn[b, ac] += -1j * gh
-            dyn[bc, a] += 1j * gh
-            dyn[bc, ac] += 1j * gh
+            dyn[a][b] += -1j * gh
+            dyn[a][bc] += -1j * gh
+            dyn[ac][b] += 1j * gh
+            dyn[ac][bc] += 1j * gh
+            dyn[b][a] += -1j * gh
+            dyn[b][ac] += -1j * gh
+            dyn[bc][a] += 1j * gh
+            dyn[bc][ac] += 1j * gh
 
-    mode_metric = np.concatenate([np.ones(n), -np.ones(n)])
-    port_metric = np.concatenate([np.ones(p), -np.ones(p)])
-    gout = (port_metric[:, None] * gin.conj().T) * mode_metric[None, :]
+    m_matrix = np.array(dyn, dtype=np.complex128)
+    g_matrix = np.array(gin, dtype=np.complex128)
+    mode_metric = np.array([1.0] * n + [-1.0] * n)
+    port_metric = np.array([1.0] * p + [-1.0] * p)
+    gout = (port_metric[:, None] * g_matrix.conj().T) * mode_metric[None, :]
 
-    eigvals = np.linalg.eigvals(dyn)
-    scale = max(1.0, float(np.max(np.abs(dyn))))
+    eigvals = np.linalg.eigvals(m_matrix)
+    scale = max(1.0, float(np.abs(m_matrix).max()))
     tol = 1e-9 * scale
-    max_real = float(np.max(eigvals.real))
+    max_real = float(eigvals.real.max())
     if max_real > tol:
         raise ModelUnstableError(
             f"model is unstable: max eigenvalue real part {max_real:.6e} "
@@ -579,8 +591,8 @@ def assemble_dynamics(
     )
     return DoubledDynamics(
         dimension=dim,
-        dyn_matrix=dyn,
-        in_coupling=gin,
+        dyn_matrix=m_matrix,
+        in_coupling=g_matrix,
         out_coupling=gout,
         metric=port_metric,
         mode_metric=mode_metric,

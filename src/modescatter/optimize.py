@@ -126,6 +126,13 @@ class TraceEntry:
 
 @dataclass(frozen=True)
 class OptimizeResult:
+    """Outcome of :func:`run_optimization`.
+
+    ``n_evals`` counts every objective evaluation the search asked for,
+    repeats of an already evaluated point included, and equals
+    ``len(trace)``; a repeat was not solved again.
+    """
+
     objective: str
     variable_paths: tuple[str, ...]
     best_params: Mapping[str, float]
@@ -174,6 +181,13 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     (or until the evaluation budget is exhausted). ``best_value`` is in the
     figure's natural units regardless of optimization direction.
 
+    Each candidate is clipped to the box. A clipped point already evaluated
+    in this call (typically a step outside the box clipped back to the
+    bound) is not solved again: its figure, or its infeasibility, is
+    reused. It still counts toward the budget and ``n_evals`` and still
+    gets its :class:`TraceEntry`, so the search path and the trace are
+    those of solving every candidate.
+
     Raises
     ------
     ConfigurationError
@@ -190,6 +204,10 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     highs = np.array([v[2] for v in spec.variables], dtype=float)
     maximize = spec.objective in _MAXIMIZED
     trace: list[TraceEntry] = []
+    # Figure of each clipped point evaluated so far, NaN where infeasible:
+    # a repeat (Nelder-Mead stepping out of the box is clipped back to the
+    # bound) is not solved again, but still counts and is traced.
+    figures: dict[tuple[float, ...], float] = {}
     n_evals = 0
 
     def wrapped(x: np.ndarray) -> float:
@@ -197,19 +215,22 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
         if n_evals >= spec.budget:
             raise _BudgetExhausted
         n_evals += 1
-        point = np.clip(x, lows, highs)
-        try:
-            with warnings.catch_warnings():
-                warnings.simplefilter("ignore", ValidityWarning)
+        point = tuple(np.clip(x, lows, highs))
+        figure = figures.get(point)
+        if figure is None:
+            try:
                 figure = _evaluate_figure(model, spec, dict(zip(paths, point)))
-            if not math.isfinite(figure):
-                raise NumericalError("figure of merit is not finite")
-        except ConfigurationError:
-            raise
-        except ModeScatterError:
-            trace.append(TraceEntry(tuple(point), math.nan, False))
+                if not math.isfinite(figure):
+                    raise NumericalError("figure of merit is not finite")
+            except ConfigurationError:
+                raise
+            except ModeScatterError:
+                figure = math.nan
+            figures[point] = figure
+        if math.isnan(figure):
+            trace.append(TraceEntry(point, math.nan, False))
             return math.inf
-        trace.append(TraceEntry(tuple(point), figure, True))
+        trace.append(TraceEntry(point, figure, True))
         return -figure if maximize else figure
 
     rng = np.random.default_rng(spec.seed)
@@ -218,25 +239,24 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
         starts.append(rng.uniform(lows, highs))
 
     converged = False
-    exhausted = False
-    for x0 in starts:
-        if exhausted:
-            break
-        try:
-            result = minimize(
-                wrapped,
-                x0,
-                method="Nelder-Mead",
-                bounds=Bounds(lows, highs),
-                options={
-                    "maxfev": spec.budget,
-                    "xatol": spec.tolerance * float(np.max(highs - lows)),
-                    "fatol": spec.tolerance,
-                },
-            )
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for x0 in starts:
+            try:
+                result = minimize(
+                    wrapped,
+                    x0,
+                    method="Nelder-Mead",
+                    bounds=Bounds(lows, highs),
+                    options={
+                        "maxfev": spec.budget,
+                        "xatol": spec.tolerance * float(np.max(highs - lows)),
+                        "fatol": spec.tolerance,
+                    },
+                )
+            except _BudgetExhausted:
+                break
             converged = converged or bool(result.success)
-        except _BudgetExhausted:
-            exhausted = True
 
     feasible = [entry for entry in trace if entry.feasible]
     if not feasible:

@@ -102,12 +102,11 @@ def _bose_array(
     out = np.zeros_like(omegas, dtype=np.float64)
     if temperature == 0.0:
         return out
-    x = np.where(valid, hbar * omegas / (k_boltzmann * temperature), np.inf)
-    small = x <= _EXPM1_CUTOFF
+    x = hbar * omegas / (k_boltzmann * temperature)
+    small = valid & (x <= _EXPM1_CUTOFF)
     with np.errstate(over="ignore"):
-        out[small & valid] = 1.0 / np.expm1(x[small & valid])
-    tail = (~small) & valid
-    out[tail] = np.exp(-np.minimum(x[tail], 745.0))
+        np.divide(1.0, np.expm1(x, out=out, where=small), out=out, where=small)
+    np.exp(-np.minimum(x, 745.0), out=out, where=valid & ~small)
     return out
 
 
@@ -388,6 +387,8 @@ def _solve_regular(
     Raises :class:`NearSingularError` for the first near-singular point.
     """
     x, good, cond = _solve_block(dyn, signed)
+    if good.all():
+        return x
     for omega, ok, c in zip(signed.tolist(), good, cond):
         if not ok:
             raise NearSingularError(
@@ -864,9 +865,7 @@ def spectrum_sweep(
         else:
             x_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
             ok_dn = _good_index(good[1, block])
-            rows[1, ok_dn] = eye[exit_col] + _s_rows(
-                dyn.out_coupling[[exit_col]], x_dn[ok_dn]
-            )[0]
+            rows[1, ok_dn] = eye[exit_col] + _s_rows(g_pick, x_dn[ok_dn])[0]
 
         occ_u = np.empty((p, w.size))
         occ_v = np.empty((p, w.size))

@@ -3,16 +3,19 @@
 from __future__ import annotations
 
 import math
+from typing import Mapping
 
 import pytest
-from conftest import TAU, two_mode_converter
+from conftest import TAU, near_singular_model, two_mode_converter
 
 from modescatter import (
     ConfigurationError,
     ElectromechParams,
     NumericalError,
+    TransducerModel,
     build_model,
 )
+from modescatter import optimize
 from modescatter.optimize import OBJECTIVES, OptimizeSpec, run_optimization
 
 
@@ -104,6 +107,63 @@ def test_trace_is_recorded_and_bounded() -> None:
         entry.value for entry in result.trace if entry.feasible
     )
     assert result.best_value == pytest.approx(best_feasible, abs=0.0)
+
+
+@pytest.mark.parametrize("case", ["optimum-on-bound", "infeasible-bound"])
+def test_each_distinct_candidate_is_solved_once(
+    case: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # Points come back: Nelder-Mead steps out of the box and is clipped to
+    # the bound, here with the matched waveguide rate above the box, and
+    # the simplex revisits points, here around the squeezer's instability
+    # threshold, which splits its box into feasible and infeasible halves.
+    if case == "optimum-on-bound":
+        p = ElectromechParams()
+        model, hi = build_model(p), TAU * 1.0e4
+        spec = OptimizeSpec(
+            variables=(("ports.wg.rate", TAU * 1.0e3, hi),),
+            objective="max-eta",
+            omega_sig=p.omega_m,
+            budget=60,
+            seed=1,
+        )
+    else:
+        model = near_singular_model()
+        spec = OptimizeSpec(
+            variables=(("couplings.0.rate", TAU * 1.0e4, TAU * 6.0e4),),
+            objective="max-eta",
+            omega_sig=TAU * 1.0e6,
+            exit_port="pa",
+            budget=60,
+            seed=1,
+        )
+    calls: list[tuple[float, ...]] = []
+    evaluate = optimize._evaluate_figure
+
+    def counted(
+        model: TransducerModel, spec: OptimizeSpec, values: Mapping[str, float]
+    ) -> float:
+        calls.append(tuple(values.values()))
+        return evaluate(model, spec, values)
+
+    monkeypatch.setattr(optimize, "_evaluate_figure", counted)
+    result = run_optimization(model, spec)
+
+    points = [entry.params for entry in result.trace]
+    assert result.n_evals == len(result.trace)
+    assert len(calls) == len(set(calls)) and set(calls) == set(points)
+    assert len(calls) < len(points)
+    first: dict[tuple[float, ...], tuple[bool, float]] = {}
+    for entry in result.trace:
+        feasible, value = first.setdefault(entry.params, (entry.feasible, entry.value))
+        assert entry.feasible == feasible
+        assert entry.value == value or (math.isnan(entry.value) and math.isnan(value))
+    repeats = [params for params in set(points) if points.count(params) > 1]
+    if case == "optimum-on-bound":
+        assert (hi,) in repeats and first[(hi,)][0]
+        assert result.best_params == {"ports.wg.rate": hi}
+    else:
+        assert any(not first[params][0] for params in repeats)
 
 
 def test_min_noise_objective_runs() -> None:

@@ -813,6 +813,38 @@ def test_asymmetric_dynamics_solve_the_lower_sideband(
     assert calls == [omegas.size, omegas.size]
 
 
+def test_solved_lower_sideband_equals_transfer_pair_bit_for_bit() -> None:
+    # Without particle-hole symmetry the sweep solves at -omega. Its exit
+    # rows there must carry the bits of transfer_pair's, which form them
+    # from the two rows exit and exit + n_ports of G'; a one-row product
+    # takes NumPy's matrix-vector path and moves last bits (here on wide
+    # models whose exit is a lab-quadrature port, seeds 29 and 67).
+    for seed in range(90):
+        rng = np.random.default_rng(seed)
+        if seed % 2:
+            dyn = assemble_dynamics(wide_model(rng))
+            omegas = np.geomspace(1.0e3, 1.0e7, 40)
+        else:
+            dyn = assemble_dynamics(random_stable_model(rng, n_modes=5))
+            omegas = np.geomspace(1.0e3, 1.0e9, 40)
+        m = dyn.dyn_matrix.copy()
+        m[0, 0] -= 1j * rng.uniform(0.05, 0.3) * abs(m[0, 0].real + 1.0)
+        dyn = dataclasses.replace(dyn, dyn_matrix=m)
+        assert not scattering._particle_hole_symmetric(dyn)
+        env = NoiseEnvironment.constant({info.name: 0.3 for info in dyn.ports})
+        grid = spectrum_sweep(dyn, env, omegas, symplectic=False)
+        assert grid.rows_up is not None and grid.rows_dn is not None
+        failed = {f.index for f in grid.failures}
+        for i, omega in enumerate(omegas.tolist()):
+            if i in failed:
+                continue
+            pair = transfer_pair(dyn, omega)
+            for stored, row in zip((grid.rows_up[i], grid.rows_dn[i]), pair):
+                assert stored is not None
+                assert stored.u_coeffs == row.u_coeffs, (seed, omega)
+                assert stored.v_coeffs == row.v_coeffs, (seed, omega)
+
+
 def _sweep_case(
     case: str, rng: np.random.Generator, points: int
 ) -> tuple[DoubledDynamics, np.ndarray]:
