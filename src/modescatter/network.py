@@ -507,8 +507,9 @@ def assemble_dynamics(
     mode_index = {m.name: i for i, m in enumerate(model.modes)}
     port_index = {q.name: i for i, q in enumerate(model.ports)}
 
-    # M and G are filled as Python lists and converted once: the additions
-    # are the same IEEE operations, in the same order, as on the arrays.
+    # M and G are filled as Python lists, whose item updates cost far less
+    # than NumPy's, and converted once; a Python complex addition rounds as
+    # a complex128 one does.
     dyn = [[0j] * dim for _ in range(dim)]
     gin = [[0j] * (2 * p) for _ in range(dim)]
 

@@ -204,9 +204,7 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     highs = np.array([v[2] for v in spec.variables], dtype=float)
     maximize = spec.objective in _MAXIMIZED
     trace: list[TraceEntry] = []
-    # Figure of each clipped point evaluated so far, NaN where infeasible:
-    # a repeat (Nelder-Mead stepping out of the box is clipped back to the
-    # bound) is not solved again, but still counts and is traced.
+    # Figure of each clipped point evaluated so far, NaN where infeasible.
     figures: dict[tuple[float, ...], float] = {}
     n_evals = 0
 

@@ -929,7 +929,7 @@ def _assert_pair_equals_single_rows(
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_transfer_pair_equals_single_rows_onwide_models(seed: int) -> None:
+def test_transfer_pair_equals_single_rows_on_wide_models(seed: int) -> None:
     dyn = assemble_dynamics(wide_model(np.random.default_rng(seed)))
     _assert_pair_equals_single_rows(dyn, np.geomspace(1.0e2, 1.0e8, 13))
     for info in dyn.ports:
@@ -1018,7 +1018,7 @@ def _assert_checks_match_reference(
 
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(seed=st.integers(0, 2**32 - 1))
-def test_consistency_checks_match_per_probe_loop_onwide_models(seed: int) -> None:
+def test_consistency_checks_match_per_probe_loop_on_wide_models(seed: int) -> None:
     dyn = assemble_dynamics(wide_model(np.random.default_rng(seed)))
     _assert_checks_match_reference(dyn, np.geomspace(1.0e2, 1.0e8, 13))
 
