@@ -328,3 +328,86 @@ def test_asymptotic_tracks_exact_in_its_regime() -> None:
         ProtocolSpec(scheme="one-click", p_e=0.02, p_d=p_d, eta=eta)
     )
     assert asym.fidelity == pytest.approx(exact.fidelity, abs=2e-3)
+
+
+# Specs for the seed-ensemble check of the Monte Carlo against enumeration.
+# Between them they cover both schemes; p_d = 0, p_d = 1e-3 to 2e-2 (rare
+# dark clicks) and p_d = 0.25 to 0.3 (dense ones); small p_e and p_e = 1;
+# eta = 1 and small eta.
+_ENSEMBLE_SPECS = [
+    ProtocolSpec("two-click", 0.5, 0.0, 0.8),
+    ProtocolSpec("two-click", 0.5, 1.0e-3, 0.8),
+    ProtocolSpec("two-click", 0.3, 0.3, 0.5),
+    ProtocolSpec("two-click", 0.05, 0.02, 1.0),
+    ProtocolSpec("two-click", 1.0, 0.05, 0.1),
+    ProtocolSpec("two-click", 0.5, 0.01, 0.1),
+    ProtocolSpec("one-click", 0.2, 0.0, 0.5),
+    ProtocolSpec("one-click", 0.2, 0.01, 0.5),
+    ProtocolSpec("one-click", 0.4, 0.25, 0.7),
+    ProtocolSpec("one-click", 0.02, 2.0e-3, 0.05),
+    ProtocolSpec("one-click", 1.0, 0.02, 1.0),
+]
+_ENSEMBLE_SEEDS = range(5000, 5100)
+_ENSEMBLE_TRIALS = 20000
+
+
+@pytest.mark.parametrize(
+    "spec",
+    _ENSEMBLE_SPECS,
+    ids=[f"{s.scheme}-pe{s.p_e}-pd{s.p_d}-eta{s.eta}" for s in _ENSEMBLE_SPECS],
+)
+def test_montecarlo_z_scores_over_seeds(spec: ProtocolSpec) -> None:
+    # Over many fixed seeds, the z-scores of the Monte Carlo estimates
+    # against enumeration must look standard normal: a mean within three
+    # standard errors of 0 and a sample sd within three of its own
+    # standard errors of 1. A biased or over-dispersed sampler fails this
+    # long before a single-seed 3-sigma check would.
+    exact = protocol_enumerate(spec)
+    n = _ENSEMBLE_TRIALS
+    # Overlap weight per heralded trial: 1 (Bell), 1/2 (mixed), 0 otherwise.
+    pops = exact.populations
+    weight_var = (
+        pops["psi_plus"] + 0.25 * (pops["01"] + pops["10"]) - exact.fidelity**2
+    )
+    z: dict[str, list[float]] = {"success": [], "photon": [], "fidelity": []}
+    for seed in _ENSEMBLE_SEEDS:
+        mc = protocol_montecarlo(spec, trials=n, seed=seed)
+        assert mc.herald_count is not None and mc.herald_count > 0
+        for key, value, truth, se in (
+            (
+                "success",
+                mc.success_probability,
+                exact.success_probability,
+                math.sqrt(exact.success_probability * (1.0 - exact.success_probability) / n),
+            ),
+            (
+                "photon",
+                mc.photon_herald_probability,
+                exact.photon_herald_probability,
+                math.sqrt(
+                    exact.photon_herald_probability
+                    * (1.0 - exact.photon_herald_probability)
+                    / n
+                ),
+            ),
+            (
+                "fidelity",
+                mc.fidelity,
+                exact.fidelity,
+                math.sqrt(max(weight_var, 0.0) / mc.herald_count),
+            ),
+        ):
+            if se < 1e-12:
+                # A degenerate quantity (every herald Bell, or none can be)
+                # must come out exactly.
+                assert value == pytest.approx(truth, abs=1e-12), key
+            else:
+                z[key].append((value - truth) / se)
+    n_seeds = len(_ENSEMBLE_SEEDS)
+    for key, scores in z.items():
+        if not scores:
+            continue
+        mean = sum(scores) / n_seeds
+        sd = math.sqrt(sum((s - mean) ** 2 for s in scores) / (n_seeds - 1))
+        assert abs(mean) <= 3.0 / math.sqrt(n_seeds), (key, mean)
+        assert abs(sd - 1.0) <= 3.0 / math.sqrt(2.0 * (n_seeds - 1)), (key, sd)
