@@ -27,7 +27,12 @@ Populations are labeled by the emitter configuration of the first round
 (before any flip). Three routes are provided: ``entangle_fidelity_exact``
 evaluates closed-form branch weights; ``protocol_enumerate`` walks the full
 microscopic outcome tree and serves as the independent oracle;
-``protocol_montecarlo`` samples it stochastically.
+``protocol_montecarlo`` samples it stochastically, each trial drawing only
+the events its outcome depends on: every event is an exact Bernoulli draw,
+an emitter gets one detection draw per trial (in the two-click scheme it
+emits in exactly one of the two rounds), the arm of the detected photons is
+a fair random bit, and rare events such as dark clicks are placed by
+position, so they cost in proportion to their number.
 """
 
 from __future__ import annotations
@@ -50,10 +55,22 @@ _SCHEMES = ("one-click", "two-click")
 #: Trials per vectorized Monte Carlo chunk.
 _MC_CHUNK = 1 << 18
 
-#: Boolean scratch rows per Monte Carlo chunk: two emitter flags, five rows
-#: per round (see :func:`_mc_round`) and two idle-emitter flags for the
-#: second round, whose rows the outcome classes reuse.
-_MC_FLAGS = 14
+#: Boolean scratch rows per Monte Carlo chunk: three per emitter (see
+#: :func:`_mc_emitter`) and three per round (see :func:`_mc_round`); the
+#: outcome classes reuse the rows the rounds leave free.
+_MC_FLAGS = 12
+
+#: An event rarer than this, or whose complement is, is sampled by position
+#: (see :func:`_bernoulli`); any other by one uniform per trial. Near the
+#: cutoff the two cost about the same; far below it the positions cost a
+#: small fraction of a dense draw.
+_SPARSE_BELOW = 0.1
+
+#: Most uniforms one batch of geometric gaps draws (64 KB).
+_GAP_BATCH = 8192
+
+#: Bit offsets that spread one byte of fair bits over eight trials.
+_BIT_SHIFTS = np.arange(8, dtype=np.uint8)[:, None]
 
 #: Floor on the one-click excitation probability picked by :func:`heralding_spec`.
 _P_E_FLOOR = 1e-6
@@ -368,36 +385,123 @@ def protocol_enumerate(spec: ProtocolSpec) -> ProtocolResult:
     )
 
 
+def _bernoulli(
+    rng: np.random.Generator, p: float, u: np.ndarray, out: np.ndarray
+) -> np.ndarray:
+    """Fill ``out`` with independent Bernoulli(``p``) flags; ``u`` is scratch.
+
+    An event at least :data:`_SPARSE_BELOW` likely, with a complement at
+    least as likely, is ``rng.random(out=u) < p``. A rarer one (or one with
+    a rarer complement) is placed by position on a constant background: the
+    gap before each rare outcome is geometric,
+    ``floor(log(1 - U) / log(1 - rare))`` trials for a uniform ``U``. The
+    gaps are drawn into the front of ``u`` in batches sized to the expected
+    remaining count (at most :data:`_GAP_BATCH`) until they pass the end of
+    the row, so their cost scales with ``n rare``, not ``n``.
+    """
+    rare = min(p, 1.0 - p)
+    if rare >= _SPARSE_BELOW:
+        return np.less(rng.random(out=u), p, out=out)
+    out.fill(rare != p)
+    n = out.size
+    end = -1  # position of the last rare outcome so far
+    while rare > 0.0 and end < n:
+        mean = (n - 1 - end) * rare
+        batch = min(int(mean + 4.0 * math.sqrt(mean)) + 8, _GAP_BATCH, n)
+        g = rng.random(out=u[:batch])
+        np.log1p(np.negative(g, out=g), out=g)
+        g /= math.log1p(-rare)
+        # A gap past the row ends it; the cap keeps the integer cast exact.
+        np.minimum(np.floor(g, out=g), n, out=g)
+        at = g.astype(np.intp)
+        at += 1
+        np.cumsum(at, out=at)
+        at += end
+        end = int(at[-1])
+        out[at[: np.searchsorted(at, n)]] = rare == p
+    return out
+
+
+def _fair_bits(rng: np.random.Generator, out: np.ndarray) -> np.ndarray:
+    """Fill the boolean row ``out`` (a multiple of 64 long) with fair coins.
+
+    One 64-bit ``integers`` word serves 64 trials; byte ``j`` of the words,
+    read little-endian, gives trials ``j``, ``j + m``, ..., ``j + 7 m`` of
+    the row (``m = out.size // 8``).
+    """
+    words = rng.integers(0, 1 << 64, size=out.size // 64, dtype=np.uint64)
+    octets = words.astype("<u8", copy=False).view(np.uint8)
+    bits = out.view(np.uint8).reshape(8, -1)
+    np.right_shift(octets, _BIT_SHIFTS, out=bits)
+    np.bitwise_and(bits, 1, out=bits)
+    return out
+
+
+def _mc_emitter(
+    rng: np.random.Generator,
+    p_e: float,
+    eta: float,
+    u: np.ndarray,
+    emit: np.ndarray,
+    det1: np.ndarray,
+    det2: np.ndarray | None,
+) -> None:
+    """One emitter's draws: its emission and its one detection per trial.
+
+    Fills ``emit`` (emits in round 1), ``det1`` (emits in round 1 and is
+    detected) and, for the two-click scheme, ``det2`` (emits in round 2,
+    after the flip, and is detected). The emitter emits in exactly one of
+    the two rounds, so a single Bernoulli(``eta``) draw ``D`` serves both:
+    ``det1 = emit & D`` and ``det2 = ~emit & D``.
+
+    Unless emission is rare, one uniform per trial decides both flags:
+    ``[0, p_e eta)`` emits and is detected, ``[p_e eta, p_e)`` emits and is
+    lost, and of the idle rest, ``[1 - (1 - p_e) eta, 1)`` is detected in
+    round 2. A rare emission (or a rare idle round) is drawn by position,
+    and ``D`` by :func:`_bernoulli`.
+    """
+    if min(p_e, 1.0 - p_e) >= _SPARSE_BELOW:
+        rng.random(out=u)
+        np.less(u, p_e, out=emit)
+        np.less(u, p_e * eta, out=det1)
+        if det2 is not None:
+            np.greater_equal(u, max(p_e, 1.0 - (1.0 - p_e) * eta), out=det2)
+        return
+    _bernoulli(rng, p_e, u, emit)
+    if det2 is None:
+        np.logical_and(_bernoulli(rng, eta, u, det1), emit, out=det1)
+        return
+    detected = _bernoulli(rng, eta, u, det2)
+    np.logical_and(detected, emit, out=det1)
+    np.greater(detected, emit, out=det2)  # D & ~emit
+
+
 def _mc_round(
     rng: np.random.Generator,
-    u: np.ndarray,
-    emit1: np.ndarray,
-    emit2: np.ndarray,
-    eta: float,
     p_d: float,
+    u: np.ndarray,
+    det1: np.ndarray,
+    det2: np.ndarray,
     rows: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Vectorized single round: (heralded, all emitted detected, any detected).
+) -> tuple[np.ndarray, np.ndarray]:
+    """One detection round: (heralded, any photon detected).
 
-    Every uniform is drawn into the scratch buffer ``u`` and every boolean
-    into the five rows of ``rows``; the results are views of rows 3, 0 and 2.
+    ``det1``/``det2`` flag the emitters that emit in this round and are
+    detected; "any detected" is formed in ``det1``. Each arm's dark clicks
+    are drawn by :func:`_bernoulli`, and the arm that the detected photons
+    (one, or a bunched pair) exit is a fair bit. ``rows`` holds three
+    boolean rows, each a multiple of 64 long; the heralded flags are a view
+    of the first.
     """
-    det1, det2, any_det, click0, click1 = rows
-    np.logical_and(np.less(rng.random(out=u), eta, out=det1), emit1, out=det1)
-    np.logical_and(np.less(rng.random(out=u), eta, out=det2), emit2, out=det2)
-    np.logical_or(det1, det2, out=any_det)
-    # all_det = (det1 | ~emit1) & (det2 | ~emit2), formed in det1
-    det1 |= np.logical_not(emit1, out=click0)
-    det2 |= np.logical_not(emit2, out=click0)
-    all_det = np.logical_and(det1, det2, out=det1)
-    # one arm draw serves both the single-photon and the bunched-pair case
-    arm0 = np.less(rng.random(out=u), 0.5, out=det2)
-    np.less(rng.random(out=u), p_d, out=click0)  # dark count, arm 0
-    np.less(rng.random(out=u), p_d, out=click1)  # dark count, arm 1
-    click0 |= np.logical_and(arm0, any_det, out=arm0)  # detections in arm 0
-    click1 |= np.logical_xor(arm0, any_det, out=arm0)  # detections in arm 1
-    heralded = np.logical_xor(click0, click1, out=click0)
-    return heralded, all_det, any_det
+    n = det1.size
+    click0, click1, arm0 = rows[0, :n], rows[1, :n], rows[2]
+    any_det = np.logical_or(det1, det2, out=det1)
+    _bernoulli(rng, p_d, u, click0)  # dark count, arm 0
+    _bernoulli(rng, p_d, u, click1)  # dark count, arm 1
+    to0 = np.logical_and(_fair_bits(rng, arm0)[:n], any_det, out=arm0[:n])
+    click0 |= to0  # detections in arm 0
+    click1 |= np.logical_xor(to0, any_det, out=to0)  # detections in arm 1
+    return np.logical_xor(click0, click1, out=click0), any_det
 
 
 def _count_both(a: np.ndarray, b: np.ndarray, out: np.ndarray) -> int:
@@ -410,9 +514,28 @@ def protocol_montecarlo(
 ) -> ProtocolResult:
     """Stochastic estimate of the heralded populations and fidelity.
 
+    Each trial samples the module's event rules with exact Bernoulli draws,
+    and draws only what its outcome depends on:
+
+    * each emitter's emission and its one detection draw share a single
+      uniform: ``[0, p_e eta)`` emits in round 1 and is detected,
+      ``[p_e eta, p_e)`` emits and is lost, and in the two-click scheme
+      ``[1 - (1 - p_e) eta, 1)`` emits after the flip and is detected
+      (the emitter emits in exactly one of the two rounds);
+    * the arm that a round's detected photons exit is a fair bit, 64 trials
+      per 64-bit ``integers`` word;
+    * an event rarer than 10%, or with a complement that rare (dark clicks;
+      emission at small ``p_e`` or ``p_e`` near 1, where detection then
+      gets its own draw), is placed by position with geometric gaps
+      between occurrences, so it costs in proportion to its count rather
+      than to ``trials``.
+
+    Every draw is a ``Generator.random`` or ``Generator.integers`` call.
     Trials are simulated in fixed-size vectorized chunks, each driven by its
     own child of ``SeedSequence(seed)``, so results are bit-reproducible for
-    a given ``(seed, trials)`` and independent of chunk scheduling.
+    a given ``(seed, trials)`` and independent of chunk scheduling. The
+    stream of a given seed changed in version 0.2.0, when this sampler
+    replaced one that drew a uniform per event per trial.
     Fidelity uses the per-trial overlap weights {0, 1/2, 1}; its standard
     error is the sample standard deviation of those weights over heralded
     trials, and the success probability carries a binomial standard error.
@@ -436,30 +559,31 @@ def protocol_montecarlo(
     class_counts = {"00": 0, "psi_plus": 0, "01": 0, "10": 0, "11": 0}
 
     # Scratch for every chunk, allocated once per call: the uniforms and
-    # the boolean rows every intermediate is written into.
+    # the boolean rows every intermediate is written into (rounded up to
+    # whole 64-bit words of fair bits).
     uniforms = np.empty(min(trials, _MC_CHUNK))
-    flags = np.empty((_MC_FLAGS, uniforms.size), dtype=bool)
+    flags = np.empty((_MC_FLAGS, -(-uniforms.size // 64) * 64), dtype=bool)
     done = 0
     for child in children:
         n = min(_MC_CHUNK, trials - done)
         done += n
         rng = np.random.default_rng(child)
         u, f = uniforms[:n], flags[:, :n]
-        emit1 = np.less(rng.random(out=u), p_e, out=f[0])
-        emit2 = np.less(rng.random(out=u), p_e, out=f[1])
-        heralded, all_det, caused = _mc_round(rng, u, emit1, emit2, eta, p_d, f[2:7])
+        width = -(-n // 64) * 64
+        emit1, emit2 = f[0], f[3]
+        _mc_emitter(rng, p_e, eta, u, emit1, f[1], f[2] if two_click else None)
+        _mc_emitter(rng, p_e, eta, u, emit2, f[4], f[5] if two_click else None)
+        heralded, caused = _mc_round(rng, p_d, u, f[1], f[4], flags[6:9, :width])
         if two_click:
-            idle1 = np.logical_not(emit1, out=f[7])
-            idle2 = np.logical_not(emit2, out=f[8])
-            her2, all2, any2 = _mc_round(rng, u, idle1, idle2, eta, p_d, f[9:14])
+            her2, any2 = _mc_round(rng, p_d, u, f[2], f[5], flags[9:12, :width])
             heralded &= her2
-            all_det &= all2
             caused &= any2
         # Heralded with one excitation: Bell where every emitted photon was
-        # detected, mixed otherwise.
+        # detected, mixed otherwise. With one excitation that is where
+        # every round detected a photon.
         single = np.logical_xor(emit1, emit2, out=f[7])
         single &= heralded
-        bell = np.logical_and(single, all_det, out=f[8])
+        bell = np.logical_and(single, caused, out=f[8])
         mixed = np.logical_xor(single, bell, out=single)
         scratch = f[9]
         n_bell = int(np.count_nonzero(bell))

@@ -783,15 +783,15 @@ def test_protocol_sim_prints_readme_table(
     table = [
         ("shown", "scheme=two-click p_e=0.5 p_d=0.001 eta=0.8 trials=200000 seed=1"),
         ("shown", "quantity                      exact    enumerate   monte-carlo"),
-        ("shown", "fidelity                 0.99651357   0.99651357   0.996477 +/- 0.000226"),
-        ("", "success_probability      0.32063792   0.32063792   0.320045 +/- 0.001043"),
-        ("", "photon_herald_prob       0.31936032   0.31936032   0.318755"),
-        ("", "pop[00]                  0.00149415   0.00149415   0.001547"),
-        ("", "pop[psi_plus]            0.99601544   0.99601544   0.995969"),
-        ("", "pop[01]                  0.00049813   0.00049813   0.000453"),
-        ("", "pop[10]                  0.00049813   0.00049813   0.000562"),
-        ("", "pop[11]                  0.00149415   0.00149415   0.001469"),
-        ("shown", "max |exact - enumerate| = 1.110e-16; heralds = 64009"),
+        ("shown", "fidelity                 0.99651357   0.99651357   0.996638 +/- 0.000222"),
+        ("", "success_probability      0.32063792   0.32063792   0.320450 +/- 0.001043"),
+        ("", "photon_herald_prob       0.31936032   0.31936032   0.319240"),
+        ("", "pop[00]                  0.00149415   0.00149415   0.001513"),
+        ("", "pop[psi_plus]            0.99601544   0.99601544   0.996224"),
+        ("", "pop[01]                  0.00049813   0.00049813   0.000359"),
+        ("", "pop[10]                  0.00049813   0.00049813   0.000468"),
+        ("", "pop[11]                  0.00149415   0.00149415   0.001435"),
+        ("shown", "max |exact - enumerate| = 1.110e-16; heralds = 64090"),
     ]
     assert out == [line for _, line in table]
     for shown, line in table:

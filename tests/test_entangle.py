@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
 import pytest
 
 from modescatter import (
@@ -19,6 +20,7 @@ from modescatter import (
     protocol_enumerate,
     protocol_montecarlo,
 )
+from modescatter.applications import entangle
 
 _POPULATION_KEYS = {"00", "psi_plus", "01", "10", "11"}
 
@@ -143,28 +145,28 @@ def test_montecarlo_reproducible_across_chunks() -> None:
             ProtocolSpec(scheme="one-click", p_e=0.1, p_d=1.0e-3, eta=0.6),
             300000,
             7,
-            35166,
-            0.9158846613205938,
+            34999,
+            0.9146547044201263,
             {
-                "00": 0.013820167206961269,
-                "psi_plus": 0.9152306204856964,
-                "01": 0.0005118580447022692,
-                "10": 0.0007962236250924188,
-                "11": 0.06964113063754764,
+                "00": 0.013657533072373496,
+                "psi_plus": 0.9140546872767793,
+                "01": 0.0005428726535043858,
+                "10": 0.0006571616331895197,
+                "11": 0.07108774536415326,
             },
         ),
         (
             ProtocolSpec(scheme="two-click", p_e=0.5, p_d=0.01, eta=0.5),
             100000,
             3,
-            13375,
-            0.9285233644859813,
+            13452,
+            0.9281891168599464,
             {
-                "00": 0.02699065420560748,
-                "psi_plus": 0.9105794392523364,
-                "01": 0.018093457943925233,
-                "10": 0.017794392523364486,
-                "11": 0.026542056074766354,
+                "00": 0.024680344930121913,
+                "psi_plus": 0.9090841510556051,
+                "01": 0.020294380017841212,
+                "10": 0.01791555159084151,
+                "11": 0.028025572405590247,
             },
         ),
     ],
@@ -378,7 +380,9 @@ def test_montecarlo_z_scores_over_seeds(spec: ProtocolSpec) -> None:
                 "success",
                 mc.success_probability,
                 exact.success_probability,
-                math.sqrt(exact.success_probability * (1.0 - exact.success_probability) / n),
+                math.sqrt(
+                    exact.success_probability * (1.0 - exact.success_probability) / n
+                ),
             ),
             (
                 "photon",
@@ -411,3 +415,114 @@ def test_montecarlo_z_scores_over_seeds(spec: ProtocolSpec) -> None:
         sd = math.sqrt(sum((s - mean) ** 2 for s in scores) / (n_seeds - 1))
         assert abs(mean) <= 3.0 / math.sqrt(n_seeds), (key, mean)
         assert abs(sd - 1.0) <= 3.0 / math.sqrt(2.0 * (n_seeds - 1)), (key, sd)
+
+
+def test_ensemble_specs_straddle_the_sparse_cutoff() -> None:
+    # The ensemble above must reach both ways of drawing a dark click.
+    dark = [s.p_d for s in _ENSEMBLE_SPECS if s.p_d > 0.0]
+    assert min(dark) < entangle._SPARSE_BELOW < max(dark)
+
+
+class _CountingGenerator:
+    """A Generator that counts the values each of its methods draws."""
+
+    def __init__(self, rng: np.random.Generator, counts: dict[str, int]) -> None:
+        self._rng = rng
+        self._counts = counts
+
+    def random(self, *, out: np.ndarray) -> np.ndarray:
+        self._counts["random"] += out.size
+        return self._rng.random(out=out)
+
+    def integers(self, low: int, high: int, *, size: int, dtype: type) -> np.ndarray:
+        drawn = self._rng.integers(low, high, size=size, dtype=dtype)
+        self._counts["integer bytes"] += drawn.nbytes
+        return drawn
+
+
+def test_montecarlo_draws_scale_with_events(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Two-click at p_d = 1e-3: one uniform per emitter per trial, 2 x 64
+    # trials' arm bits per 64-bit word, and dark clicks that cost draws in
+    # proportion to their number (about 4 p_d per trial), not per trial.
+    counts = {"random": 0, "integer bytes": 0}
+    real = np.random.default_rng
+    monkeypatch.setattr(
+        np.random, "default_rng", lambda seed: _CountingGenerator(real(seed), counts)
+    )
+    trials, p_d = 200000, 1.0e-3
+    spec = ProtocolSpec("two-click", p_e=0.5, p_d=p_d, eta=0.8)
+    result = protocol_montecarlo(spec, trials=trials, seed=4)
+    monkeypatch.undo()
+    assert result == protocol_montecarlo(spec, trials=trials, seed=4)
+    dark_clicks = 4 * p_d * trials
+    assert 2 * trials < counts["random"] <= 2 * trials + 2 * dark_clicks + 100
+    assert counts["integer bytes"] == 2 * trials // 8
+
+
+class _ScriptedGenerator:
+    """Returns the given uniforms, in order, from ``random(out=...)``."""
+
+    def __init__(self, uniforms: list[float]) -> None:
+        self._uniforms = iter(uniforms)
+
+    def random(self, out: np.ndarray) -> np.ndarray:
+        out[:] = [next(self._uniforms) for _ in range(out.size)]
+        return out
+
+
+@pytest.mark.parametrize("p", [0.02, 0.98])
+def test_sparse_bernoulli_places_geometric_gaps(p: float) -> None:
+    # 1 - U = (1 - rare)^(k + 1/2) leaves exactly k trials before the next
+    # rare outcome; the gaps 3, 0, 5 and then one past the row give
+    # outcomes at 3, 4 and 10 of 12.
+    rare = min(p, 1.0 - p)
+    gaps = [3, 0, 5, 40]
+    uniforms = [1.0 - (1.0 - rare) ** (k + 0.5) for k in gaps] + [0.0] * 20
+    out = np.empty(12, dtype=bool)
+    rng = _ScriptedGenerator(uniforms)
+    entangle._bernoulli(rng, p, np.empty(12), out)  # type: ignore[arg-type]
+    expected = np.zeros(12, dtype=bool)
+    expected[[3, 4, 10]] = True
+    assert np.array_equal(out, expected if p < 0.5 else ~expected)
+
+
+@pytest.mark.parametrize("p", [0.0, 4.0e-3, 0.06, 0.3, 0.94, 0.996, 1.0])
+def test_bernoulli_frequencies(p: float) -> None:
+    # Row counts over 40 seeds, on a full chunk (several gap batches at
+    # p = 0.06 and 0.94) and on a short odd row, must look binomial; each
+    # half of the long row must carry its share.
+    for n in (entangle._MC_CHUNK, 999):
+        u, out = np.empty(n), np.empty(n, dtype=bool)
+        z, halves = [], []
+        for seed in range(40):
+            entangle._bernoulli(np.random.default_rng(seed), p, u, out)
+            count = int(np.count_nonzero(out))
+            if p in (0.0, 1.0):
+                assert count == round(p * n)
+                continue
+            z.append((count - n * p) / math.sqrt(n * p * (1.0 - p)))
+            halves.append(int(np.count_nonzero(out[: n // 2])) - count * (n // 2) / n)
+        if not z:
+            continue
+        mean = sum(z) / len(z)
+        sd = math.sqrt(sum((v - mean) ** 2 for v in z) / (len(z) - 1))
+        assert abs(mean) <= 3.0 / math.sqrt(len(z))
+        assert abs(sd - 1.0) <= 3.0 / math.sqrt(2.0 * (len(z) - 1))
+        # Given the count, the first half's share of it is hypergeometric,
+        # with an sd of about sqrt(n p (1 - p)) / 2.
+        half_sd = math.sqrt(n * p * (1.0 - p)) / 2.0
+        assert abs(sum(halves) / len(halves)) <= 3.0 * half_sd / math.sqrt(len(halves))
+
+
+def test_fair_bits_are_balanced_and_uncorrelated() -> None:
+    # The photons' arm is symmetric with the two arms' dark clicks, so no
+    # protocol statistic sees a biased or correlated arm bit; check the
+    # bits themselves. Each eighth of the row comes from one bit offset.
+    n = 1 << 16
+    bits = entangle._fair_bits(np.random.default_rng(5), np.empty(n, dtype=bool))
+    blocks = bits.reshape(8, -1).astype(float)
+    m = blocks.shape[1]
+    assert np.all(np.abs(blocks.mean(axis=1) - 0.5) <= 4.0 * 0.5 / math.sqrt(m))
+    corr = np.corrcoef(blocks)[np.triu_indices(8, 1)]
+    assert np.all(np.abs(corr) <= 4.0 / math.sqrt(m))
+    assert np.all(np.abs(np.corrcoef(bits[:-1], bits[1:])[0, 1]) <= 4.0 / math.sqrt(n))
