@@ -239,6 +239,13 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     converged = False
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
+        # Infeasible candidates are repelled with inf, so once a whole
+        # simplex is infeasible SciPy's convergence test subtracts inf from
+        # inf. Only warnings raised in SciPy's own code are silenced; the
+        # objective keeps the caller's np.errstate and its own warnings.
+        warnings.filterwarnings(
+            "ignore", "invalid value encountered", RuntimeWarning, r"scipy\.optimize"
+        )
         for x0 in starts:
             try:
                 result = minimize(

@@ -5,7 +5,10 @@ from __future__ import annotations
 import csv
 import json
 import math
+import os
 import re
+import subprocess
+import sys
 from io import StringIO
 from pathlib import Path
 
@@ -1003,3 +1006,30 @@ def test_validate_rejects_negative_ensemble(
     assert code == 2
     assert captured.out == ""
     assert captured.err == "error: --ensemble must be non-negative, got -2\n"
+
+
+def test_optimize_all_infeasible_prints_only_the_error() -> None:
+    # Every candidate is infeasible, so whole simplices carry the inf
+    # sentinel and SciPy's convergence test subtracts inf from inf. The
+    # console must show the error line and nothing else.
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}
+    done = subprocess.run(
+        [
+            sys.executable, "-m", "modescatter.cli", "optimize",
+            "--builtin", "electromech", "--set", "gamma_wg=3e5",
+            "--objective", "min-Ps", "--var", "ports.wg.rate:1e3:1e6",
+            "--omega-sig", "5e6", "--budget", "150",
+        ],
+        capture_output=True,
+        text=True,
+        env={**env, "PYTHONPATH": path},
+        timeout=120,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert done.stderr == (
+        "error: all 150 evaluated candidates were infeasible for objective"
+        " 'min-Ps'\n"
+    )

@@ -5,6 +5,7 @@ from __future__ import annotations
 import math
 from typing import Mapping
 
+import numpy as np
 import pytest
 from conftest import TAU, near_singular_model, two_mode_converter
 
@@ -214,6 +215,33 @@ def test_all_infeasible_raises_numerical_error() -> None:
     )
     with pytest.raises(NumericalError):
         run_optimization(model, spec)
+
+
+
+def test_objective_keeps_its_own_warnings_and_errstate(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Only SciPy's own arithmetic on the infeasibility sentinel is
+    # silenced: the objective runs under the caller's np.errstate, and a
+    # RuntimeWarning it raises still reaches the caller.
+    seen: list[dict[str, str]] = []
+
+    def figure(model, spec, values):  # type: ignore[no-untyped-def]
+        seen.append(np.geterr())
+        return float(np.subtract(np.inf, np.inf))
+
+    monkeypatch.setattr(optimize, "_evaluate_figure", figure)
+    spec = OptimizeSpec(
+        variables=(("ports.wg.rate", TAU * 1.0e3, TAU * 1.0e6),),
+        objective="max-eta",
+        omega_sig=TAU * 5.0e6,
+        budget=10,
+    )
+    with np.errstate(invalid="warn"), pytest.raises(RuntimeWarning):
+        run_optimization(build_model(ElectromechParams()), spec)
+    with np.errstate(invalid="raise"), pytest.raises(FloatingPointError):
+        run_optimization(build_model(ElectromechParams()), spec)
+    assert [e["invalid"] for e in seen] == ["warn", "raise"]
 
 
 @pytest.mark.parametrize(
