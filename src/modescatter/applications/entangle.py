@@ -66,7 +66,8 @@ _MC_FLAGS = 12
 #: small fraction of a dense draw.
 _SPARSE_BELOW = 0.1
 
-#: Most uniforms one batch of geometric gaps draws (64 KB).
+#: Most uniforms one batch of geometric gaps draws. Its 64 KB of positions
+#: stay below glibc's 128 KB mmap threshold, so no batch maps fresh pages.
 _GAP_BATCH = 8192
 
 #: Bit offsets that spread one byte of fair bits over eight trials.
