@@ -31,8 +31,8 @@ microscopic outcome tree and serves as the independent oracle;
 the events its outcome depends on: every event is an exact Bernoulli draw,
 an emitter gets one detection draw per trial (in the two-click scheme it
 emits in exactly one of the two rounds), the arm of the detected photons is
-a fair random bit, and rare events such as dark clicks are placed by
-position, so they cost in proportion to their number.
+a fair random bit, and rare dark clicks are placed by position, so they
+cost in proportion to their number.
 """
 
 from __future__ import annotations
@@ -60,11 +60,12 @@ _MC_CHUNK = 1 << 18
 #: outcome classes reuse the rows the rounds leave free.
 _MC_FLAGS = 12
 
-#: An event rarer than this, or whose complement is, is sampled by position
-#: (see :func:`_bernoulli`); any other by one uniform per trial. Near the
-#: cutoff the two cost about the same; far below it the positions cost a
-#: small fraction of a dense draw.
-_SPARSE_BELOW = 0.1
+#: A dark click rarer than this, or whose complement is, is sampled by
+#: position (see :func:`_bernoulli`); any other by one uniform per trial.
+#: The two ways cost the same near p = 0.2 on a 200000-trial row (0.48 and
+#: 0.50 ms, fastest of 40 alternating calls, 2-vCPU VM); at p = 0.1 the
+#: positions take half the time of a dense draw and at p = 0.01 a tenth.
+_SPARSE_BELOW = 0.2
 
 #: Most uniforms one batch of geometric gaps draws. Its 64 KB of positions
 #: stay below glibc's 128 KB mmap threshold, so no batch maps fresh pages.
@@ -455,26 +456,16 @@ def _mc_emitter(
     the two rounds, so a single Bernoulli(``eta``) draw ``D`` serves both:
     ``det1 = emit & D`` and ``det2 = ~emit & D``.
 
-    Unless emission is rare, one uniform per trial decides both flags:
-    ``[0, p_e eta)`` emits and is detected, ``[p_e eta, p_e)`` emits and is
-    lost, and of the idle rest, ``[1 - (1 - p_e) eta, 1)`` is detected in
-    round 2. A rare emission (or a rare idle round) is drawn by position,
-    and ``D`` by :func:`_bernoulli`.
+    One uniform per trial decides all three flags, exactly for every
+    ``p_e`` and ``eta`` in [0, 1]: ``[0, p_e eta)`` emits and is detected,
+    ``[p_e eta, p_e)`` emits and is lost, and of the idle rest,
+    ``[1 - (1 - p_e) eta, 1)`` is detected in round 2.
     """
-    if min(p_e, 1.0 - p_e) >= _SPARSE_BELOW:
-        rng.random(out=u)
-        np.less(u, p_e, out=emit)
-        np.less(u, p_e * eta, out=det1)
-        if det2 is not None:
-            np.greater_equal(u, max(p_e, 1.0 - (1.0 - p_e) * eta), out=det2)
-        return
-    _bernoulli(rng, p_e, u, emit)
-    if det2 is None:
-        np.logical_and(_bernoulli(rng, eta, u, det1), emit, out=det1)
-        return
-    detected = _bernoulli(rng, eta, u, det2)
-    np.logical_and(detected, emit, out=det1)
-    np.greater(detected, emit, out=det2)  # D & ~emit
+    rng.random(out=u)
+    np.less(u, p_e, out=emit)
+    np.less(u, p_e * eta, out=det1)
+    if det2 is not None:
+        np.greater_equal(u, max(p_e, 1.0 - (1.0 - p_e) * eta), out=det2)
 
 
 def _mc_round(
@@ -525,11 +516,9 @@ def protocol_montecarlo(
       (the emitter emits in exactly one of the two rounds);
     * the arm that a round's detected photons exit is a fair bit, 64 trials
       per 64-bit ``integers`` word;
-    * an event rarer than 10%, or with a complement that rare (dark clicks;
-      emission at small ``p_e`` or ``p_e`` near 1, where detection then
-      gets its own draw), is placed by position with geometric gaps
-      between occurrences, so it costs in proportion to its count rather
-      than to ``trials``.
+    * a dark click rarer than 20%, or with a complement that rare, is
+      placed by position with geometric gaps between occurrences, so it
+      costs in proportion to its count rather than to ``trials``.
 
     Every draw is a ``Generator.random`` or ``Generator.integers`` call.
     Trials are simulated in fixed-size vectorized chunks, each driven by its
