@@ -16,8 +16,9 @@ conjugate of ``S(omega)`` with annihilation and creation slots swapped;
 
 One kernel evaluates the resolvent for every entry point: it inverts
 ``i*omega + M`` once per signed frequency, a block of frequencies at a
-time, and forms ``A^-1 G`` and the rows of S that a caller needs as one
-matrix product over the block.
+time, and forms only the rows of S that a caller needs, as
+``(G'_rows A^-1) G``: one matrix product of those rows of ``G'`` with the
+whole block of inverses, then one with ``G``. ``A^-1 G`` is never formed.
 
 Physicality masking: a port column only describes a real input field when
 its absolute (lab-frame) frequency ``+-omega + band_center`` is positive.
@@ -30,9 +31,9 @@ at the slot lab frequency.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from typing import Any, Literal, Mapping
+from typing import Any, Iterator, Literal, Mapping
 
 import numpy as np
 from numpy.typing import NDArray
@@ -217,7 +218,6 @@ class SweepFailure:
     message: str
 
 
-@dataclass(eq=False)
 class SpectrumGrid:
     """Spectra over an ascending positive frequency grid.
 
@@ -237,6 +237,14 @@ class SpectrumGrid:
     and then kept, with None where the point failed. Both views are None on
     a grid built without ``exit_rows``.
 
+    A grid from :func:`spectrum_sweep` derives its spectra from
+    ``exit_rows`` on first read and then keeps them: ``eta_up`` and
+    ``noise_up`` together, ``eta_dn`` and ``noise_dn`` together, and
+    ``sumrule_resid`` on its own, each block by block over the stored rows,
+    so a caller that reads only the upper sideband never computes the lower
+    one or the sum rule. A spectrum given to the constructor is kept as
+    given.
+
     ``cond[0, i]`` and ``cond[1, i]`` describe the 2-norm condition of the
     resolvent ``A = i*omega + M`` at ``+omegas[i]`` and ``-omegas[i]``:
     the exact value (an SVD) wherever it may exceed half of
@@ -247,20 +255,62 @@ class SpectrumGrid:
     where the condition exceeds ``CONDITION_LIMIT`` at either sign.
     """
 
-    omegas: NDArray[np.float64]
-    eta_up: NDArray[np.float64]
-    eta_dn: NDArray[np.float64]
-    noise_up: NDArray[np.float64]
-    noise_dn: NDArray[np.float64]
-    sumrule_resid: NDArray[np.float64]
-    symplectic_resid: NDArray[np.float64] | None
-    failures: list[SweepFailure] = field(default_factory=list)
-    exit_rows: NDArray[np.complex128] | None = None
-    cond: NDArray[np.float64] | None = None
-    # Ports, signal port and exit port name of the views.
-    _row_labels: tuple[tuple[PortInfo, ...], str, str] | None = field(
-        default=None, repr=False
-    )
+    def __init__(
+        self,
+        omegas: NDArray[np.float64],
+        eta_up: NDArray[np.float64] | None = None,
+        eta_dn: NDArray[np.float64] | None = None,
+        noise_up: NDArray[np.float64] | None = None,
+        noise_dn: NDArray[np.float64] | None = None,
+        sumrule_resid: NDArray[np.float64] | None = None,
+        symplectic_resid: NDArray[np.float64] | None = None,
+        failures: list[SweepFailure] | None = None,
+        exit_rows: NDArray[np.complex128] | None = None,
+        cond: NDArray[np.float64] | None = None,
+        _source: tuple[tuple[PortInfo, ...], str, str, NoiseEnvironment] | None = None,
+    ) -> None:
+        self.omegas = omegas
+        self.symplectic_resid = symplectic_resid
+        self.failures = [] if failures is None else failures
+        self.exit_rows = exit_rows
+        self.cond = cond
+        # Ports, signal port, exit port name and occupancies of the rows.
+        self._source = _source
+        # A given spectrum shadows its derivation below.
+        given = {
+            "eta_up": eta_up,
+            "eta_dn": eta_dn,
+            "noise_up": noise_up,
+            "noise_dn": noise_dn,
+            "sumrule_resid": sumrule_resid,
+        }
+        self.__dict__.update((k, v) for k, v in given.items() if v is not None)
+
+    @cached_property
+    def eta_up(self) -> NDArray[np.float64]:
+        return self._sideband(0)[0]
+
+    @cached_property
+    def noise_up(self) -> NDArray[np.float64]:
+        return self._sideband(0)[1]
+
+    @cached_property
+    def eta_dn(self) -> NDArray[np.float64]:
+        return self._sideband(1)[0]
+
+    @cached_property
+    def noise_dn(self) -> NDArray[np.float64]:
+        return self._sideband(1)[1]
+
+    @cached_property
+    def sumrule_resid(self) -> NDArray[np.float64]:
+        resid = np.empty((2, self.omegas.size))
+        for side in (0, 1):
+            for block, _, abs_u, abs_v, defined in self._masked_blocks(side):
+                resid[side, block] = np.where(
+                    defined, _flux_balance(abs_u, abs_v), np.nan
+                )
+        return np.fmax(resid[0], resid[1])
 
     @cached_property
     def rows_up(self) -> tuple[TransferRow | None, ...] | None:
@@ -271,30 +321,96 @@ class SpectrumGrid:
         return self._row_views(1)
 
     def _row_views(self, side: int) -> tuple[TransferRow | None, ...] | None:
-        if self.exit_rows is None or self._row_labels is None:
+        if self.exit_rows is None or self._source is None:
             return None
         rows = self.exit_rows[side]
         signed = self.omegas if side == 0 else -self.omegas
-        views = _transfer_rows(*self._row_labels, signed.tolist(), rows.tolist())
+        views = _transfer_rows(*self._source[:3], signed.tolist(), rows.tolist())
         failed = np.isnan(rows).all(axis=1).tolist()
         return tuple(None if bad else row for row, bad in zip(views, failed))
+
+    def _sideband(self, side: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
+        """Efficiency and added noise at one sideband, from the exit rows.
+
+        Both are kept under their names (a given one stays), so reading
+        the other costs nothing.
+        """
+        ports, signal_port, _, env = self._rows_source()
+        sig_col = [info.name for info in ports].index(signal_port)
+        upper = side == 0
+        efficiency = np.empty(self.omegas.size)
+        noise = np.empty(self.omegas.size)
+        for block, slots, abs_u, abs_v, defined in self._masked_blocks(side):
+            lab_u, lab_v, mask_u, mask_v = slots
+            eff = np.where(defined, (abs_u if upper else abs_v)[sig_col], np.nan)
+            # The signal column is not noise on its own side.
+            (abs_u if upper else abs_v)[sig_col] = 0.0
+            occ_u = np.empty_like(abs_u)
+            occ_v = np.empty_like(abs_v)
+            for j, info in enumerate(ports):
+                occ_u[j] = env.occupancy_array(info.name, lab_u[j], mask_u[j])
+                occ_v[j] = env.occupancy_array(info.name, lab_v[j], mask_v[j])
+            flux = _port_sums(abs_u * occ_u) + _port_sums(
+                abs_v * np.where(mask_v, occ_v + 1.0, 0.0)
+            )
+            with np.errstate(invalid="ignore", divide="ignore"):
+                noise[block] = np.where(eff > 0.0, flux / eff, np.nan)
+            efficiency[block] = eff
+        names = ("eta_up", "noise_up") if upper else ("eta_dn", "noise_dn")
+        for name, value in zip(names, (efficiency, noise)):
+            self.__dict__.setdefault(name, value)
+        return efficiency, noise
+
+    def _rows_source(self) -> tuple[tuple[PortInfo, ...], str, str, NoiseEnvironment]:
+        if self.exit_rows is None or self.cond is None or self._source is None:
+            raise AttributeError(
+                "a grid built without exit rows has only the spectra given to it"
+            )
+        return self._source
+
+    def _masked_blocks(self, side: int) -> Iterator[tuple[Any, ...]]:
+        """The exit rows at one sideband, masked, block by block.
+
+        Yields ``(block, slots, abs_u, abs_v, defined)``: the slice of the
+        grid, the :func:`_slots` of its signed frequencies, the squared
+        magnitudes of the annihilation and creation halves of the rows,
+        zero on unphysical columns, and where the exit output is physical
+        and the point was solved. Everything after the slice is port-major,
+        ``(n_ports, points)``, so each operation and each sum over ports
+        runs along the points of the block.
+        """
+        ports, _, exit_name, _ = self._rows_source()
+        p = len(ports)
+        exit_col = [info.name for info in ports].index(exit_name)
+        centers = np.array([[info.band_center] for info in ports])
+        for lo in range(0, self.omegas.size, _BLOCK):
+            block = slice(lo, lo + _BLOCK)
+            w = self.omegas[block]
+            slots = _slots(w if side == 0 else -w, centers)
+            _, _, mask_u, mask_v = slots
+            row = self.exit_rows[side, block].T
+            abs_u = np.abs(np.where(mask_u, row[:p], 0.0)) ** 2
+            abs_v = np.abs(np.where(mask_v, row[p:], 0.0)) ** 2
+            defined = mask_u[exit_col] & (self.cond[side, block] <= CONDITION_LIMIT)
+            yield block, slots, abs_u, abs_v, defined
 
 
 def _solve_block(
     dyn: DoubledDynamics, omegas: NDArray[np.float64]
 ) -> tuple[NDArray[np.complex128], NDArray[np.bool_], NDArray[np.float64]]:
-    """Solve ``(i*omega + M) X = G`` at each signed frequency of a block.
+    """Invert the resolvent ``i*omega + M`` at each signed frequency of a block.
 
-    Returns ``(x, good, cond)``. ``good`` is False where the 2-norm
-    condition of the resolvent exceeds ``CONDITION_LIMIT`` or is not
-    finite; ``x`` is meaningless there. ``cond`` is that 2-norm condition
-    wherever it may exceed half the limit, and an upper bound below half
-    the limit elsewhere.
+    Returns ``(inv, good, cond)``, ``inv[k]`` being the inverse at
+    ``omegas[k]``. ``good`` is False where the 2-norm condition of the
+    resolvent exceeds ``CONDITION_LIMIT`` or is not finite; ``inv`` is
+    meaningless there. ``cond`` is that 2-norm condition wherever it may
+    exceed half the limit, and an upper bound below half the limit
+    elsewhere.
 
     Each resolvent is inverted once; ``A^-1`` gives the exact 1-norm
-    condition and, through one matrix product over the whole block,
-    ``A^-1 G``. Since ``cond_2 <= d * cond_1``, only points where that
-    bound reaches half the limit (or is not finite) need the exact 2-norm
+    condition, and :func:`_s_rows` forms the rows of S a caller needs from
+    it. Since ``cond_2 <= d * cond_1``, only points where that bound
+    reaches half the limit (or is not finite) need the exact 2-norm
     condition, an SVD. A block holding an exactly singular resolvent is
     screened by SVD first, and only its good points are inverted.
 
@@ -305,7 +421,7 @@ def _solve_block(
     columns running along the points.
     """
     n = omegas.size
-    dim, cols = dyn.in_coupling.shape
+    dim = dyn.dimension
     a = np.empty((dim, dim, n), dtype=np.complex128)
     a[:] = dyn.dyn_matrix[:, :, None]
     a.reshape(dim * dim, n)[:: dim + 1].imag += omegas
@@ -315,9 +431,9 @@ def _solve_block(
     except np.linalg.LinAlgError:
         cond = np.linalg.cond(stack)
         good = cond <= CONDITION_LIMIT
-        x = np.full((n, dim, cols), np.nan, dtype=np.complex128)
-        x[good] = _times_coupling(np.linalg.inv(stack[good]), dyn.in_coupling)
-        return x, good, cond
+        inv = np.full((n, dim, dim), np.nan, dtype=np.complex128)
+        inv[good] = np.linalg.inv(stack[good])
+        return inv, good, cond
     # mags[i, j] holds |A_ij| and mags[i, dim + j] holds |A^-1_ij|.
     mags = np.empty((dim, 2 * dim, n))
     np.abs(a, out=mags[:, :dim])
@@ -328,28 +444,24 @@ def _solve_block(
     if not screened.all():
         flagged = ~screened
         cond[flagged] = np.linalg.cond(stack[flagged])
-    return _times_coupling(inv, dyn.in_coupling), cond <= CONDITION_LIMIT, cond
-
-
-def _times_coupling(
-    inv: NDArray[np.complex128], g: NDArray[np.complex128]
-) -> NDArray[np.complex128]:
-    """``A^-1 G`` at every point of a stack of inverses, as one matrix product."""
-    n, dim, _ = inv.shape
-    return (inv.reshape(n * dim, dim) @ g).reshape(n, dim, g.shape[1])
+    return inv, cond <= CONDITION_LIMIT, cond
 
 
 def _s_rows(
-    g_out: NDArray[np.complex128], x: NDArray[np.complex128]
+    g_rows: NDArray[np.complex128],
+    inv: NDArray[np.complex128],
+    g: NDArray[np.complex128],
 ) -> NDArray[np.complex128]:
-    """Rows ``g_out`` of ``G'`` times each ``X`` of a stack, as one matrix product.
+    """Rows ``g_rows`` of ``G'`` times ``A^-1 G`` at each point of a stack of inverses.
 
-    Entry ``[r, i]`` is ``g_out[r] @ x[i]``: that row of ``S - 1`` at point
-    ``i`` when ``x`` holds ``A^-1 G``.
+    Entry ``[r, i]`` is ``(g_rows[r] @ inv[i]) @ g``: that row of ``S - 1``
+    at point ``i``. The inverses are laid out side by side, ``(d, points *
+    d)``, so the left product is one matrix product over the stack, and its
+    rows, one per point, meet ``G`` in a second; ``A^-1 G`` is never formed.
     """
-    n, dim, cols = x.shape
-    stacked = x.transpose(1, 0, 2).reshape(dim, n * cols)
-    return (g_out @ stacked).reshape(g_out.shape[0], n, cols)
+    n, dim, _ = inv.shape
+    left = g_rows @ inv.transpose(1, 0, 2).reshape(dim, n * dim)
+    return (left.reshape(-1, dim) @ g).reshape(g_rows.shape[0], n, g.shape[1])
 
 
 def _resolve_exit(
@@ -382,13 +494,13 @@ def _slots(
 def _solve_regular(
     dyn: DoubledDynamics, signed: NDArray[np.float64]
 ) -> NDArray[np.complex128]:
-    """``A^-1 G`` at each signed frequency, from one block solve.
+    """``A^-1`` at each signed frequency, from one block solve.
 
     Raises :class:`NearSingularError` for the first near-singular point.
     """
-    x, good, cond = _solve_block(dyn, signed)
+    inv, good, cond = _solve_block(dyn, signed)
     if good.all():
-        return x
+        return inv
     for omega, ok, c in zip(signed.tolist(), good, cond):
         if not ok:
             raise NearSingularError(
@@ -396,7 +508,7 @@ def _solve_regular(
                 f"(condition estimate {c:.3e})",
                 omega=omega,
             )
-    return x
+    return inv
 
 
 def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
@@ -412,8 +524,9 @@ def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
         raise DomainError(
             f"scattering_matrix expects a finite frequency, got {omega!r}"
         )
-    x = _solve_regular(dyn, np.array([float(omega)]))[0]
-    s = np.eye(2 * dyn.n_ports, dtype=np.complex128) + dyn.out_coupling @ x
+    inv = _solve_regular(dyn, np.array([float(omega)]))
+    rows = _s_rows(dyn.out_coupling, inv, dyn.in_coupling)[:, 0]
+    s = np.eye(2 * dyn.n_ports, dtype=np.complex128) + rows
     return ScatteringMatrix(
         omega=float(omega),
         matrix=s,
@@ -532,7 +645,7 @@ def transfer_pair(
         )
     name, col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
     signed = np.array([omega, -omega], dtype=np.float64)
-    x = _solve_regular(dyn, signed)
+    inv = _solve_regular(dyn, signed)
     # Rows exit and exit + n_ports of G' give the exit row with the bits of
     # S: a product of two rows takes the matrix path that forms S, where
     # one row would take NumPy's matrix-vector path and can move last bits.
@@ -540,7 +653,7 @@ def transfer_pair(
     g_rows = dyn.out_coupling[col : col + p + 1 : p]
     eye_row = np.zeros(2 * p, dtype=np.complex128)
     eye_row[col] = 1.0
-    rows = (eye_row + (g_rows @ x)[:, 0]).tolist()
+    rows = (eye_row + _s_rows(g_rows, inv, dyn.in_coupling)[0]).tolist()
     up, dn = _transfer_rows(dyn.ports, dyn.signal_port, name, signed.tolist(), rows)
     return up, dn
 
@@ -715,40 +828,6 @@ def _flux_balance(
     return np.abs(_port_sums(abs_u) - _port_sums(abs_v) - 1.0)
 
 
-def _sideband_spectra(
-    u: NDArray[np.complex128],
-    v: NDArray[np.complex128],
-    occ_u: NDArray[np.float64],
-    occ_v: NDArray[np.float64],
-    mask_v: NDArray[np.bool_],
-    defined: NDArray[np.bool_],
-    sig_col: int,
-    upper: bool,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
-    """Efficiency, added noise and sum-rule residual of masked exit rows.
-
-    ``u``/``v`` are the annihilation/creation halves of the exit rows at
-    one signed sideband, zeroed on unphysical columns; they, the
-    occupancies and ``mask_v`` are port-major, ``(n_ports, points)``.
-    ``defined`` marks the points whose exit output is physical and whose
-    solve succeeded.
-    """
-    abs_u = np.abs(u) ** 2
-    abs_v = np.abs(v) ** 2
-    efficiency = np.where(defined, (abs_u if upper else abs_v)[sig_col], np.nan)
-    u_noise = abs_u.copy()
-    v_noise = abs_v.copy()
-    # The signal column is not noise on its own side.
-    (u_noise if upper else v_noise)[sig_col] = 0.0
-    flux = _port_sums(u_noise * occ_u) + _port_sums(
-        v_noise * np.where(mask_v, occ_v + 1.0, 0.0)
-    )
-    with np.errstate(invalid="ignore", divide="ignore"):
-        noise = np.where(efficiency > 0.0, flux / efficiency, np.nan)
-    sumrule = np.where(defined, _flux_balance(abs_u, abs_v), np.nan)
-    return efficiency, noise, sumrule
-
-
 def _good_index(good: NDArray[np.bool_]) -> slice | NDArray[np.intp]:
     """Index of the good points of a block: a slice when all are good.
 
@@ -774,13 +853,15 @@ def spectrum_sweep(
     ``S(-omega) = Q conj(S(omega)) Q`` with ``Q`` swapping the annihilation
     and creation port slots, so the lower-sideband exit row is read from
     the upper solve: the conjugate of row ``exit + n_ports`` with its
-    halves swapped. Other dynamics get a second solve at ``-omega``. All
-    post-processing runs inside the same block loop, so only the outputs
-    span the grid. After the solve it works port-major, on ``(n_ports,
-    points)`` arrays of slot lab frequencies, masks, occupancies and
-    squared coefficients, so that each operation and each sum over ports
-    runs along the points of the block; a block whose points all passed
-    the screen is read and written through slices, not copies.
+    halves swapped. Other dynamics get a second solve at ``-omega``. The
+    block loop keeps only the solve, its screen, the exit rows (formed as
+    ``(G'_rows A^-1) G`` by :func:`_s_rows`, written once, NaN only where
+    a point failed) and the symplectic residual; a block whose points all
+    passed the screen is read and written through slices, not copies. The
+    returned :class:`SpectrumGrid` derives efficiency, added noise and the
+    sum rule from the stored rows when they are first read, one sideband
+    at a time and block by block, so the arrays that span the grid are the
+    outputs alone.
 
     A point is near-singular when the 2-norm condition of its resolvent
     exceeds ``CONDITION_LIMIT`` (1e12), screened by the exact 1-norm
@@ -801,7 +882,9 @@ def spectrum_sweep(
     dyn:
         Assembled dynamics.
     env:
-        Per-port occupancy evaluators for the noise spectra.
+        Per-port occupancy evaluators for the noise spectra. Every port
+        needs one, which is checked here even though the occupancies are
+        only read with the noise.
     omegas:
         Strictly ascending, strictly positive sideband frequencies [rad/s].
     exit_port:
@@ -820,70 +903,57 @@ def spectrum_sweep(
     m = grid.size
     p = dyn.n_ports
     exit_name, exit_col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
-    sig_col = dyn.port_index[dyn.signal_port]
+    # Occupancies are read only with the noise spectra; a port without one
+    # is bad input whatever the caller reads.
+    for info in dyn.ports:
+        env._entry(info.name)
     centers = np.array([[info.band_center] for info in dyn.ports])
     mirrored = _particle_hole_symmetric(dyn)
     eye = np.eye(2 * p)
     pick = [exit_col, exit_col + p]
-    eye_pick, g_pick = eye[pick, None, :], dyn.out_coupling[pick]
+    # Rows of S formed per block: all of them for the symplectic residual,
+    # otherwise only exit and exit + n_ports; ``at`` finds those two.
+    if symplectic:
+        formed, at = list(range(2 * p)), pick
+    else:
+        formed, at = pick, [0, 1]
+    eye_rows, g_rows = eye[formed, None, :], dyn.out_coupling[formed]
+    g_pick = dyn.out_coupling[pick]
 
     # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
     good = np.empty((2, m), dtype=bool)
     cond = np.empty((2, m))
-    efficiency = np.empty((2, m))
-    noise = np.empty((2, m))
-    sumrule = np.empty((2, m))
     symp = np.full(m, np.nan) if symplectic else None
-    all_rows = np.full((2, m, 2 * p), np.nan, dtype=np.complex128)
+    all_rows = np.empty((2, m, 2 * p), dtype=np.complex128)
 
     for lo in range(0, m, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         w = grid[block]
-        x, good[0, block], cond[0, block] = _solve_block(dyn, w)
+        inv, good[0, block], cond[0, block] = _solve_block(dyn, w)
         ok = _good_index(good[0, block])
-        # Slot lab frequencies, port-major like everything after the solve:
-        # the lower sideband sees the upper's u and v slots swapped, and so
-        # their masks and occupancies.
-        lab_u, lab_v, mask_u, mask_v = _slots(w, centers)
-
         # Rows exit and exit + n_ports of S on the upper sideband serve its
-        # exit row and the mirrored lower row. They come from one product
-        # whether or not the full S is formed, which it is only for the
-        # physically masked symplectic residual.
-        x_ok = x[ok]
-        exit_rows = eye_pick + _s_rows(g_pick, x_ok)
+        # exit row and the mirrored lower row.
+        s_rows = _s_rows(g_rows, inv[ok], dyn.in_coupling)
+        s_rows += eye_rows
         if symp is not None:
-            s = eye + _s_rows(dyn.out_coupling, x_ok).transpose(1, 0, 2)
+            _, _, mask_u, mask_v = _slots(w, centers)
             slots = np.concatenate([mask_u, mask_v])[:, ok].T
-            symp[block][ok] = _masked_symplectic(s, dyn.metric, slots)
+            symp[block][ok] = _masked_symplectic(
+                s_rows.transpose(1, 0, 2), dyn.metric, slots
+            )
         rows = all_rows[:, block]
-        rows[0, ok] = exit_rows[0]
+        rows[0, ok] = s_rows[at[0]]
         if mirrored:
             good[1, block], cond[1, block] = good[0, block], cond[0, block]
-            mirror = exit_rows[1].conj()
+            mirror = s_rows[at[1]].conj()
             rows[1, ok, :p], rows[1, ok, p:] = mirror[:, p:], mirror[:, :p]
         else:
-            x_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
+            inv_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
             ok_dn = _good_index(good[1, block])
-            rows[1, ok_dn] = eye[exit_col] + _s_rows(g_pick, x_dn[ok_dn])[0]
-
-        occ_u = np.empty((p, w.size))
-        occ_v = np.empty((p, w.size))
-        for j, info in enumerate(dyn.ports):
-            occ_u[j] = env.occupancy_array(info.name, lab_u[j], mask_u[j])
-            occ_v[j] = env.occupancy_array(info.name, lab_v[j], mask_v[j])
-
-        sides = ((mask_u, mask_v, occ_u, occ_v), (mask_v, mask_u, occ_v, occ_u))
-        for side, (m_u, m_v, o_u, o_v) in enumerate(sides):
-            row = rows[side].T
-            efficiency[side, block], noise[side, block], sumrule[side, block] = (
-                _sideband_spectra(
-                    np.where(m_u, row[:p], 0.0),
-                    np.where(m_v, row[p:], 0.0),
-                    o_u, o_v, m_v, m_u[exit_col] & good[side, block],
-                    sig_col, side == 0,
-                )
-            )
+            rows[1, ok_dn] = eye[exit_col] + _s_rows(
+                g_pick, inv_dn[ok_dn], dyn.in_coupling
+            )[0]
+        rows[~good[:, block]] = np.nan
 
     failures: list[SweepFailure] = []
     for i in np.nonzero(~(good[0] & good[1]))[0]:
@@ -901,16 +971,11 @@ def spectrum_sweep(
 
     return SpectrumGrid(
         omegas=grid,
-        eta_up=efficiency[0],
-        eta_dn=efficiency[1],
-        noise_up=noise[0],
-        noise_dn=noise[1],
-        sumrule_resid=np.fmax(sumrule[0], sumrule[1]),
         symplectic_resid=symp,
         failures=failures,
         exit_rows=all_rows,
         cond=cond,
-        _row_labels=(dyn.ports, dyn.signal_port, exit_name),
+        _source=(dyn.ports, dyn.signal_port, exit_name, env),
     )
 
 
@@ -938,11 +1003,16 @@ def consistency_checks(
     probes = np.asarray(omegas, dtype=np.float64)
     p = dyn.n_ports
     signed = np.concatenate([probes, -probes])
-    x, good, _ = _solve_block(dyn, signed)
+    inv, good, _ = _solve_block(dyn, signed)
     ok = good[: probes.size] & good[probes.size :]
     both = np.concatenate([ok, ok])
     n = int(np.count_nonzero(ok))
-    s = np.eye(2 * p, dtype=np.complex128) + dyn.out_coupling @ x[both]
+    # The product order of _s_rows, with the left product batched so that
+    # S comes out point-major: (G' A^-1) G at every point.
+    left = dyn.out_coupling @ inv[_good_index(both)]
+    s_minus_one = left.reshape(-1, dyn.dimension) @ dyn.in_coupling
+    s = s_minus_one.reshape(2 * n, 2 * p, 2 * p)
+    s += np.eye(2 * p)
     s_up, s_dn = s[:n], s[n:]
 
     centers = np.array([info.band_center for info in dyn.ports])

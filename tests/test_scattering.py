@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import math
+import tracemalloc
 
 import mpmath
 import numpy as np
@@ -19,6 +20,7 @@ from modescatter import (
     Drive,
     InternalMode,
     Port,
+    SpectrumGrid,
     TransducerModel,
     DomainError,
     NearSingularError,
@@ -151,6 +153,15 @@ def test_environment_unknown_port_raises() -> None:
         env.occupancy("b", 1.0)
 
 
+def test_spectrum_sweep_rejects_a_port_without_occupancy() -> None:
+    # The occupancies are read only with the noise, on first read; the
+    # sweep still refuses the environment itself.
+    dyn = assemble_dynamics(two_mode_converter())
+    env = NoiseEnvironment.constant({"sig": 0.0})
+    with pytest.raises(ConfigurationError, match="no occupancy defined for port 'out'"):
+        spectrum_sweep(dyn, env, np.array([TAU * 1.0e6]), symplectic=False)
+
+
 def test_environment_from_dynamics_copies_port_temperatures() -> None:
     dyn = assemble_dynamics(two_mode_converter(t_a=0.05, t_b=0.01))
     env = NoiseEnvironment.from_dynamics(dyn)
@@ -254,6 +265,37 @@ def test_row_invariants_on_rotating_network() -> None:
     for omega_hz in (2.0e5, 1.0e6, 8.0e6):
         up, dn = transfer_pair(dyn, TAU * omega_hz)
         for row in (up, dn):
+            assert sum_rule_residual(row) < 1e-12
+            assert noise_commutator_residual(row) < 1e-12
+
+
+def _rotating_wide_model(seed: int) -> TransducerModel:
+    """The first ``wide_model`` draw of a seed whose modes all rotate in bands
+    centred away from zero, so that no slot of any row is masked."""
+    rng = np.random.default_rng(seed)
+    while True:
+        model = wide_model(rng)
+        if all(m.frame == "rotating" and m.band.center_frequency > 0.0 for m in model.modes):
+            return model
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_row_invariants_on_rotating_wide_models(seed: int) -> None:
+    # S is quasi-unitary and no column is masked, so every exit row balances
+    # its flux and its noise commutator is 1 -+ eta, whether the row comes
+    # from transfer_pair or from a block of the sweep.
+    dyn = assemble_dynamics(_rotating_wide_model(seed))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.geomspace(1.0e2, 1.0e8, 37)
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert not grid.failures
+    assert grid.symplectic_resid is not None and np.all(grid.symplectic_resid < 1e-12)
+    assert np.all(grid.sumrule_resid < 1e-12)
+    assert grid.rows_up is not None and grid.rows_dn is not None
+    for i, omega in enumerate(omegas.tolist()):
+        for row in (*transfer_pair(dyn, omega), grid.rows_up[i], grid.rows_dn[i]):
+            assert row is not None and not row.dropped
             assert sum_rule_residual(row) < 1e-12
             assert noise_commutator_residual(row) < 1e-12
 
@@ -364,6 +406,59 @@ def test_spectrum_sweep_builds_rows_on_first_read(monkeypatch: pytest.MonkeyPatc
     assert calls == [11]
     assert grid.rows_dn is not None and len(grid.rows_dn) == 11
     assert calls == [11, 11]
+
+
+def test_spectra_are_derived_per_sideband_on_first_read(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Counting reads only eta_up and noise_up: the lower sideband and the
+    # sum rule are then never computed. Each spectrum has the same bits
+    # whatever was read before it.
+    dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
+    env = NoiseEnvironment.constant({"pa": 0.4, "pb": 1.1})
+    omegas = np.linspace(TAU * 1.0e6, TAU * 3.0e6, _BLOCK + 41)
+    names = ("eta_up", "noise_up", "eta_dn", "noise_dn", "sumrule_resid")
+    want = spectrum_sweep(dyn, env, omegas)
+    want_bytes = {name: getattr(want, name).tobytes() for name in names[::-1]}
+    sides = []
+    masked_blocks = SpectrumGrid._masked_blocks
+    monkeypatch.setattr(
+        SpectrumGrid,
+        "_masked_blocks",
+        lambda grid, side: sides.append(side) or masked_blocks(grid, side),
+    )
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert sides == []
+    for name, derived in zip(names, ([0], [], [1], [], [0, 1])):
+        sides.clear()
+        assert getattr(grid, name).tobytes() == want_bytes[name], name
+        assert sides == derived, name
+    # A spectrum given to the constructor is kept as given.
+    given = np.zeros(3)
+    assert SpectrumGrid(omegas=np.arange(1.0, 4.0), eta_up=given).eta_up is given
+
+
+def test_sweep_working_set_stays_block_sized() -> None:
+    # The README's 8001-point cold counting sweep, with what fom --app
+    # counting reads. Besides the arrays it keeps, the sweep allocates
+    # about 1.56 MB on the way (a kernel that also formed A^-1 G and a
+    # transposed copy of it, per block: 2.08 MB), and reading the upper
+    # sideband about 0.35 MB, one block at a time.
+    dyn = assemble_dynamics(get_builtin("electromech", {"t_wg": 0.0, "t_m": 0.0}))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    omegas = np.linspace(TAU * 4.0e6, TAU * 6.0e6, 8001)
+    spectrum_sweep(dyn, env, omegas, symplectic=False).noise_up
+    tracemalloc.start()
+    try:
+        grid = spectrum_sweep(dyn, env, omegas, symplectic=False)
+        kept, peak = tracemalloc.get_traced_memory()
+        tracemalloc.reset_peak()
+        grid.eta_up, grid.noise_up
+        read_kept, read_peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak - kept < 1.8e6
+    assert read_peak - read_kept < 0.5e6
 
 
 def test_spectrum_sweep_rows_are_none_at_failed_points() -> None:
@@ -523,7 +618,8 @@ def test_port_sums_keep_the_bits_of_a_point_major_sum() -> None:
 def test_solve_block_matches_pointwise_solve(
     dyn: DoubledDynamics, omegas: np.ndarray, near: bool
 ) -> None:
-    x, good, cond = scattering._solve_block(dyn, omegas)
+    inv, good, cond = scattering._solve_block(dyn, omegas)
+    rows = scattering._s_rows(dyn.out_coupling, inv, dyn.in_coupling)
     dim = dyn.dimension
     flagged = 0
     for i, omega in enumerate(omegas.tolist()):
@@ -537,8 +633,10 @@ def test_solve_block_matches_pointwise_solve(
             flagged += 1
             assert cond[i] == pytest.approx(cond_2, rel=1e-14)
         if good[i]:
-            want = np.linalg.solve(a, dyn.in_coupling)
-            assert np.abs(x[i] - want).max() <= 1e-13 * np.abs(want).max()
+            want = np.linalg.inv(a)
+            assert np.abs(inv[i] - want).max() <= 1e-13 * np.abs(want).max()
+            want = dyn.out_coupling @ np.linalg.solve(a, dyn.in_coupling)
+            assert np.abs(rows[:, i] - want).max() <= 1e-13 * np.abs(want).max()
     # The near-singular grid holds points flagged by the 1-norm screen
     # that pass on the 2-norm condition, and points that fail.
     if near:
