@@ -537,6 +537,8 @@ def protocol_montecarlo(
     """
     if trials < 1:
         raise ConfigurationError(f"trials must be at least 1, got {trials!r}")
+    if seed < 0:
+        raise ConfigurationError(f"seed must be non-negative, got {seed!r}")
     p_e, p_d, eta = spec.p_e, spec.p_d, spec.eta
     two_click = spec.scheme == "two-click"
 

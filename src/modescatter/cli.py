@@ -606,6 +606,8 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigurationError(
             f"--ensemble must be non-negative, got {args.ensemble}"
         )
+    if args.seed < 0:
+        raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     model, sets = _resolve_model(args)
     report = validate_model(model)
     for line in report.errors:

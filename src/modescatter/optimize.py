@@ -3,13 +3,16 @@
 Variables are dotted override paths understood by
 :func:`modescatter.modelfile.model_with` (port rates and temperatures,
 coupling rates), searched within user-supplied bounds by Nelder-Mead with
-random restarts. Every candidate is evaluated by rebuilding the model,
-assembling its dynamics, and computing the requested figure of merit;
-candidates whose models fail validation, are unstable, or hit a numerical
-failure are recorded as infeasible and repelled with an infinite objective
-value rather than aborting the search. A configuration error (an unknown
-exit port or override path, a signal frequency off the spectrum grid) holds
-for every candidate alike, so it aborts the search.
+random restarts. The simplex search is the package's own, a NumPy transcript
+of SciPy's bounded, non-adaptive Nelder-Mead (the same points in the same
+order), so an optimization needs NumPy alone. Every candidate is evaluated
+by rebuilding the model, assembling its dynamics, and computing the
+requested figure of merit; candidates whose models fail validation, are
+unstable, or hit a numerical failure are recorded as infeasible and
+repelled with an infinite objective value rather than aborting the search.
+A configuration error (an unknown exit port or override path, a signal
+frequency off the spectrum grid) holds for every candidate alike, so it
+aborts the search.
 """
 
 from __future__ import annotations
@@ -17,7 +20,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 
@@ -90,6 +93,12 @@ class OptimizeSpec:
                     f"variable {path!r} needs finite bounds with low < high,"
                     f" got [{low!r}, {high!r}]"
                 )
+        if not (self.tolerance >= 0.0 and math.isfinite(self.tolerance)):
+            raise ConfigurationError(
+                f"tolerance must be finite and non-negative, got {self.tolerance!r}"
+            )
+        if self.seed < 0:
+            raise ConfigurationError(f"seed must be non-negative, got {self.seed}")
         if self.budget < 2 * (len(self.variables) + 1):
             raise ConfigurationError(
                 f"budget {self.budget} too small for {len(self.variables)}"
@@ -143,7 +152,106 @@ class OptimizeResult:
 
 
 class _BudgetExhausted(Exception):
-    """Internal: raised by the evaluation wrapper to stop a scipy run."""
+    """Internal: raised by the evaluation wrapper to stop the whole search."""
+
+
+class _RestartCapReached(Exception):
+    """Internal: one Nelder-Mead run has spent its own evaluation cap."""
+
+
+def _nelder_mead(
+    func: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    xatol: float,
+    fatol: float,
+    max_evals: int,
+) -> bool:
+    """Minimize ``func`` over the box ``[lows, highs]`` from ``x0``.
+
+    Step for step SciPy's ``minimize(method="Nelder-Mead", bounds=...)``
+    with its default, non-adaptive coefficients (reflection 1, expansion 2,
+    contraction 1/2, shrink 1/2) and the same NumPy expressions, so ``func``
+    sees the same points in the same order: the initial simplex steps each
+    coordinate by 5% (0.00025 at zero), reflects vertices above the upper
+    bound back into the box and clips; every trial point is clipped to the
+    box. ``x0`` must lie in the box. Returns True when the simplex met both
+    ``xatol`` and ``fatol`` before ``func`` was called ``max_evals`` times;
+    the minimum is wherever ``func`` recorded it. An exception raised by
+    ``func`` propagates.
+    """
+    n = x0.size
+    evals = 0
+
+    def call(x: np.ndarray) -> float:
+        nonlocal evals
+        if evals >= max_evals:
+            raise _RestartCapReached
+        evals += 1
+        return func(x)
+
+    sim = np.tile(x0, (n + 1, 1))
+    sim[1:][np.diag_indices(n)] = np.where(x0 != 0, 1.05 * x0, 0.00025)
+    sim = np.where(sim > highs, 2 * highs - sim, sim)
+    sim = np.clip(sim, lows, highs)
+    fsim = np.full(n + 1, np.inf)
+    try:
+        for k in range(n + 1):
+            fsim[k] = call(sim[k])
+        # Sorted twice, as SciPy does: argsort is not a stable sort, and the
+        # order of tied values steers the search.
+        for _ in range(2):
+            order = np.argsort(fsim)
+            sim = np.take(sim, order, 0)
+            fsim = np.take(fsim, order, 0)
+
+        while evals < max_evals:
+            # An infeasible vertex is +inf, and inf - inf is NaN, which
+            # fails the test as it should.
+            with np.errstate(invalid="ignore"):
+                if (
+                    np.max(np.ravel(np.abs(sim[1:] - sim[0]))) <= xatol
+                    and np.max(np.abs(fsim[0] - fsim[1:])) <= fatol
+                ):
+                    return True
+            xbar = np.add.reduce(sim[:-1], 0) / n
+            xr = np.clip(2 * xbar - sim[-1], lows, highs)
+            fxr = call(xr)
+            if fxr < fsim[0]:
+                xe = np.clip(3 * xbar - 2 * sim[-1], lows, highs)
+                fxe = call(xe)
+                if fxe < fxr:
+                    sim[-1], fsim[-1] = xe, fxe
+                else:
+                    sim[-1], fsim[-1] = xr, fxr
+            elif fxr < fsim[-2]:
+                sim[-1], fsim[-1] = xr, fxr
+            else:
+                if fxr < fsim[-1]:
+                    # Outside contraction, kept if no worse than xr.
+                    xc = np.clip(1.5 * xbar - 0.5 * sim[-1], lows, highs)
+                    fxc = call(xc)
+                    keep = fxc <= fxr
+                else:
+                    # Inside contraction, kept if better than the worst vertex.
+                    xc = np.clip(0.5 * xbar + 0.5 * sim[-1], lows, highs)
+                    fxc = call(xc)
+                    keep = fxc < fsim[-1]
+                if keep:
+                    sim[-1], fsim[-1] = xc, fxc
+                else:
+                    for j in range(1, n + 1):
+                        sim[j] = np.clip(
+                            sim[0] + 0.5 * (sim[j] - sim[0]), lows, highs
+                        )
+                        fsim[j] = call(sim[j])
+            order = np.argsort(fsim)
+            sim = np.take(sim, order, 0)
+            fsim = np.take(fsim, order, 0)
+    except _RestartCapReached:
+        pass
+    return False
 
 
 def _evaluate_figure(
@@ -178,8 +286,11 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     """Search the bounded variable box for the best figure of merit.
 
     Runs Nelder-Mead from the box midpoint and two seeded-random restarts
-    (or until the evaluation budget is exhausted). ``best_value`` is in the
-    figure's natural units regardless of optimization direction.
+    (or until the evaluation budget is exhausted). Each restart may also
+    spend at most ``budget`` evaluations of its own, and ``converged`` is
+    True when some restart met both tolerances within that cap.
+    ``best_value`` is in the figure's natural units regardless of
+    optimization direction.
 
     Each candidate is clipped to the box. A clipped point already evaluated
     in this call (typically a step outside the box clipped back to the
@@ -195,10 +306,6 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     NumericalError
         If every evaluated candidate was infeasible.
     """
-    # Imported here, not at module level, so that only an optimization
-    # pays for loading SciPy.
-    from scipy.optimize import Bounds, minimize
-
     paths = tuple(v[0] for v in spec.variables)
     lows = np.array([v[1] for v in spec.variables], dtype=float)
     highs = np.array([v[2] for v in spec.variables], dtype=float)
@@ -236,32 +343,18 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     for _ in range(_N_RESTARTS - 1):
         starts.append(rng.uniform(lows, highs))
 
+    xatol = spec.tolerance * float(np.max(highs - lows))
     converged = False
     with warnings.catch_warnings():
         warnings.simplefilter("ignore", ValidityWarning)
-        # Infeasible candidates are repelled with inf, so once a whole
-        # simplex is infeasible SciPy's convergence test subtracts inf from
-        # inf. Only warnings raised in SciPy's own code are silenced; the
-        # objective keeps the caller's np.errstate and its own warnings.
-        warnings.filterwarnings(
-            "ignore", "invalid value encountered", RuntimeWarning, r"scipy\.optimize"
-        )
         for x0 in starts:
             try:
-                result = minimize(
-                    wrapped,
-                    x0,
-                    method="Nelder-Mead",
-                    bounds=Bounds(lows, highs),
-                    options={
-                        "maxfev": spec.budget,
-                        "xatol": spec.tolerance * float(np.max(highs - lows)),
-                        "fatol": spec.tolerance,
-                    },
+                success = _nelder_mead(
+                    wrapped, x0, lows, highs, xatol, spec.tolerance, spec.budget
                 )
             except _BudgetExhausted:
                 break
-            converged = converged or bool(result.success)
+            converged = converged or success
 
     feasible = [entry for entry in trace if entry.feasible]
     if not feasible:

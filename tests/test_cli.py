@@ -1008,6 +1008,60 @@ def test_validate_rejects_negative_ensemble(
     assert captured.err == "error: --ensemble must be non-negative, got -2\n"
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            [
+                "optimize", "--builtin", "electromech", "--objective", "max-eta",
+                "--var", "ports.wg.rate:1e3:1e6", "--omega-sig", "5e6",
+            ],
+            "seed must be non-negative, got -1",
+        ),
+        (
+            [
+                "protocol-sim", "--scheme", "two-click", "--p-e", "0.5",
+                "--p-d", "0.001", "--eta", "0.8", "--trials", "1000",
+            ],
+            "seed must be non-negative, got -1",
+        ),
+        (
+            ["validate", "--builtin", "electromech", "--ensemble", "2"],
+            "--seed must be non-negative, got -1",
+        ),
+    ],
+    ids=["optimize", "protocol-sim", "validate"],
+)
+def test_negative_seed_is_a_configuration_error(
+    argv: list[str], message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # NumPy's seeding refuses a negative seed with a ValueError; the command
+    # reports it as bad input (exit 2) before printing anything.
+    code = main([*argv, "--seed", "-1"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize("tol", ["-1", "nan"])
+def test_optimize_rejects_negative_or_nan_tolerance(
+    tol: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Either would turn the convergence test off and spend the whole budget.
+    code = main(
+        [
+            "optimize", "--builtin", "electromech", "--set", "gamma_wg=3e5",
+            "--objective", "max-eta", "--var", "ports.wg.rate:1e3:1e6",
+            "--omega-sig", "5e6", "--budget", "400", "--seed", "0", "--tol", tol,
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: tolerance must be finite and non-negative")
+
+
 def test_optimize_all_infeasible_prints_only_the_error() -> None:
     # Every candidate is infeasible, so whole simplices carry the inf
     # sentinel and SciPy's convergence test subtracts inf from inf. The

@@ -30,6 +30,7 @@ from modescatter import (
     transfer_row,
 )
 from modescatter.cli import main
+from modescatter.electromech import _golden_max
 from modescatter.modelfile import electromech_params, get_builtin
 
 TAU = 2.0 * math.pi
@@ -185,6 +186,34 @@ def test_peak_formulas_match_located_peak() -> None:
     assert abs(estimate.omega - p.omega_m) < 1e-3 * p.omega_m
     assert estimate.eta == pytest.approx(peak_eta(p), rel=1e-3)
     assert estimate.noise == pytest.approx(peak_noise(p), rel=0.05)
+
+
+def test_located_peak_of_a_narrow_line_at_high_frequency() -> None:
+    # The tolerance, 1e-9 of the ~7 rad/s linewidth, is below the float
+    # spacing at 2 pi GHz: the search still ends, and lands on the
+    # closed-form peak.
+    calls = 0
+
+    def bump(x: float) -> float:
+        nonlocal calls
+        calls += 1
+        assert calls < 1000, "golden-section search did not end"
+        return -((x - TAU * 1.0e9) ** 2)
+
+    assert _golden_max(bump, TAU * 1.0e9 - 10.0, TAU * 1.0e9 + 20.0, 1e-9) == (
+        pytest.approx(TAU * 1.0e9, abs=1e-5)
+    )
+    p = ElectromechParams(
+        omega_m=TAU * 1.0e9,
+        omega_lc=TAU * 5.0e10,
+        g=TAU * 10.0,
+        gamma_tx=TAU * 100.0,
+        gamma_m=TAU * 0.01,
+        gamma_wg=TAU * 1.0,
+    )
+    estimate = locate_peak(p)
+    assert estimate.eta == pytest.approx(peak_eta(p), rel=1e-9)
+    assert estimate.noise == pytest.approx(peak_noise(p), rel=1e-9)
 
 
 def test_peak_noise_env_override_matches_temperatures() -> None:

@@ -115,6 +115,12 @@ def test_no_herald_without_photons_or_dark_counts() -> None:
         protocol_montecarlo(spec, trials=1000, seed=3)
 
 
+def test_montecarlo_rejects_negative_seed() -> None:
+    spec = ProtocolSpec(scheme="two-click", p_e=0.5, p_d=0.001, eta=0.8)
+    with pytest.raises(ConfigurationError, match="seed must be non-negative"):
+        protocol_montecarlo(spec, trials=1000, seed=-1)
+
+
 def test_dark_counts_degrade_one_click_fidelity() -> None:
     clean = entangle_fidelity_exact(
         ProtocolSpec(scheme="one-click", p_e=0.05, p_d=0.0, eta=0.4)

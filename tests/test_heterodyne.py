@@ -4,20 +4,25 @@ from __future__ import annotations
 
 import cmath
 import math
+from typing import Callable
 
 import numpy as np
 import pytest
-from conftest import plain_row, synthetic_row_pair
+from conftest import plain_row, synthetic_row_pair, wide_model
 
 from modescatter import (
     ConfigurationError,
     DomainError,
     NoiseEnvironment,
     SignalNulledError,
+    TransducerModel,
+    assemble_dynamics,
     constructive_phase,
     heterodyne_bound,
     heterodyne_sensitivity,
+    random_stable_model,
     sideband_correlation,
+    transfer_pair,
 )
 
 TAU = 2.0 * math.pi
@@ -84,6 +89,29 @@ def test_random_rows_respect_bound() -> None:
         # The Cauchy-Schwarz ceiling holds at the constructive phase.
         assert result.p_s <= result.bound + 1e-9
         assert result.p_s >= 0.5
+
+
+@pytest.mark.parametrize("draw", [wide_model, random_stable_model])
+def test_model_rows_respect_bound(
+    draw: Callable[[np.random.Generator], TransducerModel],
+) -> None:
+    # The ceiling holds on the rows of whole networks, not only on random
+    # rows: P_s at the constructive phase never exceeds it. An exit port in
+    # a zero-centred band has no lower output sideband, so such points are
+    # refused, not scored.
+    omegas = np.geomspace(1.0e2, 1.0e8, 13)
+    checked = 0
+    for seed in range(40):
+        dyn = assemble_dynamics(draw(np.random.default_rng(seed)))
+        env = NoiseEnvironment.from_dynamics(dyn)
+        for omega in omegas.tolist():
+            up, dn = transfer_pair(dyn, omega)
+            if not (up.physical_output and dn.physical_output):
+                continue
+            result = heterodyne_sensitivity(up, dn, env)
+            assert result.p_s <= result.bound * (1.0 + 1e-12), (seed, omega)
+            checked += 1
+    assert checked >= 400
 
 
 def test_constructive_phase_maximizes_transfer() -> None:

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import math
-from typing import Mapping
+from typing import Callable, Mapping
 
 import numpy as np
 import pytest
 from conftest import TAU, near_singular_model, two_mode_converter
+from scipy.optimize import Bounds, minimize
 
 from modescatter import (
     ConfigurationError,
@@ -55,6 +56,28 @@ def test_spec_rejects_tiny_budget() -> None:
             objective="max-eta",
             omega_sig=1.0,
             budget=3,
+        )
+
+
+@pytest.mark.parametrize("tolerance", [-1.0, math.nan, math.inf])
+def test_spec_rejects_negative_or_non_finite_tolerance(tolerance: float) -> None:
+    # A NaN or negative tolerance would silently turn convergence off.
+    with pytest.raises(ConfigurationError, match="tolerance"):
+        OptimizeSpec(
+            variables=(("ports.sig.rate", 1.0, 2.0),),
+            objective="max-eta",
+            omega_sig=1.0,
+            tolerance=tolerance,
+        )
+
+
+def test_spec_rejects_negative_seed() -> None:
+    with pytest.raises(ConfigurationError, match="seed"):
+        OptimizeSpec(
+            variables=(("ports.sig.rate", 1.0, 2.0),),
+            objective="max-eta",
+            omega_sig=1.0,
+            seed=-1,
         )
 
 
@@ -299,3 +322,170 @@ def test_entangle_objective_smoke() -> None:
     )
     result = run_optimization(model, spec)
     assert 0.0 <= result.best_value <= 1.0
+
+
+# ---------------------------------------------------------------------------
+# The simplex search against SciPy's bounded Nelder-Mead, a test-only
+# reference: the same points in the same order, the same stop.
+
+def _scipy_nelder_mead(
+    func: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    xatol: float,
+    fatol: float,
+    max_evals: int,
+) -> bool:
+    # SciPy's convergence test subtracts inf from inf on infeasible vertices.
+    with np.errstate(invalid="ignore"):
+        result = minimize(
+            func,
+            x0,
+            method="Nelder-Mead",
+            bounds=Bounds(lows, highs),
+            options={"maxfev": max_evals, "xatol": xatol, "fatol": fatol},
+        )
+    return bool(result.success)
+
+
+def _bowl(
+    kind: str, centre: np.ndarray, scale: np.ndarray
+) -> Callable[[np.ndarray], float]:
+    """A quadratic bowl; "plateau" rounds it to ties, "infeasible" is +inf
+    beyond a plane through the bowl."""
+
+    def f(x: np.ndarray) -> float:
+        q = float(np.sum(((x - centre) / scale) ** 2))
+        if kind == "plateau":
+            return round(q, 1)
+        if kind == "infeasible" and x[0] > centre[0] + 0.3 * scale[0]:
+            return math.inf
+        return q
+
+    return f
+
+
+def _search_trace(
+    search: Callable[..., bool],
+    f: Callable[[np.ndarray], float],
+    x0: np.ndarray,
+    lows: np.ndarray,
+    highs: np.ndarray,
+    tolerance: float,
+    max_evals: int,
+) -> tuple[list[tuple[bytes, str]], bool]:
+    trace: list[tuple[bytes, str]] = []
+
+    def recorded(x: np.ndarray) -> float:
+        value = f(x)
+        trace.append((x.tobytes(), float.hex(value)))
+        return value
+
+    xatol = tolerance * float(np.max(highs - lows))
+    success = search(recorded, x0.copy(), lows, highs, xatol, tolerance, max_evals)
+    return trace, success
+
+
+# (bowl, lows, highs, centre, start, tolerance); each bowl's scale is a
+# tenth of the box. Every budget from one evaluation to 60 is tried, so a
+# run's cap falls inside each kind of step it takes: the quadratics expand,
+# the plateau's ties and the infeasible region make it shrink, and a start
+# near the upper bound takes the initial simplex's reflection into the box.
+_SEARCH_CASES = {
+    "quadratic-1d": ("quadratic", [1e3], [1e6], [7.7e5], "mid", 1e-6),
+    "quadratic-2d-near-upper": (
+        "quadratic", [1e3, 1.0], [1e6, 1e2], [3e5, 40.0], "upper", 1e-3
+    ),
+    "optimum-on-bound-2d": (
+        "quadratic", [1e3, 1.0], [1e6, 1e2], [2e6, -5.0], "mid", 1e-6
+    ),
+    "infeasible-2d": ("infeasible", [0.0, 0.0], [1.0, 1.0], [0.7, 0.2], "mid", 1e-6),
+    "plateau-2d-tol0": ("plateau", [-1.0, -1.0], [1.0, 1.0], [0.31, -0.52], "zero", 0.0),
+    "quadratic-3d-zero-start": (
+        "quadratic", [-1.0, -1.0, 0.0], [1.0, 1.0, 2.0], [0.2, -0.3, 1.7], "zero", 1e-6
+    ),
+    # Every vertex +inf from the start: the simplex only shrinks.
+    "all-infeasible-3d-near-upper": (
+        "infeasible", [1.0, 1.0, 1.0], [9.0, 9.0, 9.0], [5.0, 8.0, 2.0], "upper", 0.0
+    ),
+}
+
+
+@pytest.mark.parametrize("case", list(_SEARCH_CASES))
+def test_nelder_mead_follows_scipy_step_for_step(case: str) -> None:
+    kind, lo, hi, centre, start, tolerance = _SEARCH_CASES[case]
+    lows, highs = np.array(lo), np.array(hi)
+    f = _bowl(kind, np.array(centre), 0.1 * (highs - lows))
+    x0 = {
+        "mid": 0.5 * (lows + highs),
+        "upper": highs - 1e-4 * (highs - lows),
+        "zero": np.clip(np.zeros(lows.size), lows, highs),
+    }[start]
+    full = _search_trace(_scipy_nelder_mead, f, x0, lows, highs, tolerance, 200)
+    assert _search_trace(optimize._nelder_mead, f, x0, lows, highs, tolerance, 200) == full
+    assert len(full[0]) > 10
+    for max_evals in range(1, min(len(full[0]), 60) + 2):
+        want = _search_trace(_scipy_nelder_mead, f, x0, lows, highs, tolerance, max_evals)
+        got = _search_trace(optimize._nelder_mead, f, x0, lows, highs, tolerance, max_evals)
+        assert got == want, max_evals
+
+
+def test_run_optimization_matches_scipy_search(monkeypatch: pytest.MonkeyPatch) -> None:
+    # Whole searches on the bowls, three restarts sharing one budget: the
+    # trace bits, n_evals, converged and the best value are SciPy's. A
+    # maximized bowl has its optimum in a corner of the box. One budget is
+    # the length of the first restart's converged run, where only the
+    # restart's own cap tells that it did not converge within the budget.
+    def bits(result: optimize.OptimizeResult) -> tuple[object, ...]:
+        trace = [
+            (tuple(map(float.hex, e.params)), float.hex(e.value), e.feasible)
+            for e in result.trace
+        ]
+        return result.n_evals, result.converged, float.hex(result.best_value), trace
+
+    model = build_model(ElectromechParams())
+    tolerances = [1e-6, 1e-3, 0.0]
+    count = 0
+    for n in (1, 2, 3):
+        lows, highs = np.arange(1.0, n + 1.0), np.arange(1.0, n + 1.0) * 10.0
+        for kind in ("quadratic", "plateau", "infeasible"):
+            f = _bowl(kind, lows + np.linspace(0.3, 0.8, n) * (highs - lows), highs - lows)
+
+            def figure(model, spec, values, f=f):  # type: ignore[no-untyped-def]
+                value = f(np.array(list(values.values())))
+                if math.isinf(value):
+                    raise NumericalError("outside the feasible region")
+                return value
+
+            for objective in ("min-N", "max-eta"):
+                tolerance = tolerances[count % 3]
+                sign = -1.0 if objective == "max-eta" else 1.0
+                first, converged = _search_trace(
+                    _scipy_nelder_mead,
+                    lambda x, f=f, sign=sign: sign * f(x) if f(x) < math.inf else math.inf,
+                    0.5 * (lows + highs), lows, highs, tolerance, 1000,
+                )
+                budgets = [2 * (n + 1) + 1, 40, 150]
+                if converged and len(first) >= 2 * (n + 1):
+                    budgets.append(len(first))
+                for budget in budgets:
+                    spec = OptimizeSpec(
+                        variables=tuple(
+                            (f"x{k}", lows[k], highs[k]) for k in range(n)
+                        ),
+                        objective=objective,
+                        omega_sig=1.0,
+                        budget=budget,
+                        tolerance=tolerance,
+                        seed=count,
+                    )
+                    count += 1
+                    with monkeypatch.context() as patch:
+                        patch.setattr(optimize, "_evaluate_figure", figure)
+                        got = run_optimization(model, spec)
+                        patch.setattr(optimize, "_nelder_mead", _scipy_nelder_mead)
+                        want = run_optimization(model, spec)
+                    assert bits(got) == bits(want), (n, kind, objective, budget)
+                    if converged and budget == len(first):
+                        assert got.n_evals == budget and not got.converged
