@@ -46,7 +46,6 @@ from .electromech import (
     peak_eta_formula,
     peak_noise,
     peak_noise_formula,
-    row_scale_calibration,
     susceptibilities,
 )
 from .errors import (

@@ -28,7 +28,13 @@ from typing import Callable
 
 import numpy as np
 
-from .errors import ConfigurationError, DomainError, PoleError, ValidityWarning
+from .errors import (
+    ConfigurationError,
+    DomainError,
+    NearSingularError,
+    PoleError,
+    ValidityWarning,
+)
 from .network import (
     Band,
     Coupling,
@@ -44,18 +50,11 @@ from .scattering import (
     TransferRow,
     added_noise,
     eta,
-    scattering_matrix,
+    spectrum_sweep,
     transfer_pair,
-    transfer_row,
 )
 
 _TWO_PI = 2.0 * math.pi
-
-#: Overall scale between the closed-form scattered amplitudes and the matrix
-#: engine. Calibrated once by least squares against the assembled network
-#: (see row_scale_calibration and the equivalence tests): the conventions
-#: used here already match the engine exactly, so the constant is 1.
-ROW_SCALE = 1.0
 
 
 @dataclass(frozen=True)
@@ -272,7 +271,7 @@ def closed_form_row(p: ElectromechParams, omega: float) -> TransferRow:
             f"closed-form row is defined for positive sidebands, got {omega!r}"
         )
     chi = susceptibilities(p, omega)
-    scatter = ROW_SCALE * 2.0j * chi.chi_m
+    scatter = 2.0j * chi.chi_m
     u: dict[str, complex] = {"wg": 1.0 + scatter * p.gamma_wg}
     v: dict[str, complex] = {"wg": 0.0j}
     dropped = [("wg", "v")]
@@ -296,38 +295,6 @@ def closed_form_row(p: ElectromechParams, omega: float) -> TransferRow:
         dropped=tuple(dropped),
         physical_output=True,
     )
-
-
-def row_scale_calibration(
-    p: ElectromechParams, omegas: np.ndarray | list[float]
-) -> complex:
-    """Least-squares scale between engine and closed-form scattered amplitudes.
-
-    Fits ``engine = c * closed_form`` over the scattered parts (the direct
-    transmission term carries no convention) of every coefficient at every
-    requested frequency, and returns ``c``. Anything other than 1 would
-    indicate a sign or normalization mismatch between the two derivations.
-    """
-    dyn = assemble_dynamics(build_model(p))
-    num = 0.0j
-    den = 0.0
-    for omega in np.asarray(omegas, dtype=float):
-        engine = transfer_row(scattering_matrix(dyn, float(omega)))
-        closed = closed_form_row(p, float(omega))
-        for block in ("u_coeffs", "v_coeffs"):
-            eng_map = getattr(engine, block)
-            ref_map = getattr(closed, block)
-            for name, ref in ref_map.items():
-                target = eng_map[name]
-                if block == "u_coeffs" and name == "wg":
-                    ref = ref - 1.0
-                    target = target - 1.0
-                ref = ref / ROW_SCALE
-                num += np.conj(ref) * target
-                den += abs(ref) ** 2
-    if den == 0.0:
-        raise DomainError("calibration requires at least one nonzero coefficient")
-    return complex(num / den)
 
 
 def oracle_deviation(p: ElectromechParams, dyn: DoubledDynamics) -> float:
@@ -492,12 +459,18 @@ def locate_peak(
     """Find the transfer-efficiency peak of the full network numerically.
 
     Scans a window around the (back-action-shifted) mechanical resonance on
-    257 points, then refines the best point's two-step bracket by a
-    golden-section search until the bracket is narrower than
-    ``max(1e-9 * width, 1e-12)`` rad/s, ``width`` being the conversion
-    linewidth. The window covers the expected spring shift plus several
-    conversion linewidths, so the result is the true numeric peak rather
-    than the value at the nominal resonance.
+    257 points, in one :func:`spectrum_sweep`, then refines the best point's
+    two-step bracket by a golden-section search on :func:`transfer_pair`
+    until the bracket is narrower than ``max(1e-9 * width, 1e-12)`` rad/s,
+    ``width`` being the conversion linewidth. The window covers the
+    expected spring shift plus several conversion linewidths, so the
+    result is the true numeric peak rather than the value at the nominal
+    resonance.
+
+    Raises
+    ------
+    NearSingularError
+        If a point of the scan is near-singular.
     """
     if dyn is None:
         dyn = assemble_dynamics(build_model(p))
@@ -512,17 +485,20 @@ def locate_peak(
     hi = p.omega_m + span
 
     def engine_eta(omega: float) -> float:
-        return eta(transfer_row(scattering_matrix(dyn, omega)))
+        return eta(transfer_pair(dyn, omega)[0])
 
     coarse = np.linspace(lo, hi, 257)
-    values = [engine_eta(float(w)) for w in coarse]
-    best = int(np.argmax(values))
+    scan = spectrum_sweep(dyn, env, coarse, symplectic=False)
+    if scan.failures:
+        first = scan.failures[0]
+        raise NearSingularError(first.message, omega=first.omega)
+    best = int(np.argmax(scan.eta_up))
     a = coarse[max(best - 1, 0)]
     b = coarse[min(best + 1, coarse.size - 1)]
     omega_peak = _golden_max(
         engine_eta, float(a), float(b), max(width * 1e-9, 1e-12)
     )
-    row = transfer_row(scattering_matrix(dyn, omega_peak))
+    row, _ = transfer_pair(dyn, omega_peak)
     return PeakEstimate(
         omega=omega_peak, eta=eta(row), noise=added_noise(row, env)
     )

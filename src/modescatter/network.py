@@ -43,8 +43,9 @@ PortRole = Literal["signal", "exit", "loss"]
 #: Relative tolerance for drive/band-center resonance matching.
 DRIVE_MATCH_RTOL = 1e-9
 
-#: Default multiple by which band gaps must exceed linewidths.
-DEFAULT_SEPARATION_FACTOR = 10.0
+#: Multiple by which a drive-bridged band gap must exceed the largest total
+#: mode linewidth; a smaller gap is a warning, not an error.
+SEPARATION_FACTOR = 10.0
 
 _FRAMES = ("rotating", "lab-quadrature")
 _FORMS = ("beam-splitter", "two-mode-squeezing", "quadrature-position")
@@ -298,19 +299,13 @@ def _bridged_frequency(coupling: Coupling) -> float:
     return abs(ca - cb)
 
 
-def validate_model(
-    model: TransducerModel,
-    separation_factor: float = DEFAULT_SEPARATION_FACTOR,
-) -> ValidationReport:
+def validate_model(model: TransducerModel) -> ValidationReport:
     """Check structural and physical invariants of a model.
 
     Parameters
     ----------
     model:
         The network to validate.
-    separation_factor:
-        Required multiple between drive-bridged band gaps and the largest
-        total mode linewidth; violations produce warnings, not errors.
 
     Returns
     -------
@@ -458,10 +453,10 @@ def validate_model(
         ca = coupling.mode_a.band.center_frequency
         cb = coupling.mode_b.band.center_frequency
         gap = _bridged_frequency(coupling)
-        if ca != cb and gap <= separation_factor * max_linewidth:
+        if ca != cb and gap <= SEPARATION_FACTOR * max_linewidth:
             report.warnings.append(
                 f"RWA separation violated on coupling[{i}]: band gap "
-                f"{gap:.3e} rad/s vs {separation_factor:g} x max linewidth "
+                f"{gap:.3e} rad/s vs {SEPARATION_FACTOR:g} x max linewidth "
                 f"{max_linewidth:.3e} rad/s"
             )
 
@@ -473,10 +468,7 @@ def _slot_pairs(index: int, count: int) -> tuple[int, int]:
     return index, index + count
 
 
-def assemble_dynamics(
-    model: TransducerModel,
-    separation_factor: float = DEFAULT_SEPARATION_FACTOR,
-) -> DoubledDynamics:
+def assemble_dynamics(model: TransducerModel) -> DoubledDynamics:
     """Build the doubled-basis dynamical matrices of a validated model.
 
     The assembly is deterministic: identical models produce bit-identical
@@ -494,7 +486,7 @@ def assemble_dynamics(
         If the dynamical matrix has an eigenvalue with positive real part
         (beyond numerical tolerance).
     """
-    report = validate_model(model, separation_factor=separation_factor)
+    report = validate_model(model)
     if not report.ok:
         raise ModelValidationError(
             "model failed validation: " + "; ".join(report.errors),

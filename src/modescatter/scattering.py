@@ -12,7 +12,8 @@ lower-sideband quantities are obtained from ``S`` at ``-omega`` (never by
 analytic continuation) and reading the creation-block coefficients. Since
 the doubled basis is particle-hole symmetric, ``S(-omega)`` is the
 conjugate of ``S(omega)`` with annihilation and creation slots swapped;
-:func:`spectrum_sweep` uses this to solve once per frequency.
+:func:`spectrum_sweep` uses this to solve once per frequency, and refuses
+dynamics without that symmetry.
 
 One kernel evaluates the resolvent for every entry point: it inverts
 ``i*omega + M`` once per signed frequency, a block of frequencies at a
@@ -251,8 +252,10 @@ class SpectrumGrid:
     ``CONDITION_LIMIT``, and elsewhere the upper bound
     ``d * |A|_1 * |A^-1|_1``, ``d`` times the exact 1-norm condition. The
     1-norms are the largest column sums of ``|A|`` and of the ``|A^-1|``
-    the kernel forms anyway, each column summed row by row. A point fails
-    where the condition exceeds ``CONDITION_LIMIT`` at either sign.
+    the kernel forms anyway, each column summed row by row. The sweep
+    takes particle-hole symmetric dynamics only, whose two resolvents have
+    the same singular values, so both rows hold the value at ``+omegas[i]``.
+    A point fails where it exceeds ``CONDITION_LIMIT``.
     """
 
     def __init__(
@@ -774,6 +777,19 @@ def _check_grid(omegas: NDArray[np.float64]) -> None:
         raise ConfigurationError("frequency grid must be strictly ascending")
 
 
+def _mirror(x: NDArray[np.complex128], ndim: int = 2) -> NDArray[np.complex128]:
+    """Conjugate ``x`` and swap the two halves of each of its last ``ndim`` axes.
+
+    On a doubled matrix, or a stack of them, this is ``P conj(x) Q``, ``P``
+    and ``Q`` swapping the halves of its rows and of its columns; on a
+    stack of rows of S, with ``ndim=1``, it swaps the halves of each row.
+    """
+    # Indices -h..h-1 along a doubled axis of length 2h read its second
+    # half, then its first.
+    swaps = [np.arange(-(n // 2), n // 2) for n in x.shape[-ndim:]]
+    return x.conj()[(..., *np.ix_(*swaps))]
+
+
 def _particle_hole_symmetric(dyn: DoubledDynamics) -> bool:
     """True when ``M = P conj(M) P``, ``G = P conj(G) Q`` and ``G' = Q conj(G') P``.
 
@@ -781,14 +797,9 @@ def _particle_hole_symmetric(dyn: DoubledDynamics) -> bool:
     and port slots. :func:`modescatter.network.assemble_dynamics` builds
     every model this way, bit for bit; then ``S(-omega) = Q conj(S(omega)) Q``.
     """
-    n, p = dyn.n_modes, dyn.n_ports
-    swap_b = np.r_[n : 2 * n, :n]
-    swap_a = np.r_[p : 2 * p, :p]
-    m, g, g_out = dyn.dyn_matrix, dyn.in_coupling, dyn.out_coupling
-    return (
-        np.array_equal(m, m[np.ix_(swap_b, swap_b)].conj())
-        and np.array_equal(g, g[np.ix_(swap_b, swap_a)].conj())
-        and np.array_equal(g_out, g_out[np.ix_(swap_a, swap_b)].conj())
+    return all(
+        np.array_equal(x, _mirror(x))
+        for x in (dyn.dyn_matrix, dyn.in_coupling, dyn.out_coupling)
     )
 
 
@@ -847,13 +858,15 @@ def spectrum_sweep(
     """Vectorized spectra over an ascending positive frequency grid.
 
     The grid is walked in fixed blocks of positive frequencies, and each
-    block is solved once, at ``+omega``. For dynamics with exact
-    particle-hole symmetry (every model built by
-    :func:`modescatter.network.assemble_dynamics`),
+    block is solved once, at ``+omega``. The dynamics must have exact
+    particle-hole symmetry, as every model built by
+    :func:`modescatter.network.assemble_dynamics` has: then
     ``S(-omega) = Q conj(S(omega)) Q`` with ``Q`` swapping the annihilation
     and creation port slots, so the lower-sideband exit row is read from
     the upper solve: the conjugate of row ``exit + n_ports`` with its
-    halves swapped. Other dynamics get a second solve at ``-omega``. The
+    halves swapped. Hand-built dynamics without the symmetry are refused
+    before any solve; :func:`transfer_pair` solves ``-omega`` for them,
+    and :func:`consistency_checks` reports how far they are from it. The
     block loop keeps only the solve, its screen, the exit rows (formed as
     ``(G'_rows A^-1) G`` by :func:`_s_rows`, written once, NaN only where
     a point failed) and the symplectic residual; a block whose points all
@@ -865,9 +878,9 @@ def spectrum_sweep(
 
     A point is near-singular when the 2-norm condition of its resolvent
     exceeds ``CONDITION_LIMIT`` (1e12), screened by the exact 1-norm
-    condition ``d * |A|_1 * |A^-1|_1`` (see ``SpectrumGrid.cond``); with
-    the mirror both sidebands share that one condition number, as the two
-    resolvents have the same singular values. Such points are recorded in
+    condition ``d * |A|_1 * |A^-1|_1`` (see ``SpectrumGrid.cond``); both
+    sidebands share that one condition number, as the two resolvents have
+    the same singular values. Such points are recorded in
     ``failures`` and hold NaN in every output array; all other points are
     computed normally. The condition number or bound of every point is
     kept as ``cond``.
@@ -880,7 +893,7 @@ def spectrum_sweep(
     Parameters
     ----------
     dyn:
-        Assembled dynamics.
+        Assembled dynamics, or any with exact particle-hole symmetry.
     env:
         Per-port occupancy evaluators for the noise spectra. Every port
         needs one, which is checked here even though the occupancies are
@@ -897,6 +910,12 @@ def spectrum_sweep(
         every other output is bit-identical. ``fom --app counting|entangle``
         and the entanglement objectives of :mod:`modescatter.optimize` never
         read the residual and turn it off; ``spectra`` prints it.
+
+    Raises
+    ------
+    ConfigurationError
+        For a bad grid, an unknown exit port, a port without an occupancy,
+        or dynamics without exact particle-hole symmetry.
     """
     grid = np.asarray(omegas, dtype=np.float64)
     _check_grid(grid)
@@ -907,9 +926,12 @@ def spectrum_sweep(
     # is bad input whatever the caller reads.
     for info in dyn.ports:
         env._entry(info.name)
+    if not _particle_hole_symmetric(dyn):
+        raise ConfigurationError(
+            "spectrum_sweep needs particle-hole symmetric dynamics, as "
+            "assemble_dynamics builds them; use transfer_pair for these"
+        )
     centers = np.array([[info.band_center] for info in dyn.ports])
-    mirrored = _particle_hole_symmetric(dyn)
-    eye = np.eye(2 * p)
     pick = [exit_col, exit_col + p]
     # Rows of S formed per block: all of them for the symplectic residual,
     # otherwise only exit and exit + n_ports; ``at`` finds those two.
@@ -917,11 +939,10 @@ def spectrum_sweep(
         formed, at = list(range(2 * p)), pick
     else:
         formed, at = pick, [0, 1]
-    eye_rows, g_rows = eye[formed, None, :], dyn.out_coupling[formed]
-    g_pick = dyn.out_coupling[pick]
+    eye_rows, g_rows = np.eye(2 * p)[formed, None, :], dyn.out_coupling[formed]
 
     # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
-    good = np.empty((2, m), dtype=bool)
+    good = np.empty(m, dtype=bool)
     cond = np.empty((2, m))
     symp = np.full(m, np.nan) if symplectic else None
     all_rows = np.empty((2, m, 2 * p), dtype=np.complex128)
@@ -929,8 +950,8 @@ def spectrum_sweep(
     for lo in range(0, m, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         w = grid[block]
-        inv, good[0, block], cond[0, block] = _solve_block(dyn, w)
-        ok = _good_index(good[0, block])
+        inv, good[block], cond[0, block] = _solve_block(dyn, w)
+        ok = _good_index(good[block])
         # Rows exit and exit + n_ports of S on the upper sideband serve its
         # exit row and the mirrored lower row.
         s_rows = _s_rows(g_rows, inv[ok], dyn.in_coupling)
@@ -943,31 +964,22 @@ def spectrum_sweep(
             )
         rows = all_rows[:, block]
         rows[0, ok] = s_rows[at[0]]
-        if mirrored:
-            good[1, block], cond[1, block] = good[0, block], cond[0, block]
-            mirror = s_rows[at[1]].conj()
-            rows[1, ok, :p], rows[1, ok, p:] = mirror[:, p:], mirror[:, :p]
-        else:
-            inv_dn, good[1, block], cond[1, block] = _solve_block(dyn, -w)
-            ok_dn = _good_index(good[1, block])
-            rows[1, ok_dn] = eye[exit_col] + _s_rows(
-                g_pick, inv_dn[ok_dn], dyn.in_coupling
-            )[0]
-        rows[~good[:, block]] = np.nan
+        rows[1, ok] = _mirror(s_rows[at[1]], ndim=1)
+        rows[:, ~good[block]] = np.nan
+    # Both resolvents have the same singular values.
+    cond[1] = cond[0]
 
-    failures: list[SweepFailure] = []
-    for i in np.nonzero(~(good[0] & good[1]))[0]:
-        worst = cond[0, i] if not good[0, i] else cond[1, i]
-        failures.append(
-            SweepFailure(
-                index=int(i),
-                omega=float(grid[i]),
-                message=(
-                    f"resolvent is near-singular at omega=+-{grid[i]:.9e} rad/s "
-                    f"(condition estimate {worst:.3e})"
-                ),
-            )
+    failures = [
+        SweepFailure(
+            index=int(i),
+            omega=float(grid[i]),
+            message=(
+                f"resolvent is near-singular at omega=+-{grid[i]:.9e} rad/s "
+                f"(condition estimate {cond[0, i]:.3e})"
+            ),
         )
+        for i in np.nonzero(~good)[0]
+    ]
 
     return SpectrumGrid(
         omegas=grid,
@@ -987,7 +999,7 @@ def consistency_checks(
     S is formed for the whole model in one resolvent block, at every
     ``+omega`` and every ``-omega`` of the positive probes ``omegas``.
     S(-omega) is solved independently, never mirrored from S(+omega), so
-    ``particle_hole`` checks the symmetry :func:`spectrum_sweep` relies on.
+    ``particle_hole`` checks the symmetry :func:`spectrum_sweep` requires.
     A probe where either sign is near-singular is left out and counted in
     ``skipped``. Over the other probes the result holds the worst
 
@@ -1018,8 +1030,6 @@ def consistency_checks(
     centers = np.array([info.band_center for info in dyn.ports])
     _, _, mask_u, mask_v = _slots(signed[both][:, None], centers)
     slots = np.concatenate([mask_u[:n], mask_v[:n]], axis=1)
-    # Q as an index: -p..-1 are the creation slots p..2p-1.
-    swap = np.arange(-p, p)
     exit_col = dyn.port_index[dyn.exit_port]
     rows = s[:, exit_col]
     physical = mask_u[:, exit_col]
@@ -1031,7 +1041,7 @@ def consistency_checks(
     abs_v = np.hypot(v.real, v.imag) ** 2
     residuals = {
         "unitarity": _masked_symplectic(s_up, dyn.metric, slots),
-        "particle_hole": np.abs(s_dn - s_up.conj()[:, swap[:, None], swap]),
+        "particle_hole": np.abs(s_dn - _mirror(s_up)),
         "sum_rule": _flux_balance(abs_u.T, abs_v.T),
     }
     worst = {key: float(np.max(r, initial=0.0)) for key, r in residuals.items()}

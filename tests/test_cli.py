@@ -536,6 +536,26 @@ def test_validate_prints_readme_lines(
         assert line in out
 
 
+def test_spectra_prints_readme_lines(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The README's spectra example on the model file of its "Model files"
+    # section: the header, and the first row up to the README's "...".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    model = tmp_path / "converter.json"
+    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    command, header, first, rest = re.search(
+        r"```sh\n\$ modescatter (spectra .*?)\n```", readme, re.S
+    ).group(1).splitlines()
+    assert rest == "..." and first.endswith(",...")
+    argv = [str(model) if a == "converter.json" else a for a in command.split()]
+    code = main(argv)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == header
+    assert out[1].startswith(first[: -len("...")])
+
+
 def test_validate_model_file_with_ensemble(
     converter_path: str, capsys: pytest.CaptureFixture[str]
 ) -> None:
@@ -1064,8 +1084,9 @@ def test_optimize_rejects_negative_or_nan_tolerance(
 
 def test_optimize_all_infeasible_prints_only_the_error() -> None:
     # Every candidate is infeasible, so whole simplices carry the inf
-    # sentinel and SciPy's convergence test subtracts inf from inf. The
-    # console must show the error line and nothing else.
+    # sentinel and the convergence test of optimize._nelder_mead subtracts
+    # inf from inf under its np.errstate(invalid="ignore"). The console
+    # must show the error line and nothing else.
     src = str(Path(__file__).resolve().parents[1] / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     env = {k: v for k, v in os.environ.items() if k != "PYTHONWARNINGS"}

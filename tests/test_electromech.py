@@ -10,7 +10,9 @@ import pytest
 from modescatter import (
     ConfigurationError,
     DomainError,
+    DoubledDynamics,
     ElectromechParams,
+    NearSingularError,
     NoiseEnvironment,
     ValidityWarning,
     assemble_dynamics,
@@ -24,11 +26,11 @@ from modescatter import (
     peak_eta_formula,
     peak_noise,
     peak_noise_formula,
-    row_scale_calibration,
     scattering_matrix,
     susceptibilities,
     transfer_row,
 )
+from modescatter import scattering
 from modescatter.cli import main
 from modescatter.electromech import _golden_max
 from modescatter.modelfile import electromech_params, get_builtin
@@ -144,13 +146,6 @@ def test_closed_form_row_requires_positive_frequency() -> None:
         closed_form_row(ElectromechParams(), -1.0e6)
 
 
-def test_row_scale_calibration_is_unity() -> None:
-    p = ElectromechParams()
-    omegas = p.omega_m * np.array([0.8, 1.0, 1.2])
-    c = row_scale_calibration(p, omegas)
-    assert abs(c - 1.0) < 1e-10
-
-
 @pytest.mark.parametrize(
     "overrides", [{}, {"g": 8.0e4, "t_m": 0.0}], ids=["defaults", "override"]
 )
@@ -214,6 +209,24 @@ def test_located_peak_of_a_narrow_line_at_high_frequency() -> None:
     estimate = locate_peak(p)
     assert estimate.eta == pytest.approx(peak_eta(p), rel=1e-9)
     assert estimate.noise == pytest.approx(peak_noise(p), rel=1e-9)
+
+
+def test_located_peak_refuses_a_failed_scan_point(
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # A coarse point the sweep records as failed holds NaN, which np.argmax
+    # would pick; the search must raise instead of refining around it.
+    solve_block = scattering._solve_block
+
+    def fail_one(dyn: DoubledDynamics, omegas: np.ndarray) -> tuple:
+        inv, good, cond = solve_block(dyn, omegas)
+        if omegas.size > 2:
+            good[3], cond[3] = False, 2.0 * scattering.CONDITION_LIMIT
+        return inv, good, cond
+
+    monkeypatch.setattr(scattering, "_solve_block", fail_one)
+    with pytest.raises(NearSingularError, match="condition estimate 2.000e"):
+        locate_peak(ElectromechParams())
 
 
 def test_peak_noise_env_override_matches_temperatures() -> None:

@@ -244,9 +244,10 @@ def test_all_infeasible_raises_numerical_error() -> None:
 def test_objective_keeps_its_own_warnings_and_errstate(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # Only SciPy's own arithmetic on the infeasibility sentinel is
-    # silenced: the objective runs under the caller's np.errstate, and a
-    # RuntimeWarning it raises still reaches the caller.
+    # Only the simplex's own arithmetic on the infeasibility sentinel is
+    # silenced, by the np.errstate(invalid="ignore") that _nelder_mead sets
+    # around its convergence test: the objective runs under the caller's
+    # np.errstate, and a RuntimeWarning it raises still reaches the caller.
     seen: list[dict[str, str]] = []
 
     def figure(model, spec, values):  # type: ignore[no-untyped-def]

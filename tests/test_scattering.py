@@ -521,15 +521,20 @@ def test_spectrum_sweep_blocks_match_pointwise_evaluation(seed: int, points: int
 
 
 def _non_normal_singular_dynamics(omega0: float) -> DoubledDynamics:
-    """Resolvent singular at omega0 whose 2-norm condition is twice its 1-norm one.
+    """Resolvent singular at omega0 whose 2-norm condition exceeds its 1-norm one.
 
-    The null direction is a unit vector on the right and spread evenly on
-    the left, so a screen on the 1-norm condition alone misses points.
+    The null direction of the annihilation block is a unit vector on the
+    right and spread evenly on the left, so a screen on the 1-norm
+    condition alone misses points. The creation block is its conjugate,
+    which keeps the particle-hole symmetry the sweep requires.
     """
     dyn = assemble_dynamics(two_mode_converter())
-    m = -(1.0e5 + 1j * omega0) * np.eye(dyn.dimension)
-    m[0, 0] = -1j * omega0
-    m[0, 1:] = -1.0e5
+    n = dyn.n_modes
+    a = -(1.0e5 + 1j * omega0) * np.eye(n)
+    a[0, 0] = -1j * omega0
+    a[0, 1:] = -1.0e5
+    m = np.zeros_like(dyn.dyn_matrix)
+    m[:n, :n], m[n:, n:] = a, a.conj()
     return dataclasses.replace(dyn, dyn_matrix=m)
 
 
@@ -645,37 +650,35 @@ def test_solve_block_matches_pointwise_solve(
         assert flagged == 0 and good.all()
 
 
-@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "solved"])
-def test_spectrum_sweep_keeps_the_condition_of_each_resolvent(mirrored: bool) -> None:
-    # Without particle-hole symmetry the lower sideband has its own solve.
-    if mirrored:
-        dyn = assemble_dynamics(near_singular_model(2.0e6, 1.0e5))
-    else:
-        dyn = _asymmetric_squeezer()
+# The ids name the one lower-sideband path of the sweep: the mirror of the
+# upper solve.
+@pytest.mark.parametrize("model", [near_singular_model(2.0e6, 1.0e5)], ids=["mirrored"])
+def test_spectrum_sweep_keeps_the_condition_of_each_resolvent(
+    model: TransducerModel,
+) -> None:
+    dyn = assemble_dynamics(model)
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = np.sort(_approach(TAU * 2.0e6)[:80])
     grid = spectrum_sweep(dyn, env, omegas)
     assert grid.cond is not None and grid.cond.shape == (2, omegas.size)
-    eye = np.eye(dyn.dimension)
     # The mirror gives the lower sideband the condition of the upper
     # resolvent, which has the same singular values.
-    for side, signed in enumerate((omegas, omegas if mirrored else -omegas)):
-        cond_2 = np.linalg.cond(1j * signed[:, None, None] * eye + dyn.dyn_matrix)
-        exact = grid.cond[side] > 0.5 * CONDITION_LIMIT
-        np.testing.assert_allclose(grid.cond[side, exact], cond_2[exact], rtol=1e-14)
-        assert np.all(cond_2[~exact] <= grid.cond[side, ~exact] * (1.0 + 1e-14))
-    failed = np.any(grid.cond > CONDITION_LIMIT, axis=0)
+    assert grid.cond[1].tobytes() == grid.cond[0].tobytes()
+    cond_2 = np.linalg.cond(1j * omegas[:, None, None] * np.eye(dyn.dimension) + dyn.dyn_matrix)
+    exact = grid.cond[0] > 0.5 * CONDITION_LIMIT
+    np.testing.assert_allclose(grid.cond[0, exact], cond_2[exact], rtol=1e-14)
+    assert np.all(cond_2[~exact] <= grid.cond[0, ~exact] * (1.0 + 1e-14))
+    failed = grid.cond[0] > CONDITION_LIMIT
     assert [f.index for f in grid.failures] == np.nonzero(failed)[0].tolist()
 
 
-@pytest.mark.parametrize("points", [1, 2, _BLOCK + 40], ids=["1-point", "2-point", "block+40"])
-@pytest.mark.parametrize("mirrored", [True, False], ids=["mirrored", "solved"])
-def test_spectrum_sweep_condition_bound_is_the_one_norm_product(
-    mirrored: bool, points: int
-) -> None:
+@pytest.mark.parametrize(
+    "points", [1, 2, _BLOCK + 40], ids=["mirrored-1-point", "mirrored-2-point", "mirrored-block+40"]
+)
+def test_spectrum_sweep_condition_bound_is_the_one_norm_product(points: int) -> None:
     # Where the 1-norm screen rules out failure, cond holds its bound
     # d * |A|_1 * |A^-1|_1 itself, not some looser number.
-    dyn = assemble_dynamics(near_singular_model(2.0e6, 1.0e5)) if mirrored else _asymmetric_squeezer()
+    dyn = assemble_dynamics(near_singular_model(2.0e6, 1.0e5))
     env = NoiseEnvironment.from_dynamics(dyn)
     omegas = np.array([TAU * 1.0e6, TAU * 3.0e6])[:points]
     if points > 2:
@@ -683,30 +686,33 @@ def test_spectrum_sweep_condition_bound_is_the_one_norm_product(
         omegas = np.unique(np.concatenate([np.linspace(TAU * 1.0e5, TAU * 1.0e7, _BLOCK), _approach(TAU * 2.0e6)[:40]]))
     grid = spectrum_sweep(dyn, env, omegas)
     assert grid.cond is not None
-    eye = np.eye(dyn.dimension)
-    for side, signed in enumerate((omegas, omegas if mirrored else -omegas)):
-        a = 1j * signed[:, None, None] * eye + dyn.dyn_matrix
-        bound = (
-            dyn.dimension
-            * np.linalg.norm(a, 1, axis=(1, 2))
-            * np.linalg.norm(np.linalg.inv(a), 1, axis=(1, 2))
-        )
-        screened = bound <= 0.5 * CONDITION_LIMIT
-        assert screened.sum() >= min(points, _BLOCK)
-        np.testing.assert_allclose(grid.cond[side, screened], bound[screened], rtol=1e-14)
-        # Elsewhere the screen gave way to the exact 2-norm condition.
-        cond_2 = np.linalg.cond(a[~screened])
-        np.testing.assert_allclose(grid.cond[side, ~screened], cond_2, rtol=1e-14)
+    a = 1j * omegas[:, None, None] * np.eye(dyn.dimension) + dyn.dyn_matrix
+    bound = (
+        dyn.dimension
+        * np.linalg.norm(a, 1, axis=(1, 2))
+        * np.linalg.norm(np.linalg.inv(a), 1, axis=(1, 2))
+    )
+    screened = bound <= 0.5 * CONDITION_LIMIT
+    assert screened.sum() >= min(points, _BLOCK)
+    # Elsewhere the screen gave way to the exact 2-norm condition.
+    cond_2 = np.linalg.cond(a[~screened])
+    # Both sidebands hold the condition of the upper resolvent.
+    for row in grid.cond:
+        np.testing.assert_allclose(row[screened], bound[screened], rtol=1e-14)
+        np.testing.assert_allclose(row[~screened], cond_2, rtol=1e-14)
 
 
 def test_exactly_singular_resolvent_is_reported() -> None:
     # A resolvent with an exactly zero row at omega0: the LU solve itself
-    # fails, and that block falls back to the condition-first screen.
+    # fails, and that block falls back to the condition-first screen. The
+    # creation row of the same mode mirrors it, which keeps the particle-hole
+    # symmetry the sweep requires.
     dyn = assemble_dynamics(two_mode_converter())
     omega0 = 2.0**22
+    n = dyn.n_modes
     singular = dyn.dyn_matrix.copy()
-    singular[0, :] = 0.0
-    singular[0, 0] = -1j * omega0
+    singular[[0, n], :] = 0.0
+    singular[0, 0], singular[n, n] = -1j * omega0, 1j * omega0
     dyn = dataclasses.replace(dyn, dyn_matrix=singular)
     a = 1j * omega0 * np.eye(dyn.dimension) + dyn.dyn_matrix
     with pytest.raises(np.linalg.LinAlgError):
@@ -744,6 +750,7 @@ def test_assembled_dynamics_are_particle_hole_symmetric(seed: int) -> None:
     assert np.array_equal(m, m[np.ix_(swap_b, swap_b)].conj())
     assert np.array_equal(g, g[np.ix_(swap_b, swap_a)].conj())
     assert np.array_equal(g_out, g_out[np.ix_(swap_a, swap_b)].conj())
+    assert scattering._particle_hole_symmetric(dyn)
 
 
 def _assert_sweep_matches_transfer_pair(
@@ -871,7 +878,7 @@ def test_sweep_matches_fifty_digit_reference(seed: int) -> None:
 def _asymmetric_squeezer() -> DoubledDynamics:
     """A squeezing converter, which has a lower-sideband signal path, with
     only the annihilation slot of a mode detuned: not particle-hole
-    symmetric, so the sweep solves at -omega instead of mirroring.
+    symmetric, so the sweep refuses it.
     """
     model = two_mode_converter()
     pump = Drive("pump", sum(band.center_frequency for band in model.bands))
@@ -883,64 +890,18 @@ def _asymmetric_squeezer() -> DoubledDynamics:
     return dataclasses.replace(dyn, dyn_matrix=m)
 
 
-def test_asymmetric_dynamics_solve_the_lower_sideband(
+def test_sweep_refuses_asymmetric_dynamics_before_solving(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
-    # A squeezing converter has a lower-sideband signal path. Detuning only
-    # the annihilation slot of a mode breaks particle-hole symmetry; the
-    # sweep must then solve at -omega instead of mirroring.
+    # Mirroring the upper solve would give this squeezer a wrong lower
+    # sideband, so the sweep raises before any solve.
     dyn = _asymmetric_squeezer()
-    env = NoiseEnvironment.constant({info.name: 0.3 for info in dyn.ports})
-    omegas = np.linspace(TAU * 1.0e5, TAU * 3.0e6, 23)
-    _assert_sweep_matches_transfer_pair(dyn, env, omegas)
-
-    # The mirror of the upper solve would be wrong here, by far more than
-    # the tolerance above.
-    mirrored = np.array(
-        [abs(scattering_matrix(dyn, float(w)).matrix[3, 0]) ** 2 for w in omegas]
-    )
-    grid = spectrum_sweep(dyn, env, omegas)
-    assert np.max(np.abs(grid.eta_dn - mirrored) / grid.eta_dn) > 1e-3
-
+    env = NoiseEnvironment.from_dynamics(dyn)
     calls = []
-    solve_block = scattering._solve_block
-    monkeypatch.setattr(
-        scattering, "_solve_block", lambda d, w: calls.append(w.size) or solve_block(d, w)
-    )
-    spectrum_sweep(dyn, env, omegas)
-    assert calls == [omegas.size, omegas.size]
-
-
-def test_solved_lower_sideband_equals_transfer_pair_bit_for_bit() -> None:
-    # Without particle-hole symmetry the sweep solves at -omega. Its exit
-    # rows there must carry the bits of transfer_pair's, which form them
-    # from the two rows exit and exit + n_ports of G'; a one-row product
-    # takes NumPy's matrix-vector path and moves last bits (here on wide
-    # models whose exit is a lab-quadrature port, seeds 29 and 67).
-    for seed in range(90):
-        rng = np.random.default_rng(seed)
-        if seed % 2:
-            dyn = assemble_dynamics(wide_model(rng))
-            omegas = np.geomspace(1.0e3, 1.0e7, 40)
-        else:
-            dyn = assemble_dynamics(random_stable_model(rng, n_modes=5))
-            omegas = np.geomspace(1.0e3, 1.0e9, 40)
-        m = dyn.dyn_matrix.copy()
-        m[0, 0] -= 1j * rng.uniform(0.05, 0.3) * abs(m[0, 0].real + 1.0)
-        dyn = dataclasses.replace(dyn, dyn_matrix=m)
-        assert not scattering._particle_hole_symmetric(dyn)
-        env = NoiseEnvironment.constant({info.name: 0.3 for info in dyn.ports})
-        grid = spectrum_sweep(dyn, env, omegas, symplectic=False)
-        assert grid.rows_up is not None and grid.rows_dn is not None
-        failed = {f.index for f in grid.failures}
-        for i, omega in enumerate(omegas.tolist()):
-            if i in failed:
-                continue
-            pair = transfer_pair(dyn, omega)
-            for stored, row in zip((grid.rows_up[i], grid.rows_dn[i]), pair):
-                assert stored is not None
-                assert stored.u_coeffs == row.u_coeffs, (seed, omega)
-                assert stored.v_coeffs == row.v_coeffs, (seed, omega)
+    monkeypatch.setattr(scattering, "_solve_block", lambda d, w: calls.append(w))
+    with pytest.raises(ConfigurationError, match="particle-hole symmetric"):
+        spectrum_sweep(dyn, env, np.linspace(TAU * 1.0e5, TAU * 3.0e6, 23))
+    assert calls == []
 
 
 def _sweep_case(
@@ -951,17 +912,15 @@ def _sweep_case(
     if case == "electromech":
         dyn = assemble_dynamics(get_builtin("electromech"))
         return dyn, np.linspace(TAU * 4.0e6, TAU * 6.0e6, points)
-    if case == "near-singular":
-        # The singular point omega = delta is always on the grid.
-        dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
-        omegas = np.linspace(TAU * 1.0e6, TAU * 3.0e6, points)
-        return dyn, np.union1d(omegas, [TAU * 2.0e6])
-    return _asymmetric_squeezer(), np.linspace(TAU * 1.0e5, TAU * 3.0e6, points)
+    # Near-singular: the singular point omega = delta is always on the grid.
+    dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
+    omegas = np.linspace(TAU * 1.0e6, TAU * 3.0e6, points)
+    return dyn, np.union1d(omegas, [TAU * 2.0e6])
 
 
 @settings(max_examples=24, deadline=None, derandomize=True)
 @given(
-    case=st.sampled_from(["wide", "electromech", "near-singular", "asymmetric"]),
+    case=st.sampled_from(["wide", "electromech", "near-singular"]),
     seed=st.integers(0, 2**32 - 1),
     points=st.integers(1, _BLOCK + 40),
 )
