@@ -99,7 +99,7 @@ from .scattering import (
     transfer_row,
 )
 
-__version__ = "0.2.0"
+__version__ = "0.3.0"
 
 # Every public name imported above, and the version; submodules are not part
 # of the star-import surface.

@@ -28,11 +28,13 @@ Populations are labeled by the emitter configuration of the first round
 evaluates closed-form branch weights; ``protocol_enumerate`` walks the full
 microscopic outcome tree and serves as the independent oracle;
 ``protocol_montecarlo`` samples it stochastically, each trial drawing only
-the events its outcome depends on: every event is an exact Bernoulli draw,
-an emitter gets one detection draw per trial (in the two-click scheme it
-emits in exactly one of the two rounds), the arm of the detected photons is
-a fair random bit, and rare dark clicks are placed by position, so they
-cost in proportion to their number.
+the events its outcome depends on: every event is a Bernoulli draw exact to
+2^-61, an emitter gets one detection draw per trial (in the two-click scheme
+it emits in exactly one of the two rounds), a threshold event reads one
+random byte per trial and a double only where the byte ties with the
+threshold, the arm of the detected photons is a fair random bit, and rare
+dark clicks are placed by position, so they cost in proportion to their
+number.
 """
 
 from __future__ import annotations
@@ -61,10 +63,11 @@ _MC_CHUNK = 1 << 18
 _MC_FLAGS = 12
 
 #: A dark click rarer than this, or whose complement is, is sampled by
-#: position (see :func:`_bernoulli`); any other by one uniform per trial.
-#: The two ways cost the same near p = 0.2 on a 200000-trial row (0.48 and
-#: 0.50 ms, fastest of 40 alternating calls, 2-vCPU VM); at p = 0.1 the
-#: positions take half the time of a dense draw and at p = 0.01 a tenth.
+#: position (see :func:`_bernoulli`); any other by one byte per trial (see
+#: :func:`_below`). On a 200000-trial row the byte draw takes about 0.12 ms
+#: at any p, and the positions 0.37 ms at p = 0.2, 0.20 ms at p = 0.1,
+#: 0.11 ms at p = 0.05 and 0.065 ms at p = 0.03 (fastest of 40 alternating
+#: calls, 2-vCPU VM): the cost crossover sits near p = 0.05, below this cutoff.
 _SPARSE_BELOW = 0.2
 
 #: Most uniforms one batch of geometric gaps draws. Its 64 KB of positions
@@ -387,23 +390,72 @@ def protocol_enumerate(spec: ProtocolSpec) -> ProtocolResult:
     )
 
 
+def _below(
+    rng: np.random.Generator,
+    thresholds: tuple[float, ...],
+    outs: tuple[np.ndarray, ...],
+    u: np.ndarray,
+) -> None:
+    """Set each boolean row ``outs[k]`` to ``U < thresholds[k]``, one ``U`` per trial.
+
+    The thresholds lie in [0, 1] and the rows are equally long; ``u`` is
+    double scratch of at least that length. Trial ``i`` reads byte ``i`` of
+    little-endian full-range 64-bit ``integers`` words (8 trials per
+    word) as ``B`` and stands for the uniform ``U = (B + V) / 256``. With
+    ``c = floor(256 t)``, ``U < t`` is ``B < c``, or ``B == c`` and
+    ``V < 256 t - c``, so ``V`` is drawn (one ``Generator.random`` double
+    per trial, in trial order) only for trials tied with a threshold that
+    is not a multiple of 1/256. A trial's one ``U`` serves all its
+    thresholds, so flags of nested thresholds nest exactly, and each flag
+    is Bernoulli(``t``) to within 2^-61.
+    """
+    n = outs[0].size
+    words = rng.integers(0, 1 << 64, size=-(-n // 8), dtype=np.uint64)
+    octets = words.astype("<u8", copy=False).view(np.uint8)[:n]
+    ties = []  # (c, 256 t - c, row) of thresholds that need V on ties
+    for t, out in zip(thresholds, outs):
+        scaled = 256.0 * t
+        c = int(scaled)
+        if c > 255:  # t = 1; no byte is compared with 256, outside its range
+            out.fill(True)
+            continue
+        np.less(octets, c, out=out)
+        if scaled > c:
+            ties.append((c, scaled - c, out))
+    if not ties:
+        return
+    # The tie masks live in the front bytes of u, so no row-long temporary
+    # is allocated; V overwrites them once the tied trials are listed.
+    tied, level = u.view(np.bool_)[: 2 * n].reshape(2, n)
+    np.equal(octets, ties[0][0], out=tied)
+    for c, _, _ in ties[1:]:
+        tied |= np.equal(octets, c, out=level)
+    at = np.flatnonzero(tied)
+    v = rng.random(out=u[: at.size])
+    b = octets[at]
+    for c, frac, out in ties:
+        out[at] = (b < c) | ((b == c) & (v < frac))
+
+
 def _bernoulli(
     rng: np.random.Generator, p: float, u: np.ndarray, out: np.ndarray
 ) -> np.ndarray:
     """Fill ``out`` with independent Bernoulli(``p``) flags; ``u`` is scratch.
 
     An event at least :data:`_SPARSE_BELOW` likely, with a complement at
-    least as likely, is ``rng.random(out=u) < p``. A rarer one (or one with
-    a rarer complement) is placed by position on a constant background: the
-    gap before each rare outcome is geometric,
-    ``floor(log(1 - U) / log(1 - rare))`` trials for a uniform ``U``. The
-    gaps are drawn into the front of ``u`` in batches sized to the expected
-    remaining count (at most :data:`_GAP_BATCH`) until they pass the end of
-    the row, so their cost scales with ``n rare``, not ``n``.
+    least as likely, is ``U < p`` for one uniform per trial drawn by
+    :func:`_below`. A rarer one (or one with a rarer complement) is placed
+    by position on a constant background: the gap before each rare outcome
+    is geometric, ``floor(log(1 - U) / log(1 - rare))`` trials for a
+    uniform ``U``. The gaps are drawn into the front of ``u`` in batches
+    sized to the expected remaining count (at most :data:`_GAP_BATCH`)
+    until they pass the end of the row, so their cost scales with
+    ``n rare``, not ``n``.
     """
     rare = min(p, 1.0 - p)
     if rare >= _SPARSE_BELOW:
-        return np.less(rng.random(out=u), p, out=out)
+        _below(rng, (p,), (out,), u)
+        return out
     out.fill(rare != p)
     n = out.size
     end = -1  # position of the last rare outcome so far
@@ -456,16 +508,17 @@ def _mc_emitter(
     the two rounds, so a single Bernoulli(``eta``) draw ``D`` serves both:
     ``det1 = emit & D`` and ``det2 = ~emit & D``.
 
-    One uniform per trial decides all three flags, exactly for every
-    ``p_e`` and ``eta`` in [0, 1]: ``[0, p_e eta)`` emits and is detected,
-    ``[p_e eta, p_e)`` emits and is lost, and of the idle rest,
-    ``[1 - (1 - p_e) eta, 1)`` is detected in round 2.
+    One uniform ``U`` per trial, from :func:`_below`, decides all three
+    flags for every ``p_e`` and ``eta`` in [0, 1]: ``[0, p_e eta)`` emits
+    and is detected, ``[p_e eta, p_e)`` emits and is lost, and of the idle
+    rest, ``[1 - (1 - p_e) eta, 1)`` is detected in round 2.
     """
-    rng.random(out=u)
-    np.less(u, p_e, out=emit)
-    np.less(u, p_e * eta, out=det1)
-    if det2 is not None:
-        np.greater_equal(u, max(p_e, 1.0 - (1.0 - p_e) * eta), out=det2)
+    if det2 is None:
+        _below(rng, (p_e, p_e * eta), (emit, det1), u)
+        return
+    start2 = max(p_e, 1.0 - (1.0 - p_e) * eta)  # det2 is U >= start2
+    _below(rng, (p_e, p_e * eta, start2), (emit, det1, det2), u)
+    np.logical_not(det2, out=det2)
 
 
 def _mc_round(
@@ -506,14 +559,20 @@ def protocol_montecarlo(
 ) -> ProtocolResult:
     """Stochastic estimate of the heralded populations and fidelity.
 
-    Each trial samples the module's event rules with exact Bernoulli draws,
-    and draws only what its outcome depends on:
+    Each trial samples the module's event rules with Bernoulli draws exact
+    to 2^-61, and draws only what its outcome depends on:
 
     * each emitter's emission and its one detection draw share a single
-      uniform: ``[0, p_e eta)`` emits in round 1 and is detected,
+      uniform ``U``: ``[0, p_e eta)`` emits in round 1 and is detected,
       ``[p_e eta, p_e)`` emits and is lost, and in the two-click scheme
       ``[1 - (1 - p_e) eta, 1)`` emits after the flip and is detected
       (the emitter emits in exactly one of the two rounds);
+    * a uniform compared with thresholds (an emitter's, or a dark click
+      between 20% and 80% likely) is ``U = (B + V) / 256``: ``B`` is one
+      byte per trial, 8 trials per 64-bit ``integers`` word, and the
+      double ``V`` is drawn only for a trial whose byte equals
+      ``floor(256 t)`` for a threshold ``t`` that is not a multiple of
+      1/256, since every other comparison is decided by ``B`` alone;
     * the arm that a round's detected photons exit is a fair bit, 64 trials
       per 64-bit ``integers`` word;
     * a dark click rarer than 20%, or with a complement that rare, is
@@ -524,8 +583,10 @@ def protocol_montecarlo(
     Trials are simulated in fixed-size vectorized chunks, each driven by its
     own child of ``SeedSequence(seed)``, so results are bit-reproducible for
     a given ``(seed, trials)`` and independent of chunk scheduling. The
-    stream of a given seed changed in version 0.2.0, when this sampler
-    replaced one that drew a uniform per event per trial.
+    stream of a given seed changed in version 0.3.0, when the byte-plus-tie
+    rule above replaced one double per trial for each threshold uniform
+    (and in version 0.2.0, when this sampler replaced one that drew a
+    uniform per event per trial).
     Fidelity uses the per-trial overlap weights {0, 1/2, 1}; its standard
     error is the sample standard deviation of those weights over heralded
     trials, and the success probability carries a binomial standard error.
@@ -550,9 +611,10 @@ def protocol_montecarlo(
     weight_sq_sum = 0.0
     class_counts = {"00": 0, "psi_plus": 0, "01": 0, "10": 0, "11": 0}
 
-    # Scratch for every chunk, allocated once per call: the uniforms and
-    # the boolean rows every intermediate is written into (rounded up to
-    # whole 64-bit words of fair bits).
+    # Scratch for every chunk, allocated once per call: the doubles (tie
+    # refinements and geometric gaps, which fill only a short front part)
+    # and the boolean rows every intermediate is written into (rounded up
+    # to whole 64-bit words of fair bits).
     uniforms = np.empty(min(trials, _MC_CHUNK))
     flags = np.empty((_MC_FLAGS, -(-uniforms.size // 64) * 64), dtype=bool)
     done = 0

@@ -48,6 +48,7 @@ from .network import (
 from .scattering import (
     NoiseEnvironment,
     TransferRow,
+    _exit_rows,
     added_noise,
     eta,
     spectrum_sweep,
@@ -460,7 +461,8 @@ def locate_peak(
 
     Scans a window around the (back-action-shifted) mechanical resonance on
     257 points, in one :func:`spectrum_sweep`, then refines the best point's
-    two-step bracket by a golden-section search on :func:`transfer_pair`
+    two-step bracket by a golden-section search on the upper-sideband row
+    of :func:`transfer_pair` (solved alone, without ``-omega``)
     until the bracket is narrower than ``max(1e-9 * width, 1e-12)`` rad/s,
     ``width`` being the conversion linewidth. The window covers the
     expected spring shift plus several conversion linewidths, so the
@@ -485,7 +487,8 @@ def locate_peak(
     hi = p.omega_m + span
 
     def engine_eta(omega: float) -> float:
-        return eta(transfer_pair(dyn, omega)[0])
+        (row,) = _exit_rows(dyn, [omega])
+        return eta(row)
 
     coarse = np.linspace(lo, hi, 257)
     scan = spectrum_sweep(dyn, env, coarse, symplectic=False)
@@ -498,7 +501,7 @@ def locate_peak(
     omega_peak = _golden_max(
         engine_eta, float(a), float(b), max(width * 1e-9, 1e-12)
     )
-    row, _ = transfer_pair(dyn, omega_peak)
+    (row,) = _exit_rows(dyn, [omega_peak])
     return PeakEstimate(
         omega=omega_peak, eta=eta(row), noise=added_noise(row, env)
     )

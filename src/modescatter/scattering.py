@@ -646,9 +646,21 @@ def transfer_pair(
         raise DomainError(
             f"transfer_pair expects a positive finite frequency, got {omega!r}"
         )
+    up, dn = _exit_rows(dyn, [omega, -omega], exit_port)
+    return up, dn
+
+
+def _exit_rows(
+    dyn: DoubledDynamics, signed: list[float], exit_port: str | None = None
+) -> list[TransferRow]:
+    """Masked exit rows of S at the given signed frequencies, from one block solve.
+
+    Checks the exit port before solving, and raises the
+    :class:`NearSingularError` of the first near-singular frequency.
+    """
     name, col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
-    signed = np.array([omega, -omega], dtype=np.float64)
-    inv = _solve_regular(dyn, signed)
+    omegas = np.array(signed, dtype=np.float64)
+    inv = _solve_regular(dyn, omegas)
     # Rows exit and exit + n_ports of G' give the exit row with the bits of
     # S: a product of two rows takes the matrix path that forms S, where
     # one row would take NumPy's matrix-vector path and can move last bits.
@@ -657,8 +669,7 @@ def transfer_pair(
     eye_row = np.zeros(2 * p, dtype=np.complex128)
     eye_row[col] = 1.0
     rows = (eye_row + _s_rows(g_rows, inv, dyn.in_coupling)[0]).tolist()
-    up, dn = _transfer_rows(dyn.ports, dyn.signal_port, name, signed.tolist(), rows)
-    return up, dn
+    return _transfer_rows(dyn.ports, dyn.signal_port, name, omegas.tolist(), rows)
 
 
 def eta(row: TransferRow) -> float:

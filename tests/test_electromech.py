@@ -229,6 +229,43 @@ def test_located_peak_refuses_a_failed_scan_point(
         locate_peak(ElectromechParams())
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [
+        {},
+        {"gamma_m": TAU * 1.0e3},
+        {"g": TAU * 2.0e4},
+        {"t_wg": 0.0},
+        {"gamma_tx": TAU * 3.0e5},
+    ],
+    ids=["default", "gamma_m", "g", "cold-waveguide", "gamma_tx"],
+)
+def test_located_peak_solves_only_the_upper_sideband(
+    monkeypatch: pytest.MonkeyPatch, overrides: dict[str, float]
+) -> None:
+    # After the scan, every solve is one +omega point, and the located eta
+    # and noise are those of the upper row of transfer_pair, bit for bit.
+    p = ElectromechParams(**overrides)
+    dyn = assemble_dynamics(build_model(p))
+    solve_block = scattering._solve_block
+    solved: list[list[float]] = []
+
+    def record(dyn: DoubledDynamics, omegas: np.ndarray) -> tuple:
+        solved.append(omegas.tolist())
+        return solve_block(dyn, omegas)
+
+    monkeypatch.setattr(scattering, "_solve_block", record)
+    estimate = locate_peak(p, dyn=dyn)
+    monkeypatch.undo()
+    assert len(solved[0]) == 257
+    assert all(len(omegas) == 1 and omegas[0] > 0.0 for omegas in solved[1:])
+    assert solved[-1] == [estimate.omega]
+    up, _ = scattering.transfer_pair(dyn, estimate.omega)
+    assert estimate.eta == eta(up)
+    env = NoiseEnvironment.from_dynamics(dyn)
+    assert estimate.noise == scattering.added_noise(up, env)
+
+
 def test_peak_noise_env_override_matches_temperatures() -> None:
     p = ElectromechParams()
     image = p.omega_lc - 2.0 * p.omega_m

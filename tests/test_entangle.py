@@ -151,28 +151,28 @@ def test_montecarlo_reproducible_across_chunks() -> None:
             ProtocolSpec(scheme="one-click", p_e=0.1, p_d=1.0e-3, eta=0.6),
             300000,
             7,
-            34999,
-            0.9146547044201263,
+            35331,
+            0.9138716707707113,
             {
-                "00": 0.013657533072373496,
-                "psi_plus": 0.9140546872767793,
-                "01": 0.0005428726535043858,
-                "10": 0.0006571616331895197,
-                "11": 0.07108774536415326,
+                "00": 0.013868840395120433,
+                "psi_plus": 0.913164076873001,
+                "01": 0.0007642014095270443,
+                "10": 0.000650986385893408,
+                "11": 0.07155189493645807,
             },
         ),
         (
             ProtocolSpec(scheme="two-click", p_e=0.5, p_d=0.01, eta=0.5),
             100000,
             3,
-            13452,
-            0.9281891168599464,
+            13317,
+            0.9256213861980926,
             {
-                "00": 0.024680344930121913,
-                "psi_plus": 0.9090841510556051,
-                "01": 0.020294380017841212,
-                "10": 0.01791555159084151,
-                "11": 0.028025572405590247,
+                "00": 0.029811519110910865,
+                "psi_plus": 0.90831268303672,
+                "01": 0.017196065179845312,
+                "10": 0.017421341142900053,
+                "11": 0.02725839152962379,
             },
         ),
     ],
@@ -447,9 +447,12 @@ class _CountingGenerator:
 
 
 def test_montecarlo_draws_scale_with_events(monkeypatch: pytest.MonkeyPatch) -> None:
-    # Two-click at p_d = 1e-3: one uniform per emitter per trial, 2 x 64
-    # trials' arm bits per 64-bit word, and dark clicks that cost draws in
-    # proportion to their number (about 4 p_d per trial), not per trial.
+    # Two-click at p_e = 0.5, eta = 0.8, p_d = 1e-3. Integer bytes: one
+    # per emitter per trial and one per 8 trials' arm bits in each round.
+    # Doubles go only to events: a trial's byte ties with its emitter's
+    # thresholds 0.4 or 0.6 (0.5 is a multiple of 1/256) with probability
+    # 2/256 per emitter, and dark clicks cost draws in proportion to their
+    # number (about 4 p_d per trial), not per trial.
     counts = {"random": 0, "integer bytes": 0}
     real = np.random.default_rng
     monkeypatch.setattr(
@@ -460,20 +463,135 @@ def test_montecarlo_draws_scale_with_events(monkeypatch: pytest.MonkeyPatch) -> 
     result = protocol_montecarlo(spec, trials=trials, seed=4)
     monkeypatch.undo()
     assert result == protocol_montecarlo(spec, trials=trials, seed=4)
+    ties = 2 * trials * 2 / 256
+    ties_sd = math.sqrt(2 * trials * 2 / 256 * (1 - 2 / 256))
     dark_clicks = 4 * p_d * trials
-    assert 2 * trials < counts["random"] <= 2 * trials + 2 * dark_clicks + 100
-    assert counts["integer bytes"] == 2 * trials // 8
+    low = ties - 5 * ties_sd + dark_clicks - 5 * math.sqrt(dark_clicks)
+    high = ties + 5 * ties_sd + 2 * dark_clicks + 100
+    assert low < counts["random"] <= high
+    assert counts["integer bytes"] == 2 * trials + 2 * trials // 8
 
 
 class _ScriptedGenerator:
-    """Returns the given uniforms, in order, from ``random(out=...)``."""
+    """Returns the given uniforms, in order, from ``random(out=...)``.
 
-    def __init__(self, uniforms: list[float]) -> None:
+    ``integers`` returns full-range uint64 words whose little-endian bytes
+    are the given octets, zero-padded to whole words.
+    """
+
+    def __init__(self, uniforms: list[float], octets: list[int] | None = None) -> None:
         self._uniforms = iter(uniforms)
+        self._octets = octets or []
 
     def random(self, out: np.ndarray) -> np.ndarray:
         out[:] = [next(self._uniforms) for _ in range(out.size)]
         return out
+
+    def integers(self, low: int, high: int, *, size: int, dtype: type) -> np.ndarray:
+        assert (low, high, dtype) == (0, 1 << 64, np.uint64)
+        octets = np.zeros(8 * size, dtype=np.uint8)
+        octets[: len(self._octets)] = self._octets
+        return octets.view("<u8").astype(np.uint64)
+
+    def exhausted(self) -> bool:
+        return next(self._uniforms, None) is None
+
+
+def test_below_decides_by_the_byte_and_refines_ties() -> None:
+    # U = (B + V) / 256 < t: a byte below c = floor(256 t) passes, one
+    # above fails, and a tied byte passes iff V < 256 t - c. Only the five
+    # tied trials draw V, in trial order, and 10 trials take two words.
+    t = 0.3
+    frac = 256.0 * t - 76
+    assert 0.0 < frac < 1.0
+    octets = [75, 76, 77, 76, 76, 0, 255, 76, 76, 200]
+    below, above = np.nextafter(frac, 0.0), np.nextafter(frac, 1.0)
+    tie_values = [below, frac, above, 0.0, 1.0 - 2.0**-53]
+    rng = _ScriptedGenerator(tie_values, octets)
+    out = np.empty(len(octets), dtype=bool)
+    entangle._below(rng, (t,), (out,), np.empty(len(octets)))  # type: ignore[arg-type]
+    assert rng.exhausted()
+    expected = [True, True, False, False, False, True, False, True, False, False]
+    assert out.tolist() == expected
+
+
+def test_below_shares_one_double_across_thresholds() -> None:
+    # Thresholds 0.3 and 0.299 tie at the same byte (76) and read the same
+    # V; 0.1 ties at 25; 0.5 is a multiple of 1/256 and never ties. Three
+    # trials are tied, so three doubles are drawn.
+    octets = [76, 25, 128, 76, 10]
+    rng = _ScriptedGenerator([0.6, 0.7, 0.9], octets)
+    outs = tuple(np.empty(len(octets), dtype=bool) for _ in range(4))
+    thresholds = (0.3, 0.299, 0.1, 0.5)
+    entangle._below(rng, thresholds, outs, np.empty(8))  # type: ignore[arg-type]
+    assert rng.exhausted()
+    assert [o.tolist() for o in outs] == [
+        [True, True, False, False, True],  # V < 0.8 at trial 0, not at trial 3
+        [False, True, False, False, True],  # V = 0.6 is above 256 * 0.299 - 76
+        [False, False, False, False, True],  # V = 0.7 is above 256 * 0.1 - 25
+        [True, True, False, True, True],
+    ]
+
+
+def _raw_octets(seed: np.random.SeedSequence, n: int) -> np.ndarray:
+    """The first ``n`` bytes, little-endian, of the PCG64 words of ``seed``."""
+    raw = np.random.PCG64(seed).random_raw(-(-n // 8))
+    return raw.astype("<u8").view(np.uint8)[:n]
+
+
+@pytest.mark.parametrize("k", [0, 1, 77, 128, 255, 256])
+def test_below_reads_byte_i_as_trial_i(k: int) -> None:
+    # At t = k/256 (including t = 0 and t = 1) the byte decides every
+    # trial and no double is drawn; the flags must be byte i of the
+    # little-endian PCG64 words below k, on any host byte order. An odd
+    # row length leaves part of the last word unused.
+    n = 1001
+    seed = np.random.SeedSequence(23)
+    counts = {"random": 0, "integer bytes": 0}
+    rng = _CountingGenerator(np.random.default_rng(seed), counts)
+    out = np.empty(n, dtype=bool)
+    entangle._below(rng, (k / 256,), (out,), np.empty(n))  # type: ignore[arg-type]
+    assert np.array_equal(out, _raw_octets(seed, n).astype(int) < k)
+    assert counts == {"random": 0, "integer bytes": 8 * -(-n // 8)}
+
+
+def test_below_draws_one_double_per_tied_trial() -> None:
+    # Ties go through Generator.random(out=...), one double per trial tied
+    # with any threshold that is not a multiple of 1/256.
+    n = 20000
+    seed = np.random.SeedSequence(29)
+    counts = {"random": 0, "integer bytes": 0}
+    rng = _CountingGenerator(np.random.default_rng(seed), counts)
+    outs = tuple(np.empty(n, dtype=bool) for _ in range(3))
+    entangle._below(rng, (0.3, 0.299, 0.1), outs, np.empty(n))  # type: ignore[arg-type]
+    octets = _raw_octets(seed, n)
+    assert counts["random"] == int(np.count_nonzero((octets == 76) | (octets == 25)))
+    assert counts["integer bytes"] == n
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_emitter_flags_nest(seed: int) -> None:
+    # det1 (emits in round 1, detected) lies inside emit; det2 (emits in
+    # round 2, detected) lies outside it. Parameters include ones whose
+    # thresholds tie at the same byte, and the ends of [0, 1].
+    gen = np.random.default_rng(seed)
+    params = [(float(gen.random()), float(gen.random())) for _ in range(8)]
+    params += [(0.3, 0.999), (0.5, 0.001), (0.0, 0.5), (1.0, 0.5)]
+    params += [(0.4, 0.0), (0.4, 1.0)]
+    n = 4099
+    rows = np.empty((3, n), dtype=bool)
+    rng = np.random.default_rng(100 + seed)
+    for p_e, eta in params:
+        entangle._mc_emitter(rng, p_e, eta, np.empty(n), rows[0], rows[1], rows[2])
+        emit, det1, det2 = rows
+        assert not np.any(det1 & ~emit), (p_e, eta)
+        assert not np.any(det2 & emit), (p_e, eta)
+        if p_e in (0.0, 1.0):
+            assert np.all(emit == bool(p_e))
+        if eta == 0.0:
+            assert not np.any(det1 | det2)
+        if eta == 1.0:
+            assert np.all(det1 == emit) and np.all(det2 == ~emit)
 
 
 @pytest.mark.parametrize("p", [0.02, 0.98])

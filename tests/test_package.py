@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -20,6 +21,14 @@ def test_all_lists_each_public_name_once() -> None:
     for name in names:
         assert not isinstance(getattr(modescatter, name), ModuleType), name
     assert set(modescatter.applications.__all__) <= set(names)
+
+
+def test_version_matches_pyproject() -> None:
+    # A regex, not tomllib, which Python 3.10 lacks.
+    pyproject = (Path(__file__).resolve().parents[1] / "pyproject.toml").read_text()
+    declared = re.search(r'^version = "([^"]+)"$', pyproject, re.M)
+    assert declared is not None
+    assert modescatter.__version__ == declared.group(1)
 
 
 def test_star_import_resolves_every_name() -> None:
