@@ -38,6 +38,7 @@ from ..errors import ConfigurationError, DomainError, SignalNulledError
 from ..scattering import (
     NoiseEnvironment,
     TransferRow,
+    _abs2,
     _noise_columns,
     eta,
     noise_flux,
@@ -207,7 +208,7 @@ def heterodyne_sensitivity(
     u_s = row_up.u_coeffs[row_up.signal_port]
     v_s = row_dn.v_coeffs[row_dn.signal_port]
     t_lo = cmath.exp(-1j * theta_lo) * u_s + cmath.exp(1j * theta_lo) * v_s.conjugate()
-    t2 = abs(t_lo) ** 2
+    t2 = _abs2(t_lo)
     if t2 == 0.0:
         raise SignalNulledError(
             f"signal transfer cancels at theta_lo={theta_lo:.6f} rad "

@@ -67,6 +67,20 @@ _BLOCK = 1024
 _EXPM1_CUTOFF = 700.0
 
 
+def _abs2(c: complex) -> float:
+    """``|c|^2`` as ``re*re + im*im``, the one squaring rule for coefficients of S.
+
+    :func:`_abs2_array` is its array spelling, with the same bits. Not
+    Python's ``** 2``: that is ``pow``, which differs from ``x * x`` on
+    some inputs and raises ``OverflowError`` where ``x * x`` is inf.
+    """
+    return c.real * c.real + c.imag * c.imag
+
+
+def _abs2_array(x: NDArray[np.complex128]) -> NDArray[np.float64]:
+    return np.square(x.real) + np.square(x.imag)
+
+
 def bose_occupancy(omega: float, temperature: float) -> float:
     """Thermal occupation of a mode at absolute frequency ``omega`` [rad/s].
 
@@ -246,16 +260,15 @@ class SpectrumGrid:
     one or the sum rule. A spectrum given to the constructor is kept as
     given.
 
-    ``cond[0, i]`` and ``cond[1, i]`` describe the 2-norm condition of the
-    resolvent ``A = i*omega + M`` at ``+omegas[i]`` and ``-omegas[i]``:
-    the exact value (an SVD) wherever it may exceed half of
-    ``CONDITION_LIMIT``, and elsewhere the upper bound
-    ``d * |A|_1 * |A^-1|_1``, ``d`` times the exact 1-norm condition. The
-    1-norms are the largest column sums of ``|A|`` and of the ``|A^-1|``
-    the kernel forms anyway, each column summed row by row. The sweep
-    takes particle-hole symmetric dynamics only, whose two resolvents have
-    the same singular values, so both rows hold the value at ``+omegas[i]``.
-    A point fails where it exceeds ``CONDITION_LIMIT``.
+    ``cond[i]`` describes the 2-norm condition of the resolvent
+    ``A = i*omega + M`` at ``omegas[i]``, for both sidebands: the sweep
+    takes particle-hole symmetric dynamics only, whose resolvents at
+    ``+-omegas[i]`` have the same singular values. It is the exact value
+    (an SVD) wherever it may exceed half of ``CONDITION_LIMIT``, and
+    elsewhere the upper bound ``d * |A|_1 * |A^-1|_1``, ``d`` times the
+    exact 1-norm condition. The 1-norms are the largest column sums of
+    ``|A|`` and of the ``|A^-1|`` the kernel forms anyway, each column
+    summed row by row. A point fails where it exceeds ``CONDITION_LIMIT``.
     """
 
     def __init__(
@@ -348,14 +361,12 @@ class SpectrumGrid:
             eff = np.where(defined, (abs_u if upper else abs_v)[sig_col], np.nan)
             # The signal column is not noise on its own side.
             (abs_u if upper else abs_v)[sig_col] = 0.0
-            occ_u = np.empty_like(abs_u)
-            occ_v = np.empty_like(abs_v)
+            occ_u, occ_v = np.empty_like(abs_u), np.empty_like(abs_v)
             for j, info in enumerate(ports):
                 occ_u[j] = env.occupancy_array(info.name, lab_u[j], mask_u[j])
                 occ_v[j] = env.occupancy_array(info.name, lab_v[j], mask_v[j])
-            flux = _port_sums(abs_u * occ_u) + _port_sums(
-                abs_v * np.where(mask_v, occ_v + 1.0, 0.0)
-            )
+            # Masked columns are zero in abs_v already.
+            flux = _port_sums(abs_u * occ_u) + _port_sums(abs_v * (occ_v + 1.0))
             with np.errstate(invalid="ignore", divide="ignore"):
                 noise[block] = np.where(eff > 0.0, flux / eff, np.nan)
             efficiency[block] = eff
@@ -392,9 +403,9 @@ class SpectrumGrid:
             slots = _slots(w if side == 0 else -w, centers)
             _, _, mask_u, mask_v = slots
             row = self.exit_rows[side, block].T
-            abs_u = np.abs(np.where(mask_u, row[:p], 0.0)) ** 2
-            abs_v = np.abs(np.where(mask_v, row[p:], 0.0)) ** 2
-            defined = mask_u[exit_col] & (self.cond[side, block] <= CONDITION_LIMIT)
+            abs_u = _abs2_array(np.where(mask_u, row[:p], 0.0))
+            abs_v = _abs2_array(np.where(mask_v, row[p:], 0.0))
+            defined = mask_u[exit_col] & (self.cond[block] <= CONDITION_LIMIT)
             yield block, slots, abs_u, abs_v, defined
 
 
@@ -685,9 +696,9 @@ def eta(row: TransferRow) -> float:
             "sits at a non-positive lab frequency; efficiency is undefined"
         )
     if row.omega > 0.0:
-        return abs(row.u_coeffs[row.signal_port]) ** 2
+        return _abs2(row.u_coeffs[row.signal_port])
     if row.omega < 0.0:
-        return abs(row.v_coeffs[row.signal_port]) ** 2
+        return _abs2(row.v_coeffs[row.signal_port])
     raise DomainError("sideband frequency must be nonzero")
 
 
@@ -720,7 +731,10 @@ def noise_flux(row: TransferRow, env: NoiseEnvironment) -> float:
     Sums thermal and vacuum contributions of every non-signal input column
     (plus the phase-conjugating signal column on the side where it acts as
     noise), with occupancies at the slot lab frequencies. Masked columns
-    contribute nothing.
+    contribute nothing. The annihilation and creation columns are summed
+    apart, each in port order, and then added, as :class:`SpectrumGrid`
+    sums them below eight ports (Python's ``sum`` would not keep that
+    order: it compensates float sums from Python 3.12 on).
     """
     if not row.physical_output:
         raise DomainError(
@@ -728,12 +742,12 @@ def noise_flux(row: TransferRow, env: NoiseEnvironment) -> float:
             f"unphysical at omega={row.omega:.6e} rad/s"
         )
     cols_u, cols_v = _noise_columns(row)
-    total = 0.0
+    flux_u = flux_v = 0.0
     for name, coeff, lab in cols_u:
-        total += abs(coeff) ** 2 * env.occupancy(name, lab)
+        flux_u += _abs2(coeff) * env.occupancy(name, lab)
     for name, coeff, lab in cols_v:
-        total += abs(coeff) ** 2 * (env.occupancy(name, lab) + 1.0)
-    return total
+        flux_v += _abs2(coeff) * (env.occupancy(name, lab) + 1.0)
+    return flux_u + flux_v
 
 
 def added_noise(row: TransferRow, env: NoiseEnvironment) -> float:
@@ -756,9 +770,13 @@ def sum_rule_residual(row: TransferRow) -> float:
     """
     if not row.physical_output:
         return math.nan
-    total = sum(abs(c) ** 2 for c in row.u_coeffs.values())
-    total -= sum(abs(c) ** 2 for c in row.v_coeffs.values())
-    return abs(total - 1.0)
+    # Summed as noise_flux sums, which keeps the bits of the sweep.
+    flux_u = flux_v = 0.0
+    for coeff in row.u_coeffs.values():
+        flux_u += _abs2(coeff)
+    for coeff in row.v_coeffs.values():
+        flux_v += _abs2(coeff)
+    return abs(flux_u - flux_v - 1.0)
 
 
 def noise_commutator_residual(row: TransferRow) -> float:
@@ -772,9 +790,9 @@ def noise_commutator_residual(row: TransferRow) -> float:
     cols_u, cols_v = _noise_columns(row)
     commutator = 0.0
     for _, coeff, _ in cols_u:
-        commutator += abs(coeff) ** 2
+        commutator += _abs2(coeff)
     for _, coeff, _ in cols_v:
-        commutator -= abs(coeff) ** 2
+        commutator -= _abs2(coeff)
     expected = 1.0 - efficiency if row.omega > 0.0 else 1.0 + efficiency
     return abs(commutator - expected)
 
@@ -954,14 +972,14 @@ def spectrum_sweep(
 
     # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
     good = np.empty(m, dtype=bool)
-    cond = np.empty((2, m))
+    cond = np.empty(m)
     symp = np.full(m, np.nan) if symplectic else None
     all_rows = np.empty((2, m, 2 * p), dtype=np.complex128)
 
     for lo in range(0, m, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         w = grid[block]
-        inv, good[block], cond[0, block] = _solve_block(dyn, w)
+        inv, good[block], cond[block] = _solve_block(dyn, w)
         ok = _good_index(good[block])
         # Rows exit and exit + n_ports of S on the upper sideband serve its
         # exit row and the mirrored lower row.
@@ -977,8 +995,6 @@ def spectrum_sweep(
         rows[0, ok] = s_rows[at[0]]
         rows[1, ok] = _mirror(s_rows[at[1]], ndim=1)
         rows[:, ~good[block]] = np.nan
-    # Both resolvents have the same singular values.
-    cond[1] = cond[0]
 
     failures = [
         SweepFailure(
@@ -986,7 +1002,7 @@ def spectrum_sweep(
             omega=float(grid[i]),
             message=(
                 f"resolvent is near-singular at omega=+-{grid[i]:.9e} rad/s "
-                f"(condition estimate {cond[0, i]:.3e})"
+                f"(condition estimate {cond[i]:.3e})"
             ),
         )
         for i in np.nonzero(~good)[0]
@@ -1040,20 +1056,14 @@ def consistency_checks(
 
     centers = np.array([info.band_center for info in dyn.ports])
     _, _, mask_u, mask_v = _slots(signed[both][:, None], centers)
-    slots = np.concatenate([mask_u[:n], mask_v[:n]], axis=1)
+    slots = np.concatenate([mask_u, mask_v], axis=1)
     exit_col = dyn.port_index[dyn.exit_port]
-    rows = s[:, exit_col]
-    physical = mask_u[:, exit_col]
-    u = np.where(mask_u, rows[:, :p], 0.0)[physical]
-    v = np.where(mask_v, rows[:, p:], 0.0)[physical]
-    # np.hypot is the libm hypot behind Python's abs of a complex, which
-    # sum_rule_residual squares; NumPy's complex abs can differ in the last bit.
-    abs_u = np.hypot(u.real, u.imag) ** 2
-    abs_v = np.hypot(v.real, v.imag) ** 2
+    rows = np.where(slots, s[:, exit_col], 0.0)[mask_u[:, exit_col]]
+    abs2 = _abs2_array(rows.T)
     residuals = {
-        "unitarity": _masked_symplectic(s_up, dyn.metric, slots),
+        "unitarity": _masked_symplectic(s_up, dyn.metric, slots[:n]),
         "particle_hole": np.abs(s_dn - _mirror(s_up)),
-        "sum_rule": _flux_balance(abs_u.T, abs_v.T),
+        "sum_rule": _flux_balance(abs2[:p], abs2[p:]),
     }
     worst = {key: float(np.max(r, initial=0.0)) for key, r in residuals.items()}
     worst["skipped"] = float(probes.size - n)

@@ -528,7 +528,7 @@ def test_validate_prints_readme_lines(
     lines = [
         "checks: unitarity=8.882e-16 particle-hole=0.000e+00 sum-rule=8.882e-16"
         " (skipped 0 near-singular point(s))",
-        "ensemble(5): unitarity=2.229e-15 particle-hole=1.807e-15 sum-rule=8.882e-16",
+        "ensemble(5): unitarity=2.229e-15 particle-hole=1.807e-15 sum-rule=1.110e-15",
         "validate: OK",
     ]
     for line in lines:

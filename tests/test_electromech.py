@@ -167,6 +167,40 @@ def test_oracle_deviation_on_the_builtin(
     assert line in capsys.readouterr().out.splitlines()
 
 
+@pytest.mark.parametrize(
+    "overrides",
+    [{}, {"gamma_m": TAU * 1.0e3}, {"g": TAU * 2.0e4}, {"t_wg": 0.0}, {"gamma_tx": TAU * 3.0e5}],
+    ids=["default", "gamma_m", "g", "cold-waveguide", "gamma_tx"],
+)
+def test_oracle_solves_its_five_frequencies_in_one_block(
+    monkeypatch: pytest.MonkeyPatch, overrides: dict[str, float]
+) -> None:
+    # One block at the five +omega points, and the value of the upper rows
+    # of transfer_pair at each of them, bit for bit.
+    p = ElectromechParams(**overrides)
+    dyn = assemble_dynamics(build_model(p))
+    omegas = [factor * p.omega_m for factor in (0.5, 0.9, 1.0, 1.1, 1.5)]
+    worst = 0.0
+    for omega in omegas:
+        up, _ = scattering.transfer_pair(dyn, omega)
+        ref = closed_form_row(p, omega)
+        num, want = (
+            np.array([c[k] for c in (row.u_coeffs, row.v_coeffs) for k in sorted(c)])
+            for row in (up, ref)
+        )
+        worst = max(worst, float(np.max(np.abs(num - want))) / float(np.max(np.abs(want))))
+    solve_block = scattering._solve_block
+    solved: list[list[float]] = []
+
+    def record(dyn: DoubledDynamics, omegas: np.ndarray) -> tuple:
+        solved.append(omegas.tolist())
+        return solve_block(dyn, omegas)
+
+    monkeypatch.setattr(scattering, "_solve_block", record)
+    assert oracle_deviation(p, dyn) == worst
+    assert solved == [omegas]
+
+
 def test_peak_eta_formula_limits() -> None:
     assert peak_eta_formula(1.0, 0.0, 1.0, 0.0) == pytest.approx(1.0, abs=1e-15)
     # Halving the readout rate relative to matching costs symmetric loss.
