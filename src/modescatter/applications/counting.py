@@ -39,6 +39,9 @@ NORM_TOL = 1e-6
 #: is declared non-convergent.
 CONVERGENCE_TOL = 1e-3
 
+#: Grid, efficiency and added noise of the upper sideband, all finite.
+_Clean = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
+
 
 @dataclass(frozen=True)
 class SpectralShape:
@@ -157,9 +160,7 @@ class CountingResult:
     n_out_mean: float
 
 
-def _clean_upper_arrays(
-    spectrum: SpectrumGrid,
-) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
+def _clean_upper_arrays(spectrum: SpectrumGrid) -> _Clean:
     omegas = spectrum.omegas
     eta = spectrum.eta_up
     noise = spectrum.noise_up
@@ -179,6 +180,27 @@ def check_window(window: float) -> None:
         raise ConfigurationError(
             f"detection window must be non-negative and finite, got {window!r} s"
         )
+
+
+def check_counting_request(
+    request: str,
+    omega_min: float | None,
+    omega_max: float | None,
+    points: int,
+    window: float | None,
+) -> None:
+    """Reject a bad grid or window of a counting or entanglement ``request``."""
+    if omega_min is None or omega_max is None:
+        raise ConfigurationError(
+            f"{request} needs a spectrum grid: set omega_min and omega_max"
+        )
+    if not 0.0 < omega_min < omega_max:
+        raise ConfigurationError("need 0 < omega_min < omega_max for the spectrum grid")
+    if points < 3:
+        raise ConfigurationError(f"spectrum grid needs at least 3 points, got {points}")
+    if window is None:
+        raise ConfigurationError(f"{request} needs a detection window")
+    check_window(window)
 
 
 def _interp_signal(
@@ -227,6 +249,28 @@ def _bandwidth(
     return full
 
 
+def _dark_counts(clean: _Clean, omega_sig: float) -> DarkCountResult:
+    """Dark counts at ``omega_sig``; vanishing added noise gives bandwidth 0."""
+    omegas, eta, noise = clean
+    eta_plus = _interp_signal(omegas, eta, omega_sig)
+    n_plus = _interp_signal(omegas, noise, omega_sig)
+    if eta_plus <= 0.0:
+        raise DomainError(
+            f"transfer efficiency vanishes at omega_sig={omega_sig:.6e} rad/s"
+        )
+    bandwidth = 0.0
+    if n_plus > 0.0:
+        bandwidth = _bandwidth(omegas, eta, noise, eta_plus, n_plus)
+    bandwidth_hz = bandwidth / _TWO_PI
+    return DarkCountResult(
+        eta_plus=eta_plus,
+        n_plus=n_plus,
+        bandwidth=bandwidth,
+        bandwidth_hz=bandwidth_hz,
+        rate=eta_plus * n_plus * bandwidth_hz,
+    )
+
+
 def dark_count_rate(spectrum: SpectrumGrid, omega_sig: float) -> DarkCountResult:
     """Dark-count rate of non-mode-selective detection of the exit port.
 
@@ -241,27 +285,13 @@ def dark_count_rate(spectrum: SpectrumGrid, omega_sig: float) -> DarkCountResult
     QuadratureError
         If the trapezoid value changes by more than 0.1% under grid halving.
     """
-    omegas, eta, noise = _clean_upper_arrays(spectrum)
-    eta_plus = _interp_signal(omegas, eta, omega_sig)
-    n_plus = _interp_signal(omegas, noise, omega_sig)
-    if eta_plus <= 0.0:
-        raise DomainError(
-            f"transfer efficiency vanishes at omega_sig={omega_sig:.6e} rad/s"
-        )
-    if n_plus <= 0.0:
+    result = _dark_counts(_clean_upper_arrays(spectrum), omega_sig)
+    if result.n_plus <= 0.0:
         raise DomainError(
             f"added noise vanishes at omega_sig={omega_sig:.6e} rad/s; the "
             "noise-overlap bandwidth is undefined (the dark-count rate is 0)"
         )
-    bandwidth = _bandwidth(omegas, eta, noise, eta_plus, n_plus)
-    bandwidth_hz = bandwidth / _TWO_PI
-    return DarkCountResult(
-        eta_plus=eta_plus,
-        n_plus=n_plus,
-        bandwidth=bandwidth,
-        bandwidth_hz=bandwidth_hz,
-        rate=eta_plus * n_plus * bandwidth_hz,
-    )
+    return result
 
 
 def mode_matched_efficiency(spectrum: SpectrumGrid, h_in: SpectralShape) -> float:
@@ -271,7 +301,11 @@ def mode_matched_efficiency(spectrum: SpectrumGrid, h_in: SpectralShape) -> floa
     the sweep grid (otherwise the grid does not resolve or contain the
     mode and the quadrature would be silently wrong).
     """
-    omegas, eta, _ = _clean_upper_arrays(spectrum)
+    return _mode_matched(_clean_upper_arrays(spectrum), h_in)
+
+
+def _mode_matched(clean: _Clean, h_in: SpectralShape) -> float:
+    omegas, eta, _ = clean
     if h_in.kind == "delta":
         return _interp_signal(omegas, eta, h_in.center)
     density = h_in.density(omegas)
@@ -304,28 +338,13 @@ def counting_yield(
         If ``window`` is negative or not finite.
     """
     check_window(window)
-    omegas, eta, noise = _clean_upper_arrays(spectrum)
-    eta_plus = _interp_signal(omegas, eta, omega_sig)
-    n_plus = _interp_signal(omegas, noise, omega_sig)
-    if eta_plus <= 0.0:
-        raise DomainError(
-            f"transfer efficiency vanishes at omega_sig={omega_sig:.6e} rad/s"
-        )
-    if n_plus > 0.0:
-        bandwidth = _bandwidth(omegas, eta, noise, eta_plus, n_plus)
-    else:
-        bandwidth = 0.0
-    bandwidth_hz = bandwidth / _TWO_PI
-    rate = eta_plus * n_plus * bandwidth_hz
-    eta_h = mode_matched_efficiency(spectrum, h_in)
+    clean = _clean_upper_arrays(spectrum)
+    dark = _dark_counts(clean, omega_sig)
+    eta_h = _mode_matched(clean, h_in)
     capture = h_out.capture(window)
     return CountingResult(
-        eta_plus=eta_plus,
-        n_plus=n_plus,
-        bandwidth=bandwidth,
-        bandwidth_hz=bandwidth_hz,
-        rate=rate,
+        **vars(dark),
         eta_h=eta_h,
         capture=capture,
-        n_out_mean=eta_h * capture + rate * window,
+        n_out_mean=eta_h * capture + dark.rate * window,
     )

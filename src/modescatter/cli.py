@@ -31,7 +31,7 @@ from . import __version__
 from .applications.counting import (
     SpectralShape,
     TemporalShape,
-    check_window,
+    check_counting_request,
     counting_yield,
     dark_count_rate,
 )
@@ -381,10 +381,9 @@ def _cmd_fom(args: argparse.Namespace) -> int:
             raise ConfigurationError(
                 "fom --app counting needs --h-in, --h-out, and --window"
             )
-        if args.window is None:
-            raise ConfigurationError("fom --app entangle needs --window")
         # Bad input, whatever the sweep would give: check it before the sweep.
-        check_window(args.window)
+        request = (args.omega_min, args.omega_max, args.points, args.window)
+        check_counting_request(f"fom --app {args.app}", *request)
         if args.app == "counting":
             h_in = _parse_shape("--h-in", args.h_in)
             h_out = _parse_shape("--h-out", args.h_out)
@@ -485,7 +484,7 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         omega_min=None if args.omega_min is None else hz_to_angular(args.omega_min),
         omega_max=None if args.omega_max is None else hz_to_angular(args.omega_max),
         points=args.points,
-        window=args.window if args.window is not None else 0.0,
+        window=args.window,
         exit_port=args.exit,
         budget=args.budget,
         tolerance=args.tol,

@@ -25,7 +25,7 @@ from typing import Callable, Mapping
 import numpy as np
 
 from .applications.entangle import entangle_fidelity_exact, heralding_spec
-from .applications.counting import dark_count_rate
+from .applications.counting import check_counting_request, dark_count_rate
 from .applications.heterodyne import heterodyne_sensitivity
 from .applications.qubit import qubit_fidelity
 from .errors import (
@@ -64,7 +64,8 @@ class OptimizeSpec:
     the noise bandwidth, and convert it to a per-window false-click
     probability with detection ``window`` (seconds); the protocol is then
     scored with the parameters of
-    :func:`~modescatter.applications.entangle.heralding_spec`.
+    :func:`~modescatter.applications.entangle.heralding_spec`. Grid and
+    window are checked as ``fom`` checks them, by ``check_counting_request``.
     """
 
     variables: tuple[tuple[str, float, float], ...]
@@ -73,7 +74,7 @@ class OptimizeSpec:
     omega_min: float | None = None
     omega_max: float | None = None
     points: int = 2001
-    window: float = 0.0
+    window: float | None = None
     exit_port: str | None = None
     budget: int = 200
     tolerance: float = 1e-6
@@ -107,21 +108,9 @@ class OptimizeSpec:
         if not (self.omega_sig > 0.0 and math.isfinite(self.omega_sig)):
             raise ConfigurationError("omega_sig must be a positive frequency")
         if self.objective in _ENTANGLE:
-            if self.omega_min is None or self.omega_max is None:
-                raise ConfigurationError(
-                    f"{self.objective} needs a spectrum grid: set omega_min"
-                    " and omega_max"
-                )
-            if not 0.0 < self.omega_min < self.omega_max:
-                raise ConfigurationError(
-                    "need 0 < omega_min < omega_max for the spectrum grid"
-                )
-            if self.points < 3:
-                raise ConfigurationError("spectrum grid needs at least 3 points")
-            if not (self.window > 0.0 and math.isfinite(self.window)):
-                raise ConfigurationError(
-                    f"{self.objective} needs a positive detection window"
-                )
+            check_counting_request(
+                self.objective, self.omega_min, self.omega_max, self.points, self.window
+            )
 
 
 @dataclass(frozen=True)
@@ -272,6 +261,7 @@ def _evaluate_figure(
         return heterodyne_sensitivity(up, dn, env).p_s
 
     assert spec.omega_min is not None and spec.omega_max is not None
+    assert spec.window is not None
     omegas = np.linspace(spec.omega_min, spec.omega_max, spec.points)
     grid = spectrum_sweep(
         dyn, env, omegas, exit_port=spec.exit_port, symplectic=False

@@ -15,11 +15,10 @@ conjugate of ``S(omega)`` with annihilation and creation slots swapped;
 :func:`spectrum_sweep` uses this to solve once per frequency, and refuses
 dynamics without that symmetry.
 
-One kernel evaluates the resolvent for every entry point: it inverts
-``i*omega + M`` once per signed frequency, a block of frequencies at a
-time, and forms only the rows of S that a caller needs, as
-``(G'_rows A^-1) G``: one matrix product of those rows of ``G'`` with the
-whole block of inverses, then one with ``G``. ``A^-1 G`` is never formed.
+One kernel evaluates S for every entry point: :func:`_solve_block`
+inverts ``i*omega + M`` once per signed frequency, a block of frequencies
+at a time, and :func:`_s_rows`, the one row function of S, forms only the
+rows a caller needs, as ``1 + (G'_rows A^-1) G``. ``A^-1 G`` is never formed.
 
 Physicality masking: a port column only describes a real input field when
 its absolute (lab-frame) frequency ``+-omega + band_center`` is positive.
@@ -33,7 +32,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from typing import Any, Iterator, Literal, Mapping
 
 import numpy as np
@@ -461,21 +460,31 @@ def _solve_block(
     return inv, cond <= CONDITION_LIMIT, cond
 
 
-def _s_rows(
-    g_rows: NDArray[np.complex128],
-    inv: NDArray[np.complex128],
-    g: NDArray[np.complex128],
-) -> NDArray[np.complex128]:
-    """Rows ``g_rows`` of ``G'`` times ``A^-1 G`` at each point of a stack of inverses.
+@cache
+def _identity(size: int) -> NDArray[np.complex128]:
+    eye = np.eye(size, dtype=np.complex128)
+    eye.flags.writeable = False
+    return eye
 
-    Entry ``[r, i]`` is ``(g_rows[r] @ inv[i]) @ g``: that row of ``S - 1``
-    at point ``i``. The inverses are laid out side by side, ``(d, points *
-    d)``, so the left product is one matrix product over the stack, and its
-    rows, one per point, meet ``G`` in a second; ``A^-1 G`` is never formed.
+
+def _s_rows(
+    dyn: DoubledDynamics, inv: NDArray[np.complex128], rows: slice
+) -> NDArray[np.complex128]:
+    """Rows ``rows`` of S at each point of a stack of inverses, ``[row, point]``.
+
+    The inverses are laid out side by side, ``(d, points * d)``, so
+    ``G'_rows A^-1`` is one matrix product over the stack, and its rows meet
+    ``G`` in a second. Whole rows of a cached identity are then added, which
+    turns each negative zero into a positive one, as ``1 + (S - 1)`` does.
+    ``rows`` is a slice, so both selections are views; a list would copy.
     """
     n, dim, _ = inv.shape
+    g_rows = dyn.out_coupling[rows]
     left = g_rows @ inv.transpose(1, 0, 2).reshape(dim, n * dim)
-    return (left.reshape(-1, dim) @ g).reshape(g_rows.shape[0], n, g.shape[1])
+    g = dyn.in_coupling
+    s = (left.reshape(-1, dim) @ g).reshape(g_rows.shape[0], n, g.shape[1])
+    s += _identity(2 * dyn.n_ports)[rows, None]
+    return s
 
 
 def _resolve_exit(
@@ -539,11 +548,9 @@ def scattering_matrix(dyn: DoubledDynamics, omega: float) -> ScatteringMatrix:
             f"scattering_matrix expects a finite frequency, got {omega!r}"
         )
     inv = _solve_regular(dyn, np.array([float(omega)]))
-    rows = _s_rows(dyn.out_coupling, inv, dyn.in_coupling)[:, 0]
-    s = np.eye(2 * dyn.n_ports, dtype=np.complex128) + rows
     return ScatteringMatrix(
         omega=float(omega),
-        matrix=s,
+        matrix=_s_rows(dyn, inv, slice(None))[:, 0],
         port_index=dyn.port_index,
         ports=dyn.ports,
         metric=dyn.metric,
@@ -558,26 +565,25 @@ def symplectic_residual(
     mask: NDArray[np.bool_] | None = None,
 ) -> float:
     """Max-norm of ``S K S^dag - K``, optionally restricted to masked slots."""
-    r = (matrix * metric[None, :]) @ matrix.conj().T - np.diag(metric)
-    if mask is not None:
-        if not np.any(mask):
-            return math.nan
-        r = r[np.ix_(mask, mask)]
-    return float(np.max(np.abs(r)))
+    slots = None if mask is None else np.asarray(mask)[None]
+    if slots is not None and not slots.any():
+        return math.nan
+    return float(_masked_symplectic(matrix[None], metric, slots)[0])
 
 
 def physical_slot_mask(
-    ports: tuple[PortInfo, ...], omega: float
+    ports: tuple[PortInfo, ...], omega: float | NDArray[np.float64]
 ) -> NDArray[np.bool_]:
-    """Doubled-port-slot mask at signed frequency ``omega``.
+    """Doubled-port-slot mask at signed frequency ``omega``, or at each of an array.
 
     Entry ``m`` (annihilation slot of port ``m``) is True where
     ``omega + center_m > 0``, entry ``m + n_ports`` (creation slot) where
-    ``-omega + center_m > 0``: the same rule that masks transfer rows.
+    ``-omega + center_m > 0``: the same rule that masks transfer rows. For
+    an array of frequencies the slots run along a new last axis.
     """
     centers = np.array([info.band_center for info in ports])
-    _, _, physical_u, physical_v = _slots(omega, centers)
-    return np.concatenate([physical_u, physical_v])
+    _, _, physical_u, physical_v = _slots(np.asarray(omega)[..., None], centers)
+    return np.concatenate([physical_u, physical_v], axis=-1)
 
 
 def _transfer_rows(
@@ -672,14 +678,10 @@ def _exit_rows(
     name, col = _resolve_exit(dyn.port_index, dyn.exit_port, exit_port)
     omegas = np.array(signed, dtype=np.float64)
     inv = _solve_regular(dyn, omegas)
-    # Rows exit and exit + n_ports of G' give the exit row with the bits of
-    # S: a product of two rows takes the matrix path that forms S, where
-    # one row would take NumPy's matrix-vector path and can move last bits.
-    p = dyn.n_ports
-    g_rows = dyn.out_coupling[col : col + p + 1 : p]
-    eye_row = np.zeros(2 * p, dtype=np.complex128)
-    eye_row[col] = 1.0
-    rows = (eye_row + _s_rows(g_rows, inv, dyn.in_coupling)[0]).tolist()
+    # Rows exit and exit + n_ports give the exit row with the bits of S: a
+    # product of two rows takes the matrix path that forms S, where one row
+    # would take NumPy's matrix-vector path and can move last bits.
+    rows = _s_rows(dyn, inv, slice(col, None, dyn.n_ports))[0].tolist()
     return _transfer_rows(dyn.ports, dyn.signal_port, name, omegas.tolist(), rows)
 
 
@@ -833,15 +835,18 @@ def _particle_hole_symmetric(dyn: DoubledDynamics) -> bool:
 
 
 def _masked_symplectic(
-    s: NDArray[np.complex128], metric: NDArray[np.float64], slots: NDArray[np.bool_]
+    s: NDArray[np.complex128],
+    metric: NDArray[np.float64],
+    slots: NDArray[np.bool_] | None,
 ) -> NDArray[np.float64]:
     """Max-norm of ``S K S^dag - K`` at each point of a stack of S.
 
     ``slots`` marks the physical doubled port slots of each point; only
-    entries between two physical slots count.
+    entries between two physical slots count. ``None`` counts every entry.
     """
     r_abs = np.abs((s * metric) @ s.conj().transpose(0, 2, 1) - np.diag(metric))
-    r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
+    if slots is not None:
+        r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
     return r_abs.max(axis=(1, 2))
 
 
@@ -896,10 +901,10 @@ def spectrum_sweep(
     halves swapped. Hand-built dynamics without the symmetry are refused
     before any solve; :func:`transfer_pair` solves ``-omega`` for them,
     and :func:`consistency_checks` reports how far they are from it. The
-    block loop keeps only the solve, its screen, the exit rows (formed as
-    ``(G'_rows A^-1) G`` by :func:`_s_rows`, written once, NaN only where
-    a point failed) and the symplectic residual; a block whose points all
-    passed the screen is read and written through slices, not copies. The
+    block loop keeps only the solve, its screen, the exit rows (from
+    :func:`_s_rows`, as every S here, written once, NaN only where a point
+    failed) and the symplectic residual; a block whose points all passed
+    the screen is read and written through slices, not copies. The
     returned :class:`SpectrumGrid` derives efficiency, added noise and the
     sum rule from the stored rows when they are first read, one sideband
     at a time and block by block, so the arrays that span the grid are the
@@ -960,15 +965,12 @@ def spectrum_sweep(
             "spectrum_sweep needs particle-hole symmetric dynamics, as "
             "assemble_dynamics builds them; use transfer_pair for these"
         )
-    centers = np.array([[info.band_center] for info in dyn.ports])
-    pick = [exit_col, exit_col + p]
     # Rows of S formed per block: all of them for the symplectic residual,
     # otherwise only exit and exit + n_ports; ``at`` finds those two.
     if symplectic:
-        formed, at = list(range(2 * p)), pick
+        formed, at = slice(None), (exit_col, exit_col + p)
     else:
-        formed, at = pick, [0, 1]
-    eye_rows, g_rows = np.eye(2 * p)[formed, None, :], dyn.out_coupling[formed]
+        formed, at = slice(exit_col, None, p), (0, 1)
 
     # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
     good = np.empty(m, dtype=bool)
@@ -983,11 +985,9 @@ def spectrum_sweep(
         ok = _good_index(good[block])
         # Rows exit and exit + n_ports of S on the upper sideband serve its
         # exit row and the mirrored lower row.
-        s_rows = _s_rows(g_rows, inv[ok], dyn.in_coupling)
-        s_rows += eye_rows
+        s_rows = _s_rows(dyn, inv[ok], formed)
         if symp is not None:
-            _, _, mask_u, mask_v = _slots(w, centers)
-            slots = np.concatenate([mask_u, mask_v])[:, ok].T
+            slots = physical_slot_mask(dyn.ports, w[ok])
             symp[block][ok] = _masked_symplectic(
                 s_rows.transpose(1, 0, 2), dyn.metric, slots
             )
@@ -1024,7 +1024,8 @@ def consistency_checks(
     """Worst residuals of the invariants behind eta and N over probe frequencies.
 
     S is formed for the whole model in one resolvent block, at every
-    ``+omega`` and every ``-omega`` of the positive probes ``omegas``.
+    ``+omega`` and every ``-omega`` of the positive probes ``omegas``, by
+    :func:`_s_rows`, as :func:`scattering_matrix` forms it.
     S(-omega) is solved independently, never mirrored from S(+omega), so
     ``particle_hole`` checks the symmetry :func:`spectrum_sweep` requires.
     A probe where either sign is near-singular is left out and counted in
@@ -1046,19 +1047,13 @@ def consistency_checks(
     ok = good[: probes.size] & good[probes.size :]
     both = np.concatenate([ok, ok])
     n = int(np.count_nonzero(ok))
-    # The product order of _s_rows, with the left product batched so that
-    # S comes out point-major: (G' A^-1) G at every point.
-    left = dyn.out_coupling @ inv[_good_index(both)]
-    s_minus_one = left.reshape(-1, dyn.dimension) @ dyn.in_coupling
-    s = s_minus_one.reshape(2 * n, 2 * p, 2 * p)
-    s += np.eye(2 * p)
+    # s[i] is S at the i-th solved frequency; the residuals are faster on a copy.
+    s = _s_rows(dyn, inv[_good_index(both)], slice(None)).swapaxes(0, 1).copy()
     s_up, s_dn = s[:n], s[n:]
 
-    centers = np.array([info.band_center for info in dyn.ports])
-    _, _, mask_u, mask_v = _slots(signed[both][:, None], centers)
-    slots = np.concatenate([mask_u, mask_v], axis=1)
+    slots = physical_slot_mask(dyn.ports, signed[both])
     exit_col = dyn.port_index[dyn.exit_port]
-    rows = np.where(slots, s[:, exit_col], 0.0)[mask_u[:, exit_col]]
+    rows = np.where(slots, s[:, exit_col], 0.0)[slots[:, exit_col]]
     abs2 = _abs2_array(rows.T)
     residuals = {
         "unitarity": _masked_symplectic(s_up, dyn.metric, slots[:n]),

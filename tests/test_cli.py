@@ -1018,6 +1018,90 @@ def test_optimize_zero_omega_min_reaches_grid_check(
     )
 
 
+# A counting or entanglement request through either command, on the README
+# cold grid: fom for both apps, and optimize for an entanglement objective.
+_COUNTING_REQUESTS = {
+    "fom-counting": ["fom", *_GRID_APP_ARGV["counting"], "--omega-sig", "5e6"],
+    "fom-entangle": ["fom", *_GRID_APP_ARGV["entangle"], "--omega-sig", "5e6"],
+    "optimize": [
+        "optimize", *_README_COLD_GRID, "--points", "201", "--objective", "max-F1c",
+        "--var", "ports.wg.rate:1e3:1e6", "--omega-sig", "5e6", "--window", "1e-5",
+        "--budget", "4",
+    ],
+}
+
+
+@pytest.mark.parametrize("request_name", list(_COUNTING_REQUESTS))
+def test_counting_requests_reject_a_two_point_grid_before_solving(
+    request_name: str,
+    capsys: pytest.CaptureFixture[str],
+    monkeypatch: pytest.MonkeyPatch,
+) -> None:
+    # Bad input (exit 2) before any solve, not an unconverged quadrature
+    # after the sweep (exit 3).
+    def no_solve(*args: object) -> None:
+        raise AssertionError("solved a request with a bad grid")
+
+    monkeypatch.setattr("modescatter.scattering._solve_block", no_solve)
+    code = main([*_COUNTING_REQUESTS[request_name], "--points", "2"])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == "error: spectrum grid needs at least 3 points, got 2\n"
+
+
+@pytest.mark.parametrize("request_name", list(_COUNTING_REQUESTS))
+@pytest.mark.parametrize(
+    ("bounds", "message"),
+    [
+        (["--omega-max", "6e6"], "{name} needs a spectrum grid: set omega_min and omega_max"),
+        (["--omega-min", "6e6", "--omega-max", "4e6"],
+         "need 0 < omega_min < omega_max for the spectrum grid"),
+    ],
+    ids=["missing", "reversed"],
+)
+def test_counting_requests_take_one_grid_rule(
+    request_name: str,
+    bounds: list[str],
+    message: str,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    argv = _COUNTING_REQUESTS[request_name]
+    cut = argv.index("--omega-min")
+    code = main(argv[:cut] + argv[cut + 4 :] + bounds)
+    captured = capsys.readouterr()
+    assert code == 2
+    name = {"fom-counting": "fom --app counting", "fom-entangle": "fom --app entangle"}
+    want = message.format(name=name.get(request_name, "max-F1c"))
+    assert captured.err == f"error: {want}\n"
+
+
+@pytest.mark.parametrize("request_name", list(_COUNTING_REQUESTS))
+def test_counting_requests_accept_a_zero_window(
+    request_name: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # A zero window is a valid detection window for both commands: no dark
+    # click can fall in it.
+    code = main([*_COUNTING_REQUESTS[request_name], "--window", "0"])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    if request_name == "fom-entangle":
+        assert "p_d = 0\n" in captured.out
+
+
+@pytest.mark.parametrize("request_name", ["fom-entangle", "optimize"])
+def test_counting_requests_need_a_window(
+    request_name: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    argv = _COUNTING_REQUESTS[request_name]
+    cut = argv.index("--window")
+    code = main(argv[:cut] + argv[cut + 2 :])
+    captured = capsys.readouterr()
+    assert code == 2
+    name = "fom --app entangle" if request_name == "fom-entangle" else "max-F1c"
+    assert captured.err == f"error: {name} needs a detection window\n"
+
+
 def test_validate_rejects_negative_ensemble(
     capsys: pytest.CaptureFixture[str],
 ) -> None:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 from typing import Callable, Mapping
 
@@ -88,6 +89,24 @@ def test_entangle_objective_needs_grid_and_window() -> None:
             objective="max-F1c",
             omega_sig=1.0,
         )
+
+
+def test_entangle_objective_takes_the_fom_window_rule() -> None:
+    # The window is checked as fom checks it: zero is a window, a missing
+    # one is its own error.
+    grid = {"omega_min": 1.0, "omega_max": 2.0, "points": 3}
+    spec = OptimizeSpec(
+        variables=(("ports.sig.rate", 1.0, 2.0),),
+        objective="max-F2c",
+        omega_sig=1.5,
+        window=0.0,
+        **grid,
+    )
+    assert spec.window == 0.0
+    with pytest.raises(ConfigurationError, match="^max-F2c needs a detection window$"):
+        dataclasses.replace(spec, window=None)
+    with pytest.raises(ConfigurationError, match="at least 3 points, got 2"):
+        dataclasses.replace(spec, points=2)
 
 
 def test_recovers_matched_readout_rate() -> None:

@@ -628,7 +628,7 @@ def test_solve_block_matches_pointwise_solve(
     dyn: DoubledDynamics, omegas: np.ndarray, near: bool
 ) -> None:
     inv, good, cond = scattering._solve_block(dyn, omegas)
-    rows = scattering._s_rows(dyn.out_coupling, inv, dyn.in_coupling)
+    rows = scattering._s_rows(dyn, inv, slice(None))
     dim = dyn.dimension
     flagged = 0
     for i, omega in enumerate(omegas.tolist()):
@@ -644,8 +644,14 @@ def test_solve_block_matches_pointwise_solve(
         if good[i]:
             want = np.linalg.inv(a)
             assert np.abs(inv[i] - want).max() <= 1e-13 * np.abs(want).max()
-            want = dyn.out_coupling @ np.linalg.solve(a, dyn.in_coupling)
-            assert np.abs(rows[:, i] - want).max() <= 1e-13 * np.abs(want).max()
+            # Off the diagonal S is G'A^-1 G itself; on it the added 1 rounds.
+            product = dyn.out_coupling @ np.linalg.solve(a, dyn.in_coupling)
+            off = ~np.eye(2 * dyn.n_ports, dtype=bool)
+            err = np.abs(rows[:, i] - product)[off].max()
+            assert err <= 1e-13 * np.abs(product).max()
+            want = np.eye(2 * dyn.n_ports) + product
+            err = np.abs(np.diag(rows[:, i]) - np.diag(want)).max()
+            assert err <= 1e-13 * np.abs(want).max()
     # The near-singular grid holds points flagged by the 1-norm screen
     # that pass on the 2-norm condition, and points that fail.
     if near:
@@ -1195,12 +1201,65 @@ def test_consistency_checks_skip_the_singular_probe() -> None:
     assert got["skipped"] >= 1.0
 
 
+def test_all_singular_block_records_failures() -> None:
+    # A block whose every point is near-singular forms no row of S: the
+    # sweep records each point as a failure and the checks skip each probe.
+    dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    grid = spectrum_sweep(dyn, env, [TAU * 2.0e6])
+    assert [f.index for f in grid.failures] == [0]
+    # 1025 points: the one-point last block is the pole.
+    omegas = np.linspace(TAU * 1.0e6, TAU * 2.0e6, 1025)
+    assert [f.index for f in spectrum_sweep(dyn, env, omegas).failures] == [1024]
+    got = consistency_checks(dyn, [TAU * 2.0e6])
+    assert got == {"unitarity": 0.0, "particle_hole": 0.0, "sum_rule": 0.0, "skipped": 1.0}
+
+
 def test_consistency_checks_solve_the_lower_sideband() -> None:
     # The asymmetric squeezer breaks particle-hole symmetry: a check that
     # mirrored S(omega) instead of solving at -omega would read 0 here.
     dyn = _asymmetric_squeezer()
     got = _assert_checks_match_reference(dyn, np.linspace(TAU * 1.0e5, TAU * 3.0e6, 23))
     assert got["particle_hole"] > 1e-3
+
+
+def _assert_one_row_function(dyn: DoubledDynamics, omegas: np.ndarray) -> None:
+    """Every S comes from one row function, so its consumers share its bytes.
+
+    At each frequency the sweep's upper exit row, the upper row of
+    transfer_pair and the exit row of scattering_matrix hold the same
+    bytes on the physical slots, signs of zeros included; the unitarity of
+    consistency_checks is the sweep's worst symplectic residual.
+    """
+    env = NoiseEnvironment.from_dynamics(dyn)
+    grid = spectrum_sweep(dyn, env, omegas)
+    assert not grid.failures and grid.exit_rows is not None
+    exit_col = dyn.port_index[dyn.exit_port]
+    for i, omega in enumerate(omegas.tolist()):
+        mask = physical_slot_mask(dyn.ports, omega)
+        up, _ = transfer_pair(dyn, omega)
+        pair = np.array([*up.u_coeffs.values(), *up.v_coeffs.values()])
+        sweep = np.where(mask, grid.exit_rows[0, i], 0j)
+        matrix = np.where(mask, scattering_matrix(dyn, omega).matrix[exit_col], 0j)
+        assert sweep.tobytes() == pair.tobytes() == matrix.tobytes(), i
+    assert grid.symplectic_resid is not None
+    checks = consistency_checks(dyn, omegas)
+    assert checks["skipped"] == 0.0
+    assert checks["unitarity"] == np.max(grid.symplectic_resid)
+
+
+def test_electromech_takes_s_from_one_row_function() -> None:
+    dyn = assemble_dynamics(get_builtin("electromech"))
+    _assert_one_row_function(dyn, np.linspace(TAU * 4.0e6, TAU * 6.0e6, 41))
+    _assert_one_row_function(dyn, np.geomspace(TAU * 1.0e3, TAU * 1.0e8, 25))
+
+
+@settings(max_examples=25, deadline=None, derandomize=True)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_random_models_take_s_from_one_row_function(seed: int) -> None:
+    rng = np.random.default_rng(seed)
+    for model in (random_stable_model(rng), wide_model(rng)):
+        _assert_one_row_function(assemble_dynamics(model), np.geomspace(1.0e2, 1.0e10, 40))
 
 
 @pytest.mark.parametrize(
