@@ -17,7 +17,8 @@ internally everything is angular, rad/s)::
 ``mode_a``, ``drive``, ...) are by name. Saving converts rad/s back to Hz
 choosing, when one exists, the Hz float whose product with 2*pi reproduces
 the angular value bit-for-bit, so save -> load round-trips exactly for
-models built from Hz inputs.
+models built from Hz inputs. A model drawn in rad/s may move by at most one
+ulp per angular field on save -> load; a second round trip is exact.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Any, Iterator, Literal, Mapping
+from typing import Any, Callable, Iterator, Literal, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -111,17 +111,27 @@ def bose_occupancy(omega: float, temperature: float) -> float:
 
 
 def _bose_array(
-    omegas: NDArray[np.float64], temperature: float, valid: NDArray[np.bool_]
+    omegas: NDArray[np.float64],
+    temperature: float | NDArray[np.float64],
+    valid: NDArray[np.bool_],
 ) -> NDArray[np.float64]:
-    """Vectorized occupancy; entries where ``valid`` is False are set to 0."""
+    """Vectorized occupancy; entries where ``valid`` is False or at 0 K are 0.
+
+    ``temperature`` broadcasts against ``omegas``, e.g. one per row.
+    """
     out = np.zeros_like(omegas, dtype=np.float64)
-    if temperature == 0.0:
+    warm = np.not_equal(temperature, 0.0)
+    if not warm.any():
         return out
-    x = hbar * omegas / (k_boltzmann * temperature)
-    small = valid & (x <= _EXPM1_CUTOFF)
+    hot = valid & warm
+    with np.errstate(divide="ignore", invalid="ignore"):
+        x = hbar * omegas / (k_boltzmann * temperature)
+    small = hot & (x <= _EXPM1_CUTOFF)
     with np.errstate(over="ignore"):
         np.divide(1.0, np.expm1(x, out=out, where=small), out=out, where=small)
-    np.exp(-np.minimum(x, 745.0), out=out, where=valid & ~small)
+    tail = hot & ~small
+    if tail.any():
+        np.exp(-np.minimum(x, 745.0), out=out, where=tail)
     return out
 
 
@@ -161,10 +171,30 @@ class NoiseEnvironment:
         omegas_lab: NDArray[np.float64],
         valid: NDArray[np.bool_],
     ) -> NDArray[np.float64]:
-        kind, value = self._entry(port)
-        if kind == "constant":
-            return np.where(valid, value, 0.0)
-        return _bose_array(omegas_lab, value, valid)
+        return self._occupancy_rows([port])(omegas_lab[None], valid[None])[0]
+
+    def _occupancy_rows(
+        self, ports: Sequence[str]
+    ) -> Callable[[NDArray[np.float64], NDArray[np.bool_]], NDArray[np.float64]]:
+        """Occupancies of stacked slots, row ``i`` for port ``ports[i]``.
+
+        Returns a function of ``(omegas_lab, valid)``, both
+        ``(len(ports), points)``, that evaluates all rows in one pass, 0
+        where ``valid`` is False.
+        """
+        entries = [self._entry(port) for port in ports]
+        temps = np.array([[v if kind == "temperature" else 0.0] for kind, v in entries])
+        constant = np.array([[kind == "constant"] for kind, _ in entries])
+        values = np.where(constant, [[v] for _, v in entries], 0.0)
+        fill = bool(constant.any())
+
+        def rows(
+            omegas_lab: NDArray[np.float64], valid: NDArray[np.bool_]
+        ) -> NDArray[np.float64]:
+            out = _bose_array(omegas_lab, temps, valid)
+            return np.where(constant & valid, values, out) if fill else out
+
+        return rows
 
     def _entry(self, port: str) -> tuple[str, float]:
         try:
@@ -244,20 +274,18 @@ class SpectrumGrid:
     residual at that frequency. Failures carry per-point error messages;
     the surviving points are unaffected.
 
-    ``exit_rows[0, i]`` and ``exit_rows[1, i]`` are the exit-port rows of S
-    at ``+omegas[i]`` and ``-omegas[i]`` on the doubled port slots, before
-    physicality masking, and NaN where the point failed. ``rows_up`` and
-    ``rows_dn`` are :class:`TransferRow` views of them, built on first read
-    and then kept, with None where the point failed. Both views are None on
-    a grid built without ``exit_rows``.
-
-    A grid from :func:`spectrum_sweep` derives its spectra from
-    ``exit_rows`` on first read and then keeps them: ``eta_up`` and
-    ``noise_up`` together, ``eta_dn`` and ``noise_dn`` together, and
-    ``sumrule_resid`` on its own, each block by block over the stored rows,
-    so a caller that reads only the upper sideband never computes the lower
-    one or the sum rule. A spectrum given to the constructor is kept as
-    given.
+    A grid from :func:`spectrum_sweep` keeps each block's rows ``exit``
+    and ``exit + n_ports`` of S at ``+omega`` as they were formed, and
+    builds the rest from them on first read: ``eta_up`` with ``noise_up``,
+    ``eta_dn`` with ``noise_dn``, and ``sumrule_resid``, each block by
+    block, so a caller that reads only the upper sideband never computes
+    the lower one or the sum rule; and ``exit_rows``, the exit-port rows of
+    S at ``+omegas[i]`` (``exit_rows[0, i]``) and ``-omegas[i]``
+    (``exit_rows[1, i]``, mirrored) on the doubled port slots, before
+    physicality masking, NaN where the point failed. ``rows_up`` and
+    ``rows_dn`` are :class:`TransferRow` views of ``exit_rows``, None where
+    the point failed. All three are None on a grid built without rows. A
+    spectrum given to the constructor is kept as given.
 
     ``cond[i]`` describes the 2-norm condition of the resolvent
     ``A = i*omega + M`` at ``omegas[i]``, for both sidebands: the sweep
@@ -280,17 +308,20 @@ class SpectrumGrid:
         sumrule_resid: NDArray[np.float64] | None = None,
         symplectic_resid: NDArray[np.float64] | None = None,
         failures: list[SweepFailure] | None = None,
-        exit_rows: NDArray[np.complex128] | None = None,
         cond: NDArray[np.float64] | None = None,
         _source: tuple[tuple[PortInfo, ...], str, str, NoiseEnvironment] | None = None,
+        _blocks: list[tuple[slice | NDArray[np.intp], NDArray[np.complex128]]]
+        | None = None,
     ) -> None:
         self.omegas = omegas
         self.symplectic_resid = symplectic_resid
         self.failures = [] if failures is None else failures
-        self.exit_rows = exit_rows
         self.cond = cond
         # Ports, signal port, exit port name and occupancies of the rows.
         self._source = _source
+        # Per block: the grid index of its solved points, and rows exit
+        # and exit + n_ports of S there, as _s_rows formed them.
+        self._blocks = _blocks
         # A given spectrum shadows its derivation below.
         given = {
             "eta_up": eta_up,
@@ -319,13 +350,24 @@ class SpectrumGrid:
 
     @cached_property
     def sumrule_resid(self) -> NDArray[np.float64]:
-        resid = np.empty((2, self.omegas.size))
+        resid = np.full((2, self.omegas.size), np.nan)
         for side in (0, 1):
-            for block, _, abs_u, abs_v, defined in self._masked_blocks(side):
-                resid[side, block] = np.where(
+            for points, _, abs_u, abs_v, defined in self._masked_blocks(side):
+                resid[side, points] = np.where(
                     defined, _flux_balance(abs_u, abs_v), np.nan
                 )
         return np.fmax(resid[0], resid[1])
+
+    @cached_property
+    def exit_rows(self) -> NDArray[np.complex128] | None:
+        if self._blocks is None or self._source is None:
+            return None
+        p = len(self._source[0])
+        rows = np.full((2, self.omegas.size, 2 * p), np.nan, dtype=np.complex128)
+        for points, s in self._blocks:
+            rows[0, points] = s[0]
+            rows[1, points] = _mirror(s[1], ndim=1)
+        return rows
 
     @cached_property
     def rows_up(self) -> tuple[TransferRow | None, ...] | None:
@@ -351,31 +393,34 @@ class SpectrumGrid:
         the other costs nothing.
         """
         ports, signal_port, _, env = self._rows_source()
-        sig_col = [info.name for info in ports].index(signal_port)
+        port_names = [info.name for info in ports]
+        sig_col = port_names.index(signal_port)
         upper = side == 0
-        efficiency = np.empty(self.omegas.size)
-        noise = np.empty(self.omegas.size)
-        for block, slots, abs_u, abs_v, defined in self._masked_blocks(side):
+        # Both slot sets of every port, annihilation slots first.
+        occupancies = env._occupancy_rows(port_names * 2)
+        efficiency = np.full(self.omegas.size, np.nan)
+        noise = np.full(self.omegas.size, np.nan)
+        for points, slots, abs_u, abs_v, defined in self._masked_blocks(side):
             lab_u, lab_v, mask_u, mask_v = slots
             eff = np.where(defined, (abs_u if upper else abs_v)[sig_col], np.nan)
             # The signal column is not noise on its own side.
             (abs_u if upper else abs_v)[sig_col] = 0.0
-            occ_u, occ_v = np.empty_like(abs_u), np.empty_like(abs_v)
-            for j, info in enumerate(ports):
-                occ_u[j] = env.occupancy_array(info.name, lab_u[j], mask_u[j])
-                occ_v[j] = env.occupancy_array(info.name, lab_v[j], mask_v[j])
+            occ = occupancies(
+                np.concatenate([lab_u, lab_v]), np.concatenate([mask_u, mask_v])
+            )
+            occ_u, occ_v = occ[: len(ports)], occ[len(ports) :]
             # Masked columns are zero in abs_v already.
             flux = _port_sums(abs_u * occ_u) + _port_sums(abs_v * (occ_v + 1.0))
             with np.errstate(invalid="ignore", divide="ignore"):
-                noise[block] = np.where(eff > 0.0, flux / eff, np.nan)
-            efficiency[block] = eff
+                noise[points] = np.where(eff > 0.0, flux / eff, np.nan)
+            efficiency[points] = eff
         names = ("eta_up", "noise_up") if upper else ("eta_dn", "noise_dn")
         for name, value in zip(names, (efficiency, noise)):
             self.__dict__.setdefault(name, value)
         return efficiency, noise
 
     def _rows_source(self) -> tuple[tuple[PortInfo, ...], str, str, NoiseEnvironment]:
-        if self.exit_rows is None or self.cond is None or self._source is None:
+        if self._blocks is None or self._source is None:
             raise AttributeError(
                 "a grid built without exit rows has only the spectra given to it"
             )
@@ -384,28 +429,29 @@ class SpectrumGrid:
     def _masked_blocks(self, side: int) -> Iterator[tuple[Any, ...]]:
         """The exit rows at one sideband, masked, block by block.
 
-        Yields ``(block, slots, abs_u, abs_v, defined)``: the slice of the
-        grid, the :func:`_slots` of its signed frequencies, the squared
-        magnitudes of the annihilation and creation halves of the rows,
-        zero on unphysical columns, and where the exit output is physical
-        and the point was solved. Everything after the slice is port-major,
+        Yields ``(points, slots, abs_u, abs_v, defined)``: the grid index of
+        the block's solved points, the :func:`_slots` of their signed
+        frequencies, the squared magnitudes of the annihilation and creation
+        halves of the rows, zero on unphysical columns, and where the exit
+        output is physical. Everything after the index is port-major,
         ``(n_ports, points)``, so each operation and each sum over ports
-        runs along the points of the block.
+        runs along the points of the block. The lower sideband reads row
+        ``exit + n_ports`` with its halves swapped, unconjugated, since
+        ``|conj z|^2 = |z|^2``.
         """
         ports, _, exit_name, _ = self._rows_source()
         p = len(ports)
         exit_col = [info.name for info in ports].index(exit_name)
         centers = np.array([[info.band_center] for info in ports])
-        for lo in range(0, self.omegas.size, _BLOCK):
-            block = slice(lo, lo + _BLOCK)
-            w = self.omegas[block]
+        for points, s in self._blocks or ():
+            w = self.omegas[points]
             slots = _slots(w if side == 0 else -w, centers)
             _, _, mask_u, mask_v = slots
-            row = self.exit_rows[side, block].T
-            abs_u = _abs2_array(np.where(mask_u, row[:p], 0.0))
-            abs_v = _abs2_array(np.where(mask_v, row[p:], 0.0))
-            defined = mask_u[exit_col] & (self.cond[block] <= CONDITION_LIMIT)
-            yield block, slots, abs_u, abs_v, defined
+            row = s[side].T
+            u, v = (row[:p], row[p:]) if side == 0 else (row[p:], row[:p])
+            abs_u = _abs2_array(np.where(mask_u, u, 0.0))
+            abs_v = _abs2_array(np.where(mask_v, v, 0.0))
+            yield points, slots, abs_u, abs_v, mask_u[exit_col]
 
 
 def _solve_block(
@@ -477,6 +523,7 @@ def _s_rows(
     ``G`` in a second. Whole rows of a cached identity are then added, which
     turns each negative zero into a positive one, as ``1 + (S - 1)`` does.
     ``rows`` is a slice, so both selections are views; a list would copy.
+    :func:`spectrum_sweep` keeps the result as it is.
     """
     n, dim, _ = inv.shape
     g_rows = dyn.out_coupling[rows]
@@ -901,14 +948,12 @@ def spectrum_sweep(
     halves swapped. Hand-built dynamics without the symmetry are refused
     before any solve; :func:`transfer_pair` solves ``-omega`` for them,
     and :func:`consistency_checks` reports how far they are from it. The
-    block loop keeps only the solve, its screen, the exit rows (from
-    :func:`_s_rows`, as every S here, written once, NaN only where a point
-    failed) and the symplectic residual; a block whose points all passed
-    the screen is read and written through slices, not copies. The
-    returned :class:`SpectrumGrid` derives efficiency, added noise and the
-    sum rule from the stored rows when they are first read, one sideband
-    at a time and block by block, so the arrays that span the grid are the
-    outputs alone.
+    block loop keeps only the solve, its screen, the symplectic residual
+    and, per block, rows ``exit`` and ``exit + n_ports`` of S at its solved
+    points as :func:`_s_rows` formed them, with no copy into a grid-wide
+    array and no mirroring. The returned :class:`SpectrumGrid` derives
+    efficiency, added noise and the sum rule from them when first read,
+    one sideband at a time and block by block.
 
     A point is near-singular when the 2-norm condition of its resolvent
     exceeds ``CONDITION_LIMIT`` (1e12), screened by the exact 1-norm
@@ -919,10 +964,9 @@ def spectrum_sweep(
     computed normally. The condition number or bound of every point is
     kept as ``cond``.
 
-    The exit rows at both sidebands are kept as one array,
-    ``exit_rows``; the per-point :class:`TransferRow` views ``rows_up``
-    and ``rows_dn`` are built from it on first read, by the builder behind
-    :func:`transfer_row`. No figure of merit reads them.
+    ``exit_rows``, both sidebands' exit rows in one array, is built only
+    when it or its :class:`TransferRow` views ``rows_up`` and ``rows_dn``
+    are first read. No figure of merit reads them.
 
     Parameters
     ----------
@@ -965,36 +1009,28 @@ def spectrum_sweep(
             "spectrum_sweep needs particle-hole symmetric dynamics, as "
             "assemble_dynamics builds them; use transfer_pair for these"
         )
-    # Rows of S formed per block: all of them for the symplectic residual,
-    # otherwise only exit and exit + n_ports; ``at`` finds those two.
-    if symplectic:
-        formed, at = slice(None), (exit_col, exit_col + p)
-    else:
-        formed, at = slice(exit_col, None, p), (0, 1)
+    # Rows exit and exit + n_ports of S at +omega give both sidebands.
+    exit_pair = slice(exit_col, None, p)
+    formed = slice(None) if symplectic else exit_pair
 
-    # Row 0 holds the upper sideband (+omega), row 1 the lower (-omega).
     good = np.empty(m, dtype=bool)
     cond = np.empty(m)
     symp = np.full(m, np.nan) if symplectic else None
-    all_rows = np.empty((2, m, 2 * p), dtype=np.complex128)
+    blocks = []
 
     for lo in range(0, m, _BLOCK):
         block = slice(lo, lo + _BLOCK)
         w = grid[block]
         inv, good[block], cond[block] = _solve_block(dyn, w)
         ok = _good_index(good[block])
-        # Rows exit and exit + n_ports of S on the upper sideband serve its
-        # exit row and the mirrored lower row.
         s_rows = _s_rows(dyn, inv[ok], formed)
         if symp is not None:
             slots = physical_slot_mask(dyn.ports, w[ok])
             symp[block][ok] = _masked_symplectic(
                 s_rows.transpose(1, 0, 2), dyn.metric, slots
             )
-        rows = all_rows[:, block]
-        rows[0, ok] = s_rows[at[0]]
-        rows[1, ok] = _mirror(s_rows[at[1]], ndim=1)
-        rows[:, ~good[block]] = np.nan
+            s_rows = s_rows[exit_pair].copy()
+        blocks.append((block if isinstance(ok, slice) else lo + ok, s_rows))
 
     failures = [
         SweepFailure(
@@ -1012,9 +1048,9 @@ def spectrum_sweep(
         omegas=grid,
         symplectic_resid=symp,
         failures=failures,
-        exit_rows=all_rows,
         cond=cond,
         _source=(dyn.ports, dyn.signal_port, exit_name, env),
+        _blocks=blocks,
     )
 
 

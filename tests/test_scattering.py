@@ -139,6 +139,35 @@ def test_bose_array_follows_bose_occupancy_point_by_point(temperature: float) ->
     ulps = np.abs(got[valid].view(np.int64) - scalar.view(np.int64))
     assert np.max(ulps[~floored], initial=0) <= 2
 
+    # A stack of slots in one pass: temperatures broadcast down the rows
+    # (0 K among them), a constant entry, and each row over every branch,
+    # the tail past _EXPM1_CUTOFF included. Each row has the bits of the
+    # one-port calls.
+    spec = {
+        "p": ("temperature", temperature),
+        "cold": ("temperature", 0.0),
+        "warm": ("temperature", 2.0),
+        "fixed": ("constant", 0.7),
+        "ref": ("temperature", t_ref),
+    }
+    env = NoiseEnvironment(spec)
+    ports = ["p", "cold", "warm", "fixed", "ref", "warm"]
+    lab = np.array([xs * scattering.k_boltzmann * (spec[port][1] or t_ref) for port in ports])
+    lab /= scattering.hbar
+    masked = np.random.default_rng(11).random(lab.shape) >= 0.7
+    lab[masked & (np.arange(lab.shape[1]) % 2 == 0)] *= -1.0
+    stacked = env._occupancy_rows(ports)(lab, ~masked)
+    assert stacked.shape == lab.shape and stacked[~masked].any()
+    for port, row, ok, got_row in zip(ports, lab, ~masked, stacked):
+        kind, value = spec[port]
+        alone = (
+            np.where(ok, value, 0.0)
+            if kind == "constant"
+            else scattering._bose_array(row, value, ok)
+        )
+        assert got_row.tobytes() == alone.tobytes(), port
+        assert got_row.tobytes() == env.occupancy_array(port, row, ok).tobytes(), port
+
 
 def test_environment_constant_and_temperature() -> None:
     env = NoiseEnvironment.constant({"a": 2.5})
@@ -412,14 +441,29 @@ def test_spectra_are_derived_per_sideband_on_first_read(
     monkeypatch: pytest.MonkeyPatch,
 ) -> None:
     # Counting reads only eta_up and noise_up: the lower sideband and the
-    # sum rule are then never computed. Each spectrum has the same bits
-    # whatever was read before it.
+    # sum rule are then never computed. The exit rows are assembled from
+    # the sweep's blocks only when they or their views are read. Each
+    # output has the same bits whatever was read before it. The grid holds
+    # a failed point and a partial last block.
     dyn = assemble_dynamics(near_singular_model(delta_hz=2.0e6, gamma_hz=1.0e5))
     env = NoiseEnvironment.constant({"pa": 0.4, "pb": 1.1})
     omegas = np.linspace(TAU * 1.0e6, TAU * 3.0e6, _BLOCK + 41)
     names = ("eta_up", "noise_up", "eta_dn", "noise_dn", "sumrule_resid")
-    want = spectrum_sweep(dyn, env, omegas)
-    want_bytes = {name: getattr(want, name).tobytes() for name in names[::-1]}
+    names += ("exit_rows", "rows_dn")
+
+    def bits(grid: SpectrumGrid, name: str) -> bytes:
+        value = getattr(grid, name)
+        if name != "rows_dn":
+            return value.tobytes()
+        return b"|".join(
+            b"-"
+            if row is None
+            else np.array([*row.u_coeffs.values(), *row.v_coeffs.values()]).tobytes()
+            for row in value
+        )
+
+    # Each output read first, on a grid of its own.
+    want_bytes = {name: bits(spectrum_sweep(dyn, env, omegas), name) for name in names}
     sides = []
     masked_blocks = SpectrumGrid._masked_blocks
     monkeypatch.setattr(
@@ -429,10 +473,20 @@ def test_spectra_are_derived_per_sideband_on_first_read(
     )
     grid = spectrum_sweep(dyn, env, omegas)
     assert sides == []
-    for name, derived in zip(names, ([0], [], [1], [], [0, 1])):
+    for name, derived in zip(names, ([0], [], [1], [], [0, 1], [], [])):
+        # Not assembled before its own read, which comes after the spectra.
+        assert ("exit_rows" in vars(grid)) == (name == "rows_dn"), name
         sides.clear()
-        assert getattr(grid, name).tobytes() == want_bytes[name], name
+        assert bits(grid, name) == want_bytes[name], name
         assert sides == derived, name
+    assert grid.exit_rows is not None and grid.rows_dn is not None
+    failed = [f.index for f in grid.failures]
+    assert failed and failed[0] < _BLOCK < omegas.size < 2 * _BLOCK
+    solved = np.ones(omegas.size, dtype=bool)
+    solved[failed] = False
+    assert np.isnan(grid.exit_rows[:, ~solved]).all()
+    assert np.isfinite(grid.exit_rows[:, solved]).all()
+    assert [i for i, row in enumerate(grid.rows_dn) if row is None] == failed
     # A spectrum given to the constructor is kept as given.
     given = np.zeros(3)
     assert SpectrumGrid(omegas=np.arange(1.0, 4.0), eta_up=given).eta_up is given
