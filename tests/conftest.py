@@ -3,7 +3,11 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import re
+import shlex
+from pathlib import Path
 
 import numpy as np
 
@@ -21,6 +25,69 @@ from modescatter import (
 )
 
 TAU = 2.0 * math.pi
+
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+@dataclasses.dataclass(frozen=True)
+class ReadmeExample:
+    """A ``$ modescatter`` command of the README and the lines shown under it."""
+
+    line: int
+    argv: list[str]
+    shown: list[str]
+
+
+def readme_model_json() -> str:
+    """The model file of the README's "Model files" section."""
+    block = re.search(r"```json\n(.*?)```", README.read_text(), re.S)
+    assert block is not None
+    return block.group(1)
+
+
+def readme_examples() -> list[ReadmeExample]:
+    """Every ``$ modescatter`` command in the README's ``sh`` blocks.
+
+    A command goes on through lines ending in a backslash. The lines after
+    it, up to a blank line, the next ``$`` line or the end of the block,
+    are what the README shows it printing.
+    """
+    text = README.read_text()
+    examples = []
+    for block in re.finditer(r"^```sh\n(.*?)^```$", text, re.S | re.M):
+        first = text.count("\n", 0, block.start(1)) + 1
+        body = block.group(1).splitlines()
+        for start, line in enumerate(body):
+            if not line.startswith("$ modescatter "):
+                continue
+            end = start
+            while body[end].endswith("\\"):
+                end += 1
+            command = " ".join(part.rstrip("\\") for part in body[start : end + 1])
+            shown = itertools.takewhile(lambda s: s and not s.startswith("$ "), body[end + 1 :])
+            examples.append(ReadmeExample(first + start, shlex.split(command)[2:], list(shown)))
+    return examples
+
+
+def shows(shown: list[str], out: list[str]) -> bool:
+    """Whether the output lines ``out`` match the ``shown`` lines of an example.
+
+    Line by line, in order: ``...`` stands for any run of output lines, a
+    line ending in ``...`` for one output line that starts with the text
+    before it, and any other line for one output line equal to it.
+    """
+    if not shown:
+        return not out
+    line, rest = shown[0], shown[1:]
+    if line == "...":
+        return any(shows(rest, out[k:]) for k in range(len(out) + 1))
+    if not out:
+        return False
+    if line.endswith("..."):
+        fits = out[0].startswith(line.removesuffix("..."))
+    else:
+        fits = out[0] == line
+    return fits and shows(rest, out[1:])
 
 
 def two_mode_converter(

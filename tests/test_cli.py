@@ -13,7 +13,7 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from conftest import TAU, near_singular_model, two_mode_converter
+from conftest import TAU, near_singular_model, readme_examples, shows, two_mode_converter
 
 from modescatter import ElectromechParams, qubit_fidelity
 from modescatter.cli import main
@@ -214,84 +214,18 @@ _README_COLD_GRID = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, lines",
-    [
-        (
-            ["--builtin", "electromech", "--app", "qubit", "--omega-sig", "5e6"],
-            [
-                "eta_plus = 0.999618859854",
-                "n_plus = 0.0506157515852",
-                "fidelity = 0.91554551408",
-            ],
-        ),
-        (
-            ["--model", "README.json", "--app", "heterodyne", "--omega-sig", "1e6"],
-            ["p_s = 1.60076575977", "bound = 2.57438685092"],
-        ),
-        (
-            [
-                *_README_COLD_GRID,
-                "--app", "counting", "--omega-sig", "5e6", "--points", "8001",
-                "--h-in", "delta:center_hz=5e6",
-                "--h-out", "exponential:rate_per_s=2e4", "--window", "2e-4",
-            ],
-            [
-                "bandwidth_hz = 14824.7060017",
-                "dark_rate_per_s = 0.370593615678",
-                "n_out_mean = 0.981384320514",
-            ],
-        ),
-        (
-            [
-                *_README_COLD_GRID,
-                "--app", "entangle", "--omega-sig", "5e6", "--points", "8001",
-                "--window", "1e-5",
-            ],
-            [
-                "one-click.fidelity = 0.997283872666",
-                "two-click.fidelity = 0.999992579705",
-            ],
-        ),
-    ],
-    ids=["qubit", "heterodyne", "counting", "entangle"],
-)
-def test_fom_prints_readme_lines(
-    argv: list[str],
-    lines: list[str],
-    tmp_path: Path,
-    capsys: pytest.CaptureFixture[str],
-) -> None:
-    # The README's fom examples, line for line; "README.json" stands for the
-    # model file shown in its "Model files" section.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    model = tmp_path / "converter.json"
-    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    code = main(["fom"] + [str(model) if a == "README.json" else a for a in argv])
-    out = capsys.readouterr().out.splitlines()
-    assert code == 0
-    for line in lines:
-        assert line in readme
-        assert line in out
-
-
 def test_main_twice_in_one_process_forgets_overrides(
     capsys: pytest.CaptureFixture[str],
 ) -> None:
     # The parser is built once per process; the --set list of one call must
-    # not reach the next.
-    argv = ["fom", "--builtin", "electromech", "--app", "qubit", "--omega-sig", "5e6"]
-    lines = [
-        "eta_plus = 0.999618859854",
-        "n_plus = 0.0506157515852",
-        "fidelity = 0.91554551408",
-    ]
-    assert main([*argv, "--set", "t_wg=0"]) == 0
-    assert lines[1] not in capsys.readouterr().out.splitlines()
-    assert main(argv) == 0
-    out = capsys.readouterr().out.splitlines()
-    for line in lines:
-        assert line in out
+    # not reach the next. The request and its lines are the README's qubit
+    # example.
+    qubit = next(e for e in readme_examples() if "qubit" in e.argv)
+    n_plus = next(line for line in qubit.shown if line.startswith("n_plus = "))
+    assert main([*qubit.argv, "--set", "t_wg=0"]) == 0
+    assert n_plus not in capsys.readouterr().out.splitlines()
+    assert main(qubit.argv) == 0
+    assert shows(qubit.shown, capsys.readouterr().out.splitlines())
 
 
 def test_fom_counting_cold_lines(capsys: pytest.CaptureFixture[str]) -> None:
@@ -514,48 +448,6 @@ def test_validate_builtin_ok(capsys: pytest.CaptureFixture[str]) -> None:
     assert "particle-hole" in captured.out
 
 
-def test_validate_prints_readme_lines(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
-) -> None:
-    # The README's validate example on the model file of its "Model files"
-    # section, line for line.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    model = tmp_path / "converter.json"
-    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    code = main(["validate", "--model", str(model), "--ensemble", "5"])
-    out = capsys.readouterr().out.splitlines()
-    assert code == 0
-    lines = [
-        "checks: unitarity=8.882e-16 particle-hole=0.000e+00 sum-rule=8.882e-16"
-        " (skipped 0 near-singular point(s))",
-        "ensemble(5): unitarity=2.229e-15 particle-hole=1.807e-15 sum-rule=1.110e-15",
-        "validate: OK",
-    ]
-    for line in lines:
-        assert line in readme
-        assert line in out
-
-
-def test_spectra_prints_readme_lines(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
-) -> None:
-    # The README's spectra example on the model file of its "Model files"
-    # section: the header, and the first row up to the README's "...".
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    model = tmp_path / "converter.json"
-    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    command, header, first, rest = re.search(
-        r"```sh\n\$ modescatter (spectra .*?)\n```", readme, re.S
-    ).group(1).splitlines()
-    assert rest == "..." and first.endswith(",...")
-    argv = [str(model) if a == "converter.json" else a for a in command.split()]
-    code = main(argv)
-    out = capsys.readouterr().out.splitlines()
-    assert code == 0
-    assert out[0] == header
-    assert out[1].startswith(first[: -len("...")])
-
-
 def test_validate_model_file_with_ensemble(
     converter_path: str, capsys: pytest.CaptureFixture[str]
 ) -> None:
@@ -667,9 +559,13 @@ def test_optimize_cli_recovers_matching(
     values = _fom_lines(captured.out)
     best = float(values["best ports.wg.rate"].split()[0])
     assert abs(best - 2.5e4) / 2.5e4 < 0.01
+    # A repeated candidate is solved once but still counted: the trace holds
+    # one entry per printed evaluation.
+    printed = re.search(r"^evaluations +(\d+)$", captured.out, re.M)
+    assert printed is not None
     trace = json.loads(trace_path.read_text())
     assert trace["objective"] == "max-eta"
-    assert len(trace["trace"]) == trace["n_evals"] <= 150
+    assert len(trace["trace"]) == trace["n_evals"] == int(printed.group(1)) <= 150
     assert trace["best_value"] > 0.99
 
 
@@ -792,9 +688,8 @@ def test_shape_spec_errors_come_before_the_sweep(
 def test_protocol_sim_prints_readme_table(
     capsys: pytest.CaptureFixture[str],
 ) -> None:
-    # The README's protocol-sim request; the README shows the rows marked
-    # with "shown", this pins every row of the table.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    # The README's protocol-sim request; the README shows some rows, this
+    # pins every row of the table.
     code = main(
         [
             "protocol-sim", "--scheme", "two-click", "--p-e", "0.5",
@@ -803,22 +698,19 @@ def test_protocol_sim_prints_readme_table(
     )
     out = capsys.readouterr().out.splitlines()
     assert code == 0
-    table = [
-        ("shown", "scheme=two-click p_e=0.5 p_d=0.001 eta=0.8 trials=200000 seed=1"),
-        ("shown", "quantity                      exact    enumerate   monte-carlo"),
-        ("shown", "fidelity                 0.99651357   0.99651357   0.996468 +/- 0.000227"),
-        ("", "success_probability      0.32063792   0.32063792   0.319965 +/- 0.001043"),
-        ("", "photon_herald_prob       0.31936032   0.31936032   0.318700"),
-        ("", "pop[00]                  0.00149415   0.00149415   0.001422"),
-        ("", "pop[psi_plus]            0.99601544   0.99601544   0.996046"),
-        ("", "pop[01]                  0.00049813   0.00049813   0.000297"),
-        ("", "pop[10]                  0.00049813   0.00049813   0.000547"),
-        ("", "pop[11]                  0.00149415   0.00149415   0.001688"),
-        ("shown", "max |exact - enumerate| = 1.110e-16; heralds = 63993"),
+    assert out == [
+        "scheme=two-click p_e=0.5 p_d=0.001 eta=0.8 trials=200000 seed=1",
+        "quantity                      exact    enumerate   monte-carlo",
+        "fidelity                 0.99651357   0.99651357   0.996468 +/- 0.000227",
+        "success_probability      0.32063792   0.32063792   0.319965 +/- 0.001043",
+        "photon_herald_prob       0.31936032   0.31936032   0.318700",
+        "pop[00]                  0.00149415   0.00149415   0.001422",
+        "pop[psi_plus]            0.99601544   0.99601544   0.996046",
+        "pop[01]                  0.00049813   0.00049813   0.000297",
+        "pop[10]                  0.00049813   0.00049813   0.000547",
+        "pop[11]                  0.00149415   0.00149415   0.001688",
+        "max |exact - enumerate| = 1.110e-16; heralds = 63993",
     ]
-    assert out == [line for _, line in table]
-    for shown, line in table:
-        assert (line in readme) == bool(shown)
 
 
 _FAILING_CHECKS = {

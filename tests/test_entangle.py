@@ -353,6 +353,7 @@ _ENSEMBLE_SPECS = [
     ProtocolSpec("one-click", 0.2, 0.01, 0.5),
     ProtocolSpec("one-click", 0.4, 0.25, 0.7),
     ProtocolSpec("one-click", 0.02, 2.0e-3, 0.05),
+    ProtocolSpec("one-click", 0.03, 1.0e-3, 0.6),
     ProtocolSpec("one-click", 1.0, 0.02, 1.0),
 ]
 _ENSEMBLE_SEEDS = range(5000, 5100)

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 import hashlib
 import math
-import re
-from pathlib import Path
 
 import numpy as np
 import pytest
-from conftest import TAU, two_mode_converter, wide_model
+from conftest import TAU, readme_model_json, two_mode_converter, wide_model
 
 from modescatter import (
     Band,
@@ -258,11 +256,6 @@ def test_output_coupling_follows_metric_relation() -> None:
     np.testing.assert_allclose(dyn.out_coupling, expected, atol=0.0)
 
 
-def _readme_converter() -> TransducerModel:
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    return parse_model(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-
-
 _ASSEMBLY_DIGESTS = {
     "electromech": "ba47970cabd3a37f8995b8c7a8f26931e3f6a921e5d047cabd777f88f9964850",
     "readme-converter": "1d186255ae2279c5ba43f6bcd189a9573d6053fad22f4090d566ae140c23c89f",
@@ -285,7 +278,7 @@ def test_assembled_arrays_are_pinned(case: str) -> None:
     if case == "electromech":
         model = get_builtin("electromech")
     elif case == "readme-converter":
-        model = _readme_converter()
+        model = parse_model(readme_model_json())
     else:
         model = wide_model(np.random.default_rng(int(case.removeprefix("wide-"))))
     dyn = assemble_dynamics(model)
