@@ -214,6 +214,67 @@ _README_COLD_GRID = [
 ]
 
 
+@pytest.mark.parametrize(
+    "argv, lines",
+    [
+        (
+            ["--builtin", "electromech", "--app", "qubit", "--omega-sig", "5e6"],
+            [
+                "eta_plus = 0.999618859854",
+                "n_plus = 0.0506157515852",
+                "fidelity = 0.91554551408",
+            ],
+        ),
+        (
+            ["--model", "README.json", "--app", "heterodyne", "--omega-sig", "1e6"],
+            ["p_s = 1.60076575977", "bound = 2.57438685092"],
+        ),
+        (
+            [
+                *_README_COLD_GRID,
+                "--app", "counting", "--omega-sig", "5e6", "--points", "8001",
+                "--h-in", "delta:center_hz=5e6",
+                "--h-out", "exponential:rate_per_s=2e4", "--window", "2e-4",
+            ],
+            [
+                "bandwidth_hz = 14824.7060017",
+                "dark_rate_per_s = 0.370593615678",
+                "n_out_mean = 0.981384320514",
+            ],
+        ),
+        (
+            [
+                *_README_COLD_GRID,
+                "--app", "entangle", "--omega-sig", "5e6", "--points", "8001",
+                "--window", "1e-5",
+            ],
+            [
+                "one-click.fidelity = 0.997283872666",
+                "two-click.fidelity = 0.999992579705",
+            ],
+        ),
+    ],
+    ids=["qubit", "heterodyne", "counting", "entangle"],
+)
+def test_fom_prints_readme_lines(
+    argv: list[str],
+    lines: list[str],
+    tmp_path: Path,
+    capsys: pytest.CaptureFixture[str],
+) -> None:
+    # The README's fom examples, line for line; "README.json" stands for the
+    # model file shown in its "Model files" section.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    model = tmp_path / "converter.json"
+    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    code = main(["fom"] + [str(model) if a == "README.json" else a for a in argv])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    for line in lines:
+        assert line in readme
+        assert line in out
+
+
 def test_main_twice_in_one_process_forgets_overrides(
     capsys: pytest.CaptureFixture[str],
 ) -> None:
@@ -446,6 +507,48 @@ def test_validate_builtin_ok(capsys: pytest.CaptureFixture[str]) -> None:
     assert "validate: OK" in captured.out
     assert "oracle: closed-form row max relative deviation" in captured.out
     assert "particle-hole" in captured.out
+
+
+def test_validate_prints_readme_lines(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The README's validate example on the model file of its "Model files"
+    # section, line for line.
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    model = tmp_path / "converter.json"
+    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    code = main(["validate", "--model", str(model), "--ensemble", "5"])
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    lines = [
+        "checks: unitarity=8.882e-16 particle-hole=0.000e+00 sum-rule=8.882e-16"
+        " (skipped 0 near-singular point(s))",
+        "ensemble(5): unitarity=2.229e-15 particle-hole=1.807e-15 sum-rule=1.110e-15",
+        "validate: OK",
+    ]
+    for line in lines:
+        assert line in readme
+        assert line in out
+
+
+def test_spectra_prints_readme_lines(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The README's spectra example on the model file of its "Model files"
+    # section: the header, and the first row up to the README's "...".
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    model = tmp_path / "converter.json"
+    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
+    command, header, first, rest = re.search(
+        r"```sh\n\$ modescatter (spectra .*?)\n```", readme, re.S
+    ).group(1).splitlines()
+    assert rest == "..." and first.endswith(",...")
+    argv = [str(model) if a == "converter.json" else a for a in command.split()]
+    code = main(argv)
+    out = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert out[0] == header
+    assert out[1].startswith(first[: -len("...")])
 
 
 def test_validate_model_file_with_ensemble(
