@@ -189,8 +189,6 @@ def _add_grid_args(parser: argparse.ArgumentParser, required: bool) -> None:
 
 
 def _grid_omegas(args: argparse.Namespace, log: bool = False) -> np.ndarray:
-    if args.omega_min is None or args.omega_max is None:
-        raise ConfigurationError("this command needs --omega-min and --omega-max")
     if not 0.0 < args.omega_min < args.omega_max:
         raise ConfigurationError(
             "need 0 < --omega-min < --omega-max (both in Hz)"

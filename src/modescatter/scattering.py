@@ -33,7 +33,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Any, Callable, Iterator, Literal, Mapping, Sequence
+from typing import Any, Callable, Literal, Mapping, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -165,14 +165,6 @@ class NoiseEnvironment:
             return value
         return bose_occupancy(omega_lab, value)
 
-    def occupancy_array(
-        self,
-        port: str,
-        omegas_lab: NDArray[np.float64],
-        valid: NDArray[np.bool_],
-    ) -> NDArray[np.float64]:
-        return self._occupancy_rows([port])(omegas_lab[None], valid[None])[0]
-
     def _occupancy_rows(
         self, ports: Sequence[str]
     ) -> Callable[[NDArray[np.float64], NDArray[np.bool_]], NDArray[np.float64]]:
@@ -221,16 +213,6 @@ class ScatteringMatrix:
     def n_ports(self) -> int:
         return len(self.ports)
 
-    @property
-    def unitarity_residual(self) -> float:
-        """Full-basis max-norm of ``S K S^dag - K``, computed on access.
-
-        For networks containing lab-quadrature (viscous) ports this is O(1)
-        in the artifact sectors and only the physically-masked residual is
-        meaningful (see :func:`symplectic_residual`).
-        """
-        return symplectic_residual(self.matrix, self.metric)
-
 
 @dataclass(frozen=True, eq=False)
 class TransferRow:
@@ -276,16 +258,19 @@ class SpectrumGrid:
 
     A grid from :func:`spectrum_sweep` keeps each block's rows ``exit``
     and ``exit + n_ports`` of S at ``+omega`` as they were formed, and
-    builds the rest from them on first read: ``eta_up`` with ``noise_up``,
-    ``eta_dn`` with ``noise_dn``, and ``sumrule_resid``, each block by
-    block, so a caller that reads only the upper sideband never computes
-    the lower one or the sum rule; and ``exit_rows``, the exit-port rows of
-    S at ``+omegas[i]`` (``exit_rows[0, i]``) and ``-omegas[i]``
-    (``exit_rows[1, i]``, mirrored) on the doubled port slots, before
-    physicality masking, NaN where the point failed. ``rows_up`` and
-    ``rows_dn`` are :class:`TransferRow` views of ``exit_rows``, None where
-    the point failed. All three are None on a grid built without rows. A
-    spectrum given to the constructor is kept as given.
+    builds the rest from them on first read. One pass per sideband, block
+    by block, gives its efficiency, added noise and flux balance together:
+    ``eta_up`` and ``noise_up`` read the upper pass, ``eta_dn`` and
+    ``noise_dn`` the lower, and ``sumrule_resid``, the worse balance of
+    the two, runs whichever pass has not run yet. A caller that reads only
+    the upper sideband never computes the lower one. ``exit_rows``, also
+    built on first read, holds the exit-port rows of S at ``+omegas[i]``
+    (``exit_rows[0, i]``) and ``-omegas[i]`` (``exit_rows[1, i]``,
+    mirrored) on the doubled port slots, before physicality masking, NaN
+    where the point failed. ``rows_up`` and ``rows_dn`` are
+    :class:`TransferRow` views of ``exit_rows``, None where the point
+    failed. All three are None on a grid built without rows. A spectrum
+    given to the constructor is kept as given.
 
     ``cond[i]`` describes the 2-norm condition of the resolvent
     ``A = i*omega + M`` at ``omegas[i]``, for both sidebands: the sweep
@@ -334,29 +319,31 @@ class SpectrumGrid:
 
     @cached_property
     def eta_up(self) -> NDArray[np.float64]:
-        return self._sideband(0)[0]
+        return self._upper[0]
 
     @cached_property
     def noise_up(self) -> NDArray[np.float64]:
-        return self._sideband(0)[1]
+        return self._upper[1]
 
     @cached_property
     def eta_dn(self) -> NDArray[np.float64]:
-        return self._sideband(1)[0]
+        return self._lower[0]
 
     @cached_property
     def noise_dn(self) -> NDArray[np.float64]:
-        return self._sideband(1)[1]
+        return self._lower[1]
 
     @cached_property
     def sumrule_resid(self) -> NDArray[np.float64]:
-        resid = np.full((2, self.omegas.size), np.nan)
-        for side in (0, 1):
-            for points, _, abs_u, abs_v, defined in self._masked_blocks(side):
-                resid[side, points] = np.where(
-                    defined, _flux_balance(abs_u, abs_v), np.nan
-                )
-        return np.fmax(resid[0], resid[1])
+        return np.fmax(self._upper[2], self._lower[2])
+
+    @cached_property
+    def _upper(self) -> NDArray[np.float64]:
+        return self._sideband(0)
+
+    @cached_property
+    def _lower(self) -> NDArray[np.float64]:
+        return self._sideband(1)
 
     @cached_property
     def exit_rows(self) -> NDArray[np.complex128] | None:
@@ -386,72 +373,51 @@ class SpectrumGrid:
         failed = np.isnan(rows).all(axis=1).tolist()
         return tuple(None if bad else row for row, bad in zip(views, failed))
 
-    def _sideband(self, side: int) -> tuple[NDArray[np.float64], NDArray[np.float64]]:
-        """Efficiency and added noise at one sideband, from the exit rows.
+    def _sideband(self, side: int) -> NDArray[np.float64]:
+        """Efficiency, added noise and flux balance at one sideband, ``(3, m)``.
 
-        Both are kept under their names (a given one stays), so reading
-        the other costs nothing.
+        One pass over the kept blocks masks and squares each block's exit
+        row once. The squares are port-major, ``(n_ports, points)``, so each
+        operation and each sum over ports runs along the points of the
+        block. The lower sideband reads row ``exit + n_ports`` with its
+        halves swapped, unconjugated, since ``|conj z|^2 = |z|^2``. The flux
+        balance is taken before the signal column is zeroed for the noise.
         """
-        ports, signal_port, _, env = self._rows_source()
-        port_names = [info.name for info in ports]
-        sig_col = port_names.index(signal_port)
-        upper = side == 0
-        # Both slot sets of every port, annihilation slots first.
-        occupancies = env._occupancy_rows(port_names * 2)
-        efficiency = np.full(self.omegas.size, np.nan)
-        noise = np.full(self.omegas.size, np.nan)
-        for points, slots, abs_u, abs_v, defined in self._masked_blocks(side):
-            lab_u, lab_v, mask_u, mask_v = slots
-            eff = np.where(defined, (abs_u if upper else abs_v)[sig_col], np.nan)
-            # The signal column is not noise on its own side.
-            (abs_u if upper else abs_v)[sig_col] = 0.0
-            occ = occupancies(
-                np.concatenate([lab_u, lab_v]), np.concatenate([mask_u, mask_v])
-            )
-            occ_u, occ_v = occ[: len(ports)], occ[len(ports) :]
-            # Masked columns are zero in abs_v already.
-            flux = _port_sums(abs_u * occ_u) + _port_sums(abs_v * (occ_v + 1.0))
-            with np.errstate(invalid="ignore", divide="ignore"):
-                noise[points] = np.where(eff > 0.0, flux / eff, np.nan)
-            efficiency[points] = eff
-        names = ("eta_up", "noise_up") if upper else ("eta_dn", "noise_dn")
-        for name, value in zip(names, (efficiency, noise)):
-            self.__dict__.setdefault(name, value)
-        return efficiency, noise
-
-    def _rows_source(self) -> tuple[tuple[PortInfo, ...], str, str, NoiseEnvironment]:
         if self._blocks is None or self._source is None:
             raise AttributeError(
                 "a grid built without exit rows has only the spectra given to it"
             )
-        return self._source
-
-    def _masked_blocks(self, side: int) -> Iterator[tuple[Any, ...]]:
-        """The exit rows at one sideband, masked, block by block.
-
-        Yields ``(points, slots, abs_u, abs_v, defined)``: the grid index of
-        the block's solved points, the :func:`_slots` of their signed
-        frequencies, the squared magnitudes of the annihilation and creation
-        halves of the rows, zero on unphysical columns, and where the exit
-        output is physical. Everything after the index is port-major,
-        ``(n_ports, points)``, so each operation and each sum over ports
-        runs along the points of the block. The lower sideband reads row
-        ``exit + n_ports`` with its halves swapped, unconjugated, since
-        ``|conj z|^2 = |z|^2``.
-        """
-        ports, _, exit_name, _ = self._rows_source()
+        ports, signal_port, exit_name, env = self._source
         p = len(ports)
-        exit_col = [info.name for info in ports].index(exit_name)
+        port_names = [info.name for info in ports]
+        sig_col = port_names.index(signal_port)
+        exit_col = port_names.index(exit_name)
         centers = np.array([[info.band_center] for info in ports])
-        for points, s in self._blocks or ():
+        # Both slot sets of every port, annihilation slots first.
+        occupancies = env._occupancy_rows(port_names * 2)
+        out = np.full((3, self.omegas.size), np.nan)
+        for points, s in self._blocks:
             w = self.omegas[points]
-            slots = _slots(w if side == 0 else -w, centers)
-            _, _, mask_u, mask_v = slots
+            lab_u, lab_v, mask_u, mask_v = _slots(w if side == 0 else -w, centers)
             row = s[side].T
             u, v = (row[:p], row[p:]) if side == 0 else (row[p:], row[:p])
             abs_u = _abs2_array(np.where(mask_u, u, 0.0))
             abs_v = _abs2_array(np.where(mask_v, v, 0.0))
-            yield points, slots, abs_u, abs_v, mask_u[exit_col]
+            defined = mask_u[exit_col]
+            out[2, points] = np.where(defined, _flux_balance(abs_u, abs_v), np.nan)
+            signal = abs_u if side == 0 else abs_v
+            eff = np.where(defined, signal[sig_col], np.nan)
+            # The signal column is not noise on its own side.
+            signal[sig_col] = 0.0
+            occ = occupancies(
+                np.concatenate([lab_u, lab_v]), np.concatenate([mask_u, mask_v])
+            )
+            # Masked columns are zero in abs_v already.
+            flux = _port_sums(abs_u * occ[:p]) + _port_sums(abs_v * (occ[p:] + 1.0))
+            with np.errstate(invalid="ignore", divide="ignore"):
+                out[1, points] = np.where(eff > 0.0, flux / eff, np.nan)
+            out[0, points] = eff
+        return out
 
 
 def _solve_block(
@@ -611,7 +577,11 @@ def symplectic_residual(
     metric: NDArray[np.float64],
     mask: NDArray[np.bool_] | None = None,
 ) -> float:
-    """Max-norm of ``S K S^dag - K``, optionally restricted to masked slots."""
+    """Max-norm of ``S K S^dag - K``, optionally restricted to masked slots.
+
+    Unmasked, it is O(1) in the artifact sectors of lab-quadrature
+    (viscous) ports; :func:`physical_slot_mask` gives the physical slots.
+    """
     slots = None if mask is None else np.asarray(mask)[None]
     if slots is not None and not slots.any():
         return math.nan
@@ -953,7 +923,8 @@ def spectrum_sweep(
     points as :func:`_s_rows` formed them, with no copy into a grid-wide
     array and no mirroring. The returned :class:`SpectrumGrid` derives
     efficiency, added noise and the sum rule from them when first read,
-    one sideband at a time and block by block.
+    in one pass per sideband, block by block, that masks and squares each
+    block's exit row once.
 
     A point is near-singular when the 2-norm condition of its resolvent
     exceeds ``CONDITION_LIMIT`` (1e12), screened by the exact 1-norm

@@ -138,6 +138,28 @@ def test_spectra_json_format(capsys: pytest.CaptureFixture[str]) -> None:
     assert payload["eta_dn"][0] is None  # NaN sanitized to null
 
 
+@pytest.mark.parametrize(
+    ("grid", "message"),
+    [
+        (["--omega-min", "2e6", "--omega-max", "2e6"],
+         "need 0 < --omega-min < --omega-max (both in Hz)"),
+        (["--omega-min", "0", "--omega-max", "2e6"],
+         "need 0 < --omega-min < --omega-max (both in Hz)"),
+        (["--omega-min", "2e5", "--omega-max", "2e6", "--points", "1"],
+         "--points must be at least 2"),
+    ],
+    ids=["min-at-max", "zero-min", "one-point"],
+)
+def test_spectra_rejects_a_bad_grid(
+    grid: list[str], message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main(["spectra", "--builtin", "electromech", *grid])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_fom_qubit_matches_library(capsys: pytest.CaptureFixture[str]) -> None:
     code = main(
         [
@@ -507,48 +529,6 @@ def test_validate_builtin_ok(capsys: pytest.CaptureFixture[str]) -> None:
     assert "validate: OK" in captured.out
     assert "oracle: closed-form row max relative deviation" in captured.out
     assert "particle-hole" in captured.out
-
-
-def test_validate_prints_readme_lines(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
-) -> None:
-    # The README's validate example on the model file of its "Model files"
-    # section, line for line.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    model = tmp_path / "converter.json"
-    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    code = main(["validate", "--model", str(model), "--ensemble", "5"])
-    out = capsys.readouterr().out.splitlines()
-    assert code == 0
-    lines = [
-        "checks: unitarity=8.882e-16 particle-hole=0.000e+00 sum-rule=8.882e-16"
-        " (skipped 0 near-singular point(s))",
-        "ensemble(5): unitarity=2.229e-15 particle-hole=1.807e-15 sum-rule=1.110e-15",
-        "validate: OK",
-    ]
-    for line in lines:
-        assert line in readme
-        assert line in out
-
-
-def test_spectra_prints_readme_lines(
-    tmp_path: Path, capsys: pytest.CaptureFixture[str]
-) -> None:
-    # The README's spectra example on the model file of its "Model files"
-    # section: the header, and the first row up to the README's "...".
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    model = tmp_path / "converter.json"
-    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    command, header, first, rest = re.search(
-        r"```sh\n\$ modescatter (spectra .*?)\n```", readme, re.S
-    ).group(1).splitlines()
-    assert rest == "..." and first.endswith(",...")
-    argv = [str(model) if a == "converter.json" else a for a in command.split()]
-    code = main(argv)
-    out = capsys.readouterr().out.splitlines()
-    assert code == 0
-    assert out[0] == header
-    assert out[1].startswith(first[: -len("...")])
 
 
 def test_validate_model_file_with_ensemble(
