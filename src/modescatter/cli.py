@@ -263,13 +263,13 @@ def _sanitize(value: Any) -> Any:
     return value
 
 
-def _emit(payload: Mapping[str, Any], as_json: bool) -> None:
+def _emit(payload: dict[str, Any], as_json: bool) -> None:
     if as_json:
         print(json.dumps(_sanitize(payload), indent=2))
         return
 
     def walk(prefix: str, obj: Any) -> None:
-        if isinstance(obj, Mapping):
+        if isinstance(obj, dict):
             for key, value in obj.items():
                 walk(f"{prefix}{key}." if prefix else f"{key}.", value)
             return

@@ -383,6 +383,52 @@ def electromech_params(
     return ElectromechParams(**kwargs)
 
 
+def override_target(model: TransducerModel, raw_path: str) -> tuple[str, int, str]:
+    """Where a dotted override path points: ``(section, index, field)``.
+
+    ``section`` is ``"ports"`` or ``"couplings"``, ``index`` the position in
+    that tuple of ``model`` and ``field`` the attribute, as
+    :func:`model_with` reads the path. Raises :class:`ConfigurationError`
+    for a path it cannot apply.
+    """
+    parts = raw_path.split(".")
+    if len(parts) != 3:
+        raise ConfigurationError(
+            f"cannot parse override path {raw_path!r}; expected"
+            " ports.NAME.FIELD or couplings.INDEX.rate"
+        )
+    section, key, field_name = parts
+    if section == "ports":
+        index = next((i for i, p in enumerate(model.ports) if p.name == key), None)
+        if index is None:
+            raise ConfigurationError(f"{raw_path}: no port named {key!r}")
+        if field_name not in ("rate", "temperature"):
+            raise ConfigurationError(
+                f"{raw_path}: port overrides support rate and temperature"
+            )
+        return section, index, field_name
+    if section == "couplings":
+        try:
+            index = int(key)
+        except ValueError:
+            raise ConfigurationError(
+                f"{raw_path}: coupling overrides are indexed by integer"
+            ) from None
+        if not 0 <= index < len(model.couplings):
+            raise ConfigurationError(
+                f"{raw_path}: coupling index out of range"
+                f" (model has {len(model.couplings)})"
+            )
+        if field_name != "rate":
+            raise ConfigurationError(
+                f"{raw_path}: coupling overrides support only rate"
+            )
+        return section, index, field_name
+    raise ConfigurationError(
+        f"{raw_path}: overrides must start with ports. or couplings."
+    )
+
+
 def model_with(
     model: TransducerModel, assignments: Mapping[str, float]
 ) -> TransducerModel:
@@ -390,52 +436,15 @@ def model_with(
 
     Supported paths: ``ports.NAME.rate``, ``ports.NAME.temperature`` and
     ``couplings.I.rate`` with ``I`` the coupling's position in declaration
-    order. Values are rad/s (or kelvin for temperatures).
+    order (see :func:`override_target`). Values are rad/s (or kelvin for
+    temperatures).
     """
-    ports = list(model.ports)
-    couplings = list(model.couplings)
+    items = {"ports": list(model.ports), "couplings": list(model.couplings)}
     for raw_path, value in assignments.items():
-        parts = raw_path.split(".")
-        if len(parts) != 3:
-            raise ConfigurationError(
-                f"cannot parse override path {raw_path!r}; expected"
-                " ports.NAME.FIELD or couplings.INDEX.rate"
-            )
-        section, key, field_name = parts
-        if section == "ports":
-            index = next((i for i, p in enumerate(ports) if p.name == key), None)
-            if index is None:
-                raise ConfigurationError(f"{raw_path}: no port named {key!r}")
-            if field_name not in ("rate", "temperature"):
-                raise ConfigurationError(
-                    f"{raw_path}: port overrides support rate and temperature"
-                )
-            ports[index] = dataclasses.replace(
-                ports[index], **{field_name: float(value)}
-            )
-        elif section == "couplings":
-            try:
-                index = int(key)
-            except ValueError:
-                raise ConfigurationError(
-                    f"{raw_path}: coupling overrides are indexed by integer"
-                ) from None
-            if not 0 <= index < len(couplings):
-                raise ConfigurationError(
-                    f"{raw_path}: coupling index out of range"
-                    f" (model has {len(couplings)})"
-                )
-            if field_name != "rate":
-                raise ConfigurationError(
-                    f"{raw_path}: coupling overrides support only rate"
-                )
-            couplings[index] = dataclasses.replace(
-                couplings[index], rate=float(value)
-            )
-        else:
-            raise ConfigurationError(
-                f"{raw_path}: overrides must start with ports. or couplings."
-            )
+        section, index, field_name = override_target(model, raw_path)
+        items[section][index] = dataclasses.replace(
+            items[section][index], **{field_name: float(value)}
+        )
     return dataclasses.replace(
-        model, ports=tuple(ports), couplings=tuple(couplings)
+        model, ports=tuple(items["ports"]), couplings=tuple(items["couplings"])
     )

@@ -24,7 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Literal, Mapping
+from typing import Literal, Mapping, NamedTuple, Sequence
 
 import numpy as np
 from numpy.typing import NDArray
@@ -299,6 +299,32 @@ def _bridged_frequency(coupling: Coupling) -> float:
     return abs(ca - cb)
 
 
+def port_rate_error(name: str, rate: float) -> str | None:
+    """The validation error of a port rate, or None: it must be finite and positive."""
+    if math.isfinite(rate) and rate > 0:
+        return None
+    return f"port {name!r}: rate must be positive, got {rate!r}"
+
+
+def port_temperature_error(name: str, temperature: float) -> str | None:
+    """The validation error of a port temperature, or None: finite and non-negative."""
+    if math.isfinite(temperature) and temperature >= 0:
+        return None
+    return f"port {name!r}: temperature must be non-negative"
+
+
+def coupling_label(index: int, coupling: Coupling) -> str:
+    """How validation names coupling ``index`` in its messages."""
+    return f"coupling[{index}] ({coupling.mode_a.name}-{coupling.mode_b.name})"
+
+
+def coupling_rate_error(label: str, rate: float) -> str | None:
+    """The validation error of a coupling rate, or None: finite and non-negative."""
+    if math.isfinite(rate) and rate >= 0:
+        return None
+    return f"{label}: rate must be non-negative, got {rate!r}"
+
+
 def validate_model(model: TransducerModel) -> ValidationReport:
     """Check structural and physical invariants of a model.
 
@@ -357,10 +383,12 @@ def validate_model(model: TransducerModel) -> ValidationReport:
     for port in model.ports:
         if port.mode.name not in mode_names:
             errs.append(f"port {port.name!r}: unknown mode {port.mode.name!r}")
-        if not math.isfinite(port.rate) or port.rate <= 0:
-            errs.append(f"port {port.name!r}: rate must be positive, got {port.rate!r}")
-        if not math.isfinite(port.temperature) or port.temperature < 0:
-            errs.append(f"port {port.name!r}: temperature must be non-negative")
+        for error in (
+            port_rate_error(port.name, port.rate),
+            port_temperature_error(port.name, port.temperature),
+        ):
+            if error is not None:
+                errs.append(error)
         if port.role not in _ROLES:
             errs.append(f"port {port.name!r}: unknown role {port.role!r}")
         if port.flavor not in _FRAMES:
@@ -413,12 +441,13 @@ def validate_model(model: TransducerModel) -> ValidationReport:
             )
 
     for i, coupling in enumerate(model.couplings):
-        label = f"coupling[{i}] ({coupling.mode_a.name}-{coupling.mode_b.name})"
+        label = coupling_label(i, coupling)
         for m in (coupling.mode_a, coupling.mode_b):
             if m.name not in mode_names:
                 errs.append(f"{label}: unknown mode {m.name!r}")
-        if not math.isfinite(coupling.rate) or coupling.rate < 0:
-            errs.append(f"{label}: rate must be non-negative, got {coupling.rate!r}")
+        rate_error = coupling_rate_error(label, coupling.rate)
+        if rate_error is not None:
+            errs.append(rate_error)
         if coupling.form not in _FORMS:
             errs.append(f"{label}: unknown form {coupling.form!r}")
             continue
@@ -464,61 +493,127 @@ def validate_model(model: TransducerModel) -> ValidationReport:
     return report
 
 
-def _slot_pairs(index: int, count: int) -> tuple[int, int]:
-    return index, index + count
+class DynamicsLayout(NamedTuple):
+    """What a validated model's structure fixes in its doubled-basis dynamics.
 
-
-def assemble_dynamics(model: TransducerModel) -> DoubledDynamics:
-    """Build the doubled-basis dynamical matrices of a validated model.
-
-    The assembly is deterministic: identical models produce bit-identical
-    matrices. Detunings enter as ``resonance - band center`` on the diagonal;
-    ports add damping (and, for lab-quadrature flavor, slot-mixing) terms
-    plus input columns; couplings add off-diagonal blocks according to their
-    form. The output coupling is derived from the input coupling through the
-    metric so that flux bookkeeping is exact for rotating networks.
-
-    Raises
-    ------
-    ModelValidationError
-        If validation reports errors.
-    ModelUnstableError
-        If the dynamical matrix has an eigenvalue with positive real part
-        (beyond numerical tolerance).
+    Built by :func:`dynamics_layout`; :func:`fill_dynamics` adds the terms
+    of the port and coupling rates to it. ``diagonal`` holds the diagonal
+    of ``M`` with only the detuning terms added. ``port_slots`` holds, per
+    port, the slot pair of its mode, its own slot pair and whether it is
+    lab-quadrature; ``coupling_slots`` holds, per coupling, the slot pairs
+    of both modes and the form. ``ports`` are the model's port records;
+    :func:`fill_dynamics` rebuilds those at ``varied_ports`` from the
+    rates and temperatures it is given and keeps the others.
     """
-    report = validate_model(model)
-    if not report.ok:
-        raise ModelValidationError(
-            "model failed validation: " + "; ".join(report.errors),
-            errors=tuple(report.errors),
-        )
 
+    dimension: int
+    diagonal: tuple[complex, ...]
+    port_slots: tuple[tuple[int, int, int, int, bool], ...]
+    coupling_slots: tuple[tuple[int, int, int, int, str], ...]
+    metric: NDArray[np.float64]
+    mode_metric: NDArray[np.float64]
+    mode_index: Mapping[str, int]
+    port_index: Mapping[str, int]
+    ports: tuple[PortInfo, ...]
+    varied_ports: tuple[int, ...]
+    signal_port: str
+    exit_port: str
+
+
+def dynamics_layout(
+    model: TransducerModel, varied_ports: tuple[int, ...] = ()
+) -> DynamicsLayout:
+    """The structure-fixed part of a validated model's dynamics.
+
+    ``varied_ports`` are the positions of the ports whose rate or
+    temperature will differ from the model's in :func:`fill_dynamics`.
+    """
     n = len(model.modes)
     p = len(model.ports)
     dim = 2 * n
     mode_index = {m.name: i for i, m in enumerate(model.modes)}
     port_index = {q.name: i for i, q in enumerate(model.ports)}
 
+    diagonal = [0j] * dim
+    for j, mode in enumerate(model.modes):
+        detuning = mode.resonance_frequency - mode.band.center_frequency
+        diagonal[j] += -1j * detuning
+        diagonal[j + n] += 1j * detuning
+
+    port_slots = []
+    infos = []
+    for q, port in enumerate(model.ports):
+        j = mode_index[port.mode.name]
+        port_slots.append((j, j + n, q, q + p, port.flavor != "rotating"))
+        infos.append(
+            PortInfo(
+                name=port.name,
+                mode=port.mode.name,
+                band_center=port.mode.band.center_frequency,
+                rate=port.rate,
+                temperature=port.temperature,
+                role=port.role,
+                flavor=port.flavor,
+            )
+        )
+    coupling_slots = []
+    for c in model.couplings:
+        a = mode_index[c.mode_a.name]
+        b = mode_index[c.mode_b.name]
+        coupling_slots.append((a, a + n, b, b + n, c.form))
+
+    return DynamicsLayout(
+        dimension=dim,
+        diagonal=tuple(diagonal),
+        port_slots=tuple(port_slots),
+        coupling_slots=tuple(coupling_slots),
+        metric=np.array([1.0] * p + [-1.0] * p),
+        mode_metric=np.array([1.0] * n + [-1.0] * n),
+        mode_index=mode_index,
+        port_index=port_index,
+        ports=tuple(infos),
+        varied_ports=varied_ports,
+        signal_port=model.signal_port.name,
+        exit_port=model.exit_port.name,
+    )
+
+
+def fill_dynamics(
+    layout: DynamicsLayout,
+    port_rates: Sequence[float],
+    port_temperatures: Sequence[float],
+    coupling_rates: Sequence[float],
+) -> DoubledDynamics:
+    """Dynamics of ``layout`` at the given rates, one per port and coupling.
+
+    Ports add damping (and, for lab-quadrature flavor, slot-mixing) terms
+    plus input columns, in declaration order; couplings then add
+    off-diagonal blocks according to their form. The output coupling is
+    derived from the input coupling through the metric so that flux
+    bookkeeping is exact for rotating networks. ``port_temperatures`` is
+    read only at ``layout.varied_ports``.
+
+    Raises
+    ------
+    ModelUnstableError
+        If the dynamical matrix has an eigenvalue with positive real part
+        (beyond numerical tolerance).
+    """
+    dim = layout.dimension
     # M and G are filled as Python lists, whose item updates cost far less
     # than NumPy's, and converted once; a Python complex addition rounds as
     # a complex128 one does.
     dyn = [[0j] * dim for _ in range(dim)]
-    gin = [[0j] * (2 * p) for _ in range(dim)]
+    for k, term in enumerate(layout.diagonal):
+        dyn[k][k] = term
+    gin = [[0j] * layout.metric.size for _ in range(dim)]
 
-    for mode in model.modes:
-        j, jc = _slot_pairs(mode_index[mode.name], n)
-        detuning = mode.resonance_frequency - mode.band.center_frequency
-        dyn[j][j] += -1j * detuning
-        dyn[jc][jc] += 1j * detuning
-
-    for port in model.ports:
-        j, jc = _slot_pairs(mode_index[port.mode.name], n)
-        q, qc = _slot_pairs(port_index[port.name], p)
-        root = math.sqrt(port.rate)
-        half = port.rate / 2.0
+    for (j, jc, q, qc, quadrature), rate in zip(layout.port_slots, port_rates):
+        root = math.sqrt(rate)
+        half = rate / 2.0
         dyn[j][j] += -half
         dyn[jc][jc] += -half
-        if port.flavor == "rotating":
+        if not quadrature:
             gin[j][q] = 1j * root
             gin[jc][qc] = -1j * root
         else:  # lab-quadrature: damping and forcing act on the position slot pair
@@ -529,16 +624,13 @@ def assemble_dynamics(model: TransducerModel) -> DoubledDynamics:
             gin[jc][q] = -1j * root
             gin[jc][qc] = -1j * root
 
-    for coupling in model.couplings:
-        a, ac = _slot_pairs(mode_index[coupling.mode_a.name], n)
-        b, bc = _slot_pairs(mode_index[coupling.mode_b.name], n)
-        g = coupling.rate
-        if coupling.form == "beam-splitter":
+    for (a, ac, b, bc, form), g in zip(layout.coupling_slots, coupling_rates):
+        if form == "beam-splitter":
             dyn[a][b] += -1j * g
             dyn[b][a] += -1j * g
             dyn[ac][bc] += 1j * g
             dyn[bc][ac] += 1j * g
-        elif coupling.form == "two-mode-squeezing":
+        elif form == "two-mode-squeezing":
             dyn[a][bc] += -1j * g
             dyn[b][ac] += -1j * g
             dyn[ac][b] += 1j * g
@@ -556,9 +648,7 @@ def assemble_dynamics(model: TransducerModel) -> DoubledDynamics:
 
     m_matrix = np.array(dyn, dtype=np.complex128)
     g_matrix = np.array(gin, dtype=np.complex128)
-    mode_metric = np.array([1.0] * n + [-1.0] * n)
-    port_metric = np.array([1.0] * p + [-1.0] * p)
-    gout = (port_metric[:, None] * g_matrix.conj().T) * mode_metric[None, :]
+    gout = (layout.metric[:, None] * g_matrix.conj().T) * layout.mode_metric[None, :]
 
     eigvals = np.linalg.eigvals(m_matrix)
     scale = max(1.0, float(np.abs(m_matrix).max()))
@@ -570,31 +660,68 @@ def assemble_dynamics(model: TransducerModel) -> DoubledDynamics:
             f"rad/s exceeds tolerance {tol:.1e}"
         )
 
-    infos = tuple(
-        PortInfo(
-            name=q.name,
-            mode=q.mode.name,
-            band_center=q.mode.band.center_frequency,
-            rate=q.rate,
-            temperature=q.temperature,
-            role=q.role,
-            flavor=q.flavor,
-        )
-        for q in model.ports
-    )
+    infos = layout.ports
+    if layout.varied_ports:
+        rebuilt = list(infos)
+        for k in layout.varied_ports:
+            info = infos[k]
+            rebuilt[k] = PortInfo(
+                name=info.name,
+                mode=info.mode,
+                band_center=info.band_center,
+                rate=port_rates[k],
+                temperature=port_temperatures[k],
+                role=info.role,
+                flavor=info.flavor,
+            )
+        infos = tuple(rebuilt)
     return DoubledDynamics(
         dimension=dim,
         dyn_matrix=m_matrix,
         in_coupling=g_matrix,
         out_coupling=gout,
-        metric=port_metric,
-        mode_metric=mode_metric,
-        mode_index=mode_index,
-        port_index=port_index,
+        metric=layout.metric,
+        mode_metric=layout.mode_metric,
+        mode_index=layout.mode_index,
+        port_index=layout.port_index,
         ports=infos,
-        signal_port=model.signal_port.name,
-        exit_port=model.exit_port.name,
+        signal_port=layout.signal_port,
+        exit_port=layout.exit_port,
         eigenvalues=eigvals,
+    )
+
+
+def assemble_dynamics(model: TransducerModel) -> DoubledDynamics:
+    """Build the doubled-basis dynamical matrices of a validated model.
+
+    Validates the model, builds the part of its dynamics the structure
+    fixes (:func:`dynamics_layout`: slot indices, detunings, port flavors,
+    coupling forms, metrics and port records) and fills it with the
+    model's own rates (:func:`fill_dynamics`). The optimizer builds the
+    layout once per run and fills it once per candidate, so both take the
+    same numbers from the same routine. The assembly is deterministic:
+    identical models produce bit-identical matrices. Detunings enter as
+    ``resonance - band center`` on the diagonal.
+
+    Raises
+    ------
+    ModelValidationError
+        If validation reports errors.
+    ModelUnstableError
+        If the dynamical matrix has an eigenvalue with positive real part
+        (beyond numerical tolerance).
+    """
+    report = validate_model(model)
+    if not report.ok:
+        raise ModelValidationError(
+            "model failed validation: " + "; ".join(report.errors),
+            errors=tuple(report.errors),
+        )
+    return fill_dynamics(
+        dynamics_layout(model),
+        [q.rate for q in model.ports],
+        [q.temperature for q in model.ports],
+        [c.rate for c in model.couplings],
     )
 
 

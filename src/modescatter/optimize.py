@@ -5,14 +5,23 @@ Variables are dotted override paths understood by
 coupling rates), searched within user-supplied bounds by Nelder-Mead with
 random restarts. The simplex search is the package's own, a NumPy transcript
 of SciPy's bounded, non-adaptive Nelder-Mead (the same points in the same
-order), so an optimization needs NumPy alone. Every candidate is evaluated
-by rebuilding the model, assembling its dynamics, and computing the
-requested figure of merit; candidates whose models fail validation, are
-unstable, or hit a numerical failure are recorded as infeasible and
-repelled with an infinite objective value rather than aborting the search.
-A configuration error (an unknown exit port or override path, a signal
-frequency off the spectrum grid) holds for every candidate alike, so it
-aborts the search.
+order), so an optimization needs NumPy alone.
+
+The model is compiled once per run, at the first evaluation: the variable
+paths are resolved, the model is validated once with every varied field
+at a placeholder value, and the part of its dynamics the structure fixes
+is built (:func:`~modescatter.network.dynamics_layout`). Each candidate
+then only has its varied values checked by the rules ``validate_model``
+applies to them, fills the rate-dependent terms of ``M``, ``G`` and ``G'``
+(:func:`~modescatter.network.fill_dynamics`, the routine
+``assemble_dynamics`` uses), passes the eigenvalue stability check, and
+computes the requested figure of merit: the same numbers, bit for bit, as
+rebuilding and assembling the candidate's model. Candidates whose models
+fail validation, are unstable, or hit a numerical failure are recorded as
+infeasible and repelled with an infinite objective value rather than
+aborting the search. A configuration error (an unknown exit port or
+override path, a signal frequency off the spectrum grid) holds for every
+candidate alike, so it aborts the search.
 """
 
 from __future__ import annotations
@@ -30,12 +39,24 @@ from .applications.heterodyne import heterodyne_sensitivity
 from .applications.qubit import qubit_fidelity
 from .errors import (
     ConfigurationError,
+    ModelValidationError,
     ModeScatterError,
     NumericalError,
     ValidityWarning,
 )
-from .modelfile import model_with
-from .network import TransducerModel, assemble_dynamics
+from .modelfile import model_with, override_target
+from .network import (
+    DoubledDynamics,
+    DynamicsLayout,
+    TransducerModel,
+    coupling_label,
+    coupling_rate_error,
+    dynamics_layout,
+    fill_dynamics,
+    port_rate_error,
+    port_temperature_error,
+    validate_model,
+)
 from .scattering import (
     NoiseEnvironment,
     added_noise,
@@ -88,7 +109,10 @@ class OptimizeSpec:
             )
         if not self.variables:
             raise ConfigurationError("at least one optimization variable required")
-        for path, low, high in self.variables:
+        paths = [path for path, _, _ in self.variables]
+        for k, (path, low, high) in enumerate(self.variables):
+            if path in paths[:k]:
+                raise ConfigurationError(f"variable {path!r} is given more than once")
             if not (math.isfinite(low) and math.isfinite(high) and low < high):
                 raise ConfigurationError(
                     f"variable {path!r} needs finite bounds with low < high,"
@@ -243,12 +267,124 @@ def _nelder_mead(
     return False
 
 
+def _clip(value: float, low: float, high: float) -> float:
+    """``np.clip``'s rule on floats: ``low`` unless ``value`` exceeds it,
+    then ``high`` unless that falls below it (the signs of zeros included)."""
+    value = value if value > low else low
+    return value if value < high else high
+
+
+# Per field a variable can name: the argument of fill_dynamics it sets
+# (port rates, port temperatures, coupling rates) and the rule
+# validate_model applies to its value.
+_FIELDS = {
+    ("ports", "rate"): (0, port_rate_error),
+    ("ports", "temperature"): (1, port_temperature_error),
+    ("couplings", "rate"): (2, coupling_rate_error),
+}
+
+
+class _Candidates:
+    """The candidates of one run: the model compiled once, refilled per candidate.
+
+    The one-time work is done at the first :meth:`dynamics` call, so that
+    a configuration error surfaces at the first evaluation. Each variable
+    path is resolved as :func:`~modescatter.modelfile.model_with` resolves
+    it, and the model is validated once with every varied field set to
+    1.0, a value each field's rule accepts: the errors of that model are
+    the ones no candidate can mend, so with any, every candidate is
+    infeasible. Otherwise each candidate only has its values checked by
+    those rules and fills the model's layout with them.
+    """
+
+    def __init__(self, model: TransducerModel, paths: tuple[str, ...]) -> None:
+        self._model = model
+        self._paths = paths
+        self._layout: DynamicsLayout | None = None
+        self._invalid: tuple[str, ...] = ()
+
+    def _compile(self) -> None:
+        model, paths = self._model, self._paths
+        targets = [override_target(model, path) for path in paths]
+        for k, target in enumerate(targets):
+            if target in targets[:k]:
+                raise ConfigurationError(
+                    f"variables {paths[targets.index(target)]!r} and"
+                    f" {paths[k]!r} name the same field"
+                )
+        report = validate_model(model_with(model, dict.fromkeys(paths, 1.0)))
+        if not report.ok:
+            self._invalid = tuple(report.errors)
+            return
+        # Per variable: the argument it sets, the rule its value must meet,
+        # its position, and the name in the rule's message.
+        self._slots = [
+            (
+                *_FIELDS[section, field_name],
+                index,
+                model.ports[index].name
+                if section == "ports"
+                else coupling_label(index, model.couplings[index]),
+            )
+            for section, index, field_name in targets
+        ]
+        self._varied = sorted({slot[0] for slot in self._slots})
+        self._values = (
+            [q.rate for q in model.ports],
+            [q.temperature for q in model.ports],
+            [c.rate for c in model.couplings],
+        )
+        # Occupancies move only with a varied temperature.
+        self._env = (
+            None
+            if 1 in self._varied
+            else NoiseEnvironment.from_temperatures(
+                {q.name: q.temperature for q in model.ports}
+            )
+        )
+        varied_ports = sorted({slot[2] for slot in self._slots if slot[0] < 2})
+        self._layout = dynamics_layout(model, tuple(varied_ports))
+
+    def dynamics(
+        self, values: Mapping[str, float]
+    ) -> tuple[DoubledDynamics, NoiseEnvironment]:
+        """Dynamics and noise environment of the model with ``values`` set.
+
+        ``values`` holds one value per variable path, in path order.
+        Raises what :func:`~modescatter.network.assemble_dynamics` would
+        raise on the model with those values.
+        """
+        if self._layout is None and not self._invalid:
+            self._compile()
+        layout = self._layout
+        if layout is None:
+            raise ModelValidationError(
+                "model failed validation: " + "; ".join(self._invalid),
+                errors=self._invalid,
+            )
+        lists = list(self._values)
+        for which in self._varied:
+            lists[which] = lists[which].copy()
+        errors = []
+        for (which, rule, index, name), value in zip(self._slots, values.values()):
+            value = float(value)
+            error = rule(name, value)
+            if error is not None:
+                errors.append(error)
+            lists[which][index] = value
+        if errors:
+            raise ModelValidationError(
+                "model failed validation: " + "; ".join(errors), errors=tuple(errors)
+            )
+        dyn = fill_dynamics(layout, *lists)
+        env = NoiseEnvironment.from_dynamics(dyn) if self._env is None else self._env
+        return dyn, env
+
+
 def _evaluate_figure(
-    model: TransducerModel, spec: OptimizeSpec, values: Mapping[str, float]
+    candidates: _Candidates, spec: OptimizeSpec, values: Mapping[str, float]
 ) -> float:
-    trial = model_with(model, values)
-    dyn = assemble_dynamics(trial)
-    env = NoiseEnvironment.from_dynamics(dyn)
+    dyn, env = candidates.dynamics(values)
     objective = spec.objective
     if objective not in _ENTANGLE:
         up, dn = transfer_pair(dyn, spec.omega_sig, exit_port=spec.exit_port)
@@ -299,6 +435,8 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
     paths = tuple(v[0] for v in spec.variables)
     lows = np.array([v[1] for v in spec.variables], dtype=float)
     highs = np.array([v[2] for v in spec.variables], dtype=float)
+    bounds = list(zip(lows.tolist(), highs.tolist()))
+    candidates = _Candidates(model, paths)
     maximize = spec.objective in _MAXIMIZED
     trace: list[TraceEntry] = []
     # Figure of each clipped point evaluated so far, NaN where infeasible.
@@ -310,11 +448,11 @@ def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResu
         if n_evals >= spec.budget:
             raise _BudgetExhausted
         n_evals += 1
-        point = tuple(np.clip(x, lows, highs))
+        point = tuple([_clip(v, low, high) for v, (low, high) in zip(x.tolist(), bounds)])
         figure = figures.get(point)
         if figure is None:
             try:
-                figure = _evaluate_figure(model, spec, dict(zip(paths, point)))
+                figure = _evaluate_figure(candidates, spec, dict(zip(paths, point)))
                 if not math.isfinite(figure):
                     raise NumericalError("figure of merit is not finite")
             except ConfigurationError:

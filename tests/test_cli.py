@@ -914,6 +914,37 @@ def test_optimize_configuration_error_exits_2(
     assert capsys.readouterr().err == f"error: {message}\n"
 
 
+@pytest.mark.parametrize(
+    "variables, message",
+    [
+        (
+            ["ports.wg.rate:1e3:1e6", "ports.wg.rate:1e4:2e4"],
+            "variable 'ports.wg.rate' is given more than once",
+        ),
+        (
+            ["couplings.0.rate:1e3:1e6", "couplings.00.rate:1e4:2e4"],
+            "variables 'couplings.0.rate' and 'couplings.00.rate' name the same field",
+        ),
+    ],
+    ids=["same-path", "same-field"],
+)
+def test_optimize_rejects_a_field_varied_twice(
+    variables: list[str], message: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # The model would see only the last value of the field, while the
+    # search ran over both.
+    argv = [
+        "optimize", "--builtin", "electromech", "--set", "gamma_wg=3e5",
+        "--objective", "max-eta", "--omega-sig", "5e6", "--budget", "30",
+    ]
+    for var in variables:
+        argv += ["--var", var]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 @pytest.mark.parametrize("app", ["qubit", "heterodyne"])
 @pytest.mark.parametrize("value", ["nan", "inf"])
 def test_fom_non_finite_signal_is_numerical_error(

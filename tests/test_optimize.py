@@ -3,22 +3,36 @@
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import math
+import warnings
 from typing import Callable, Mapping
 
 import numpy as np
 import pytest
-from conftest import TAU, near_singular_model, two_mode_converter
+from conftest import (
+    TAU,
+    near_singular_model,
+    readme_model_json,
+    two_mode_converter,
+    wide_model,
+)
 from scipy.optimize import Bounds, minimize
 
 from modescatter import (
     ConfigurationError,
+    DoubledDynamics,
     ElectromechParams,
+    ModeScatterError,
+    NoiseEnvironment,
     NumericalError,
     TransducerModel,
+    ValidityWarning,
+    assemble_dynamics,
     build_model,
 )
 from modescatter import optimize
+from modescatter.modelfile import model_with, parse_model
 from modescatter.optimize import OBJECTIVES, OptimizeSpec, run_optimization
 
 
@@ -80,6 +94,31 @@ def test_spec_rejects_negative_seed() -> None:
             omega_sig=1.0,
             seed=-1,
         )
+
+
+def test_spec_rejects_a_repeated_variable() -> None:
+    # dict(zip(paths, point)) would keep the last value: the search would
+    # run in two dimensions while the model sees one.
+    with pytest.raises(ConfigurationError, match="'ports.wg.rate' is given more than once"):
+        OptimizeSpec(
+            variables=(("ports.wg.rate", 1.0e3, 1.0e6), ("ports.wg.rate", 1.0e4, 2.0e4)),
+            objective="max-eta",
+            omega_sig=1.0,
+        )
+
+
+def test_two_paths_to_one_field_abort_at_the_first_evaluation() -> None:
+    spec = OptimizeSpec(
+        variables=(("couplings.0.rate", 1.0e3, 1.0e6), ("couplings.00.rate", 1.0e4, 2.0e4)),
+        objective="max-eta",
+        omega_sig=TAU * 5.0e6,
+        budget=30,
+    )
+    with pytest.raises(
+        ConfigurationError,
+        match="^variables 'couplings.0.rate' and 'couplings.00.rate' name the same field$",
+    ):
+        run_optimization(build_model(ElectromechParams()), spec)
 
 
 def test_entangle_objective_needs_grid_and_window() -> None:
@@ -184,10 +223,12 @@ def test_each_distinct_candidate_is_solved_once(
     evaluate = optimize._evaluate_figure
 
     def counted(
-        model: TransducerModel, spec: OptimizeSpec, values: Mapping[str, float]
+        candidates: optimize._Candidates,
+        spec: OptimizeSpec,
+        values: Mapping[str, float],
     ) -> float:
         calls.append(tuple(values.values()))
-        return evaluate(model, spec, values)
+        return evaluate(candidates, spec, values)
 
     monkeypatch.setattr(optimize, "_evaluate_figure", counted)
     result = run_optimization(model, spec)
@@ -509,3 +550,273 @@ def test_run_optimization_matches_scipy_search(monkeypatch: pytest.MonkeyPatch) 
                     assert bits(got) == bits(want), (n, kind, objective, budget)
                     if converged and budget == len(first):
                         assert got.n_evals == budget and not got.converged
+
+
+# ---------------------------------------------------------------------------
+# Compiled candidates against rebuilding each candidate's model: the model
+# with the candidate's values, validated and assembled from scratch.
+
+
+class _Rebuilt:
+    """Candidates evaluated by ``model_with`` and ``assemble_dynamics`` each."""
+
+    def __init__(self, model: TransducerModel, paths: tuple[str, ...] = ()) -> None:
+        self.model = model
+
+    def dynamics(
+        self, values: Mapping[str, float]
+    ) -> tuple[DoubledDynamics, NoiseEnvironment]:
+        dyn = assemble_dynamics(model_with(self.model, values))
+        return dyn, NoiseEnvironment.from_dynamics(dyn)
+
+
+def _dynamics_bits(dyn: DoubledDynamics) -> list[object]:
+    return [
+        value.tobytes() if isinstance(value, np.ndarray) else value
+        for value in (getattr(dyn, f.name) for f in dataclasses.fields(dyn))
+    ]
+
+
+def _candidate_outcome(
+    candidates: object, specs: list[OptimizeSpec], values: dict[str, float]
+) -> tuple[object, ...]:
+    """Dynamics, occupancies and each spec's figure, or the error classes."""
+    try:
+        dyn, env = candidates.dynamics(values)  # type: ignore[attr-defined]
+    except ModeScatterError as exc:
+        return (type(exc),)
+    figures: list[object] = []
+    for spec in specs:
+        try:
+            figure = optimize._evaluate_figure(candidates, spec, values)  # type: ignore[arg-type]
+            figures.append(float.hex(figure))
+        except ModeScatterError as exc:
+            figures.append(type(exc))
+    return (_dynamics_bits(dyn), dict(env.spec), figures)
+
+
+def _readme_converter() -> TransducerModel:
+    return parse_model(readme_model_json())
+
+
+def _trial_values(base: float, temperature: bool) -> list[float]:
+    """A feasible value first, then others, zero and a negative one."""
+    if temperature:
+        return [0.004, 0.0, 0.2, -0.1]
+    return [base * f for f in (1.0, 1.0e-3, 0.5, 2.5, 40.0)] + [0.0, -base]
+
+
+def _equivalence_cases() -> list[tuple[str, TransducerModel, tuple[str, ...], float]]:
+    em = build_model(ElectromechParams(gamma_wg=TAU * 3.0e5))
+    cases = [
+        ("electromech", em, ("ports.wg.rate", "couplings.0.rate"), TAU * 5.0e6),
+        (
+            "electromech-temperature",
+            em,
+            ("ports.mech_loss.temperature", "ports.tx.rate"),
+            TAU * 5.0e6,
+        ),
+        (
+            "readme-converter",
+            _readme_converter(),
+            ("couplings.0.rate", "ports.out.temperature"),
+            TAU * 1.0e6,
+        ),
+        (
+            "readme-converter-signal",
+            _readme_converter(),
+            ("ports.sig.rate", "ports.sig.temperature"),
+            TAU * 1.0e6,
+        ),
+        # The squeezer is unstable above half its port rates.
+        (
+            "near-singular",
+            near_singular_model(),
+            ("couplings.0.rate", "ports.pb.rate"),
+            TAU * 2.0e6,
+        ),
+    ]
+    for seed in range(4):
+        model = wide_model(np.random.default_rng(seed))
+        paths = tuple(
+            f"ports.{q.name}.{field}"
+            for q in model.ports
+            for field in ("rate", "temperature")
+        ) + tuple(f"couplings.{i}.rate" for i in range(len(model.couplings)))
+        cases.append((f"wide-{seed}", model, paths, TAU * 1.0e6))
+    return cases
+
+
+_EQUIVALENCE_CASES = _equivalence_cases()
+
+
+@pytest.mark.parametrize(
+    "name, model, paths, omega_sig",
+    _EQUIVALENCE_CASES,
+    ids=[case[0] for case in _EQUIVALENCE_CASES],
+)
+def test_compiled_candidates_match_rebuilt_models(
+    name: str, model: TransducerModel, paths: tuple[str, ...], omega_sig: float
+) -> None:
+    # M, G, G', the eigenvalues, the port records and the occupancies are
+    # the same bytes, every figure has the same bits, and an infeasible
+    # candidate raises the same error class, values <= 0 included.
+    specs = [
+        OptimizeSpec(
+            variables=tuple((path, 0.0, 1.0) for path in paths),
+            objective=objective,
+            omega_sig=omega_sig,
+        )
+        for objective in ("max-eta", "min-N", "max-Fq", "min-Ps")
+    ]
+    specs.append(
+        dataclasses.replace(
+            specs[0],
+            objective="max-F1c",
+            omega_min=0.5 * omega_sig,
+            omega_max=1.5 * omega_sig,
+            points=101,
+            window=1.0e-6,
+        )
+    )
+    trials = {}
+    for path in paths:
+        section, key, field = path.split(".")
+        if section == "ports":
+            item = next(q for q in model.ports if q.name == key)
+        else:
+            item = model.couplings[int(key)]
+        trials[path] = _trial_values(getattr(item, field), field == "temperature")
+    if len(paths) == 2:
+        points = list(itertools.product(*trials.values()))
+    else:
+        # The model's own values with one variable moved at a time, then
+        # random picks.
+        own = [v[0] for v in trials.values()]
+        points = [
+            tuple(own[:k]) + (value,) + tuple(own[k + 1 :])
+            for k, path in enumerate(paths)
+            for value in trials[path]
+        ]
+        rng = np.random.default_rng(len(name))
+        points += [tuple(rng.choice(v) for v in trials.values()) for _ in range(30)]
+    compiled = optimize._Candidates(model, paths)
+    rebuilt = _Rebuilt(model)
+    outcomes = set()
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", ValidityWarning)
+        for point in points:
+            values = dict(zip(paths, map(float, point)))
+            want = _candidate_outcome(rebuilt, specs, values)
+            assert _candidate_outcome(compiled, specs, values) == want, values
+            outcomes.add(want[0] if len(want) == 1 else "feasible")
+    assert "feasible" in outcomes and len(outcomes) > 1, outcomes
+
+
+def _invalid_converters() -> list[TransducerModel]:
+    model = _readme_converter()
+    sig, out = model.ports
+    return [
+        dataclasses.replace(model, ports=(sig, dataclasses.replace(out, temperature=-1.0))),
+        dataclasses.replace(model, ports=(sig, dataclasses.replace(out, name="sig"))),
+    ]
+
+
+@pytest.mark.parametrize(
+    "model", _invalid_converters(), ids=["negative-temperature", "duplicate-port"]
+)
+def test_a_model_invalid_where_no_variable_reaches_is_infeasible_everywhere(
+    model: TransducerModel, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    spec = OptimizeSpec(
+        variables=(("couplings.0.rate", TAU * 1.0e5, TAU * 4.0e6),),
+        objective="max-eta",
+        omega_sig=TAU * 1.0e6,
+        budget=40,
+    )
+    with pytest.raises(NumericalError) as got:
+        run_optimization(model, spec)
+    monkeypatch.setattr(optimize, "_Candidates", _Rebuilt)
+    with pytest.raises(NumericalError) as want:
+        run_optimization(model, spec)
+    assert str(got.value) == str(want.value) == (
+        "all 40 evaluated candidates were infeasible for objective 'max-eta'"
+    )
+
+
+def _run_bits(model: TransducerModel, spec: OptimizeSpec) -> tuple[object, ...]:
+    try:
+        result = run_optimization(model, spec)
+    except ModeScatterError as exc:
+        return type(exc), str(exc)
+    trace = [
+        (tuple(map(float.hex, e.params)), float.hex(e.value), e.feasible)
+        for e in result.trace
+    ]
+    return (
+        result.n_evals,
+        result.converged,
+        float.hex(result.best_value),
+        {k: float.hex(v) for k, v in result.best_params.items()},
+        trace,
+    )
+
+
+_CONVERTER_NO_PORTS = dataclasses.replace(_readme_converter(), ports=())
+
+
+@pytest.mark.parametrize(
+    "model, changes",
+    [
+        (_readme_converter(), {}),
+        (_readme_converter(), {"objective": "min-Ps"}),
+        (
+            _readme_converter(),
+            {
+                "variables": (
+                    ("ports.out.temperature", 0.0, 0.2),
+                    ("couplings.0.rate", 0.0, TAU * 4.0e6),
+                )
+            },
+        ),
+        (
+            near_singular_model(),
+            {
+                "variables": (("couplings.0.rate", TAU * 1.0e4, TAU * 6.0e4),),
+                "omega_sig": TAU * 2.0e6,
+            },
+        ),
+        (_readme_converter(), {"exit_port": "bogus"}),
+        (_readme_converter(), {"variables": (("ports.nope.rate", 1.0, 2.0),)}),
+        (_readme_converter(), {"variables": (("ports.out.phase", 1.0, 2.0),)}),
+        (_readme_converter(), {"variables": (("couplings.1.rate", 1.0, 2.0),)}),
+        (_CONVERTER_NO_PORTS, {"variables": (("couplings.0.rate", 1.0, 2.0),)}),
+    ],
+    ids=[
+        "max-eta",
+        "min-Ps",
+        "temperature-and-coupling",
+        "near-singular",
+        "exit-port",
+        "unknown-port",
+        "unknown-field",
+        "coupling-index",
+        "degenerate",
+    ],
+)
+def test_runs_match_rebuilt_models(
+    model: TransducerModel, changes: dict[str, object], monkeypatch: pytest.MonkeyPatch
+) -> None:
+    # The whole search, or the error that ends it and its text, as
+    # rebuilding every candidate gives them.
+    fields: dict[str, object] = {
+        "variables": (("ports.out.rate", TAU * 1.0e5, TAU * 1.0e7),),
+        "objective": "max-eta",
+        "omega_sig": TAU * 1.0e6,
+        "budget": 60,
+        "seed": 2,
+    }
+    spec = OptimizeSpec(**{**fields, **changes})
+    got = _run_bits(model, spec)
+    monkeypatch.setattr(optimize, "_Candidates", _Rebuilt)
+    assert got == _run_bits(model, spec)
