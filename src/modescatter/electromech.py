@@ -91,7 +91,7 @@ class ElectromechParams:
                 "requires 0 < omega_m < omega_lc, got "
                 f"omega_m={self.omega_m!r}, omega_lc={self.omega_lc!r}"
             )
-        for name in ("g", "gamma_tx", "gamma_wg", "omega_drive"):
+        for name in ("omega_lc", "g", "gamma_tx", "gamma_wg", "omega_drive"):
             value = getattr(self, name)
             if not math.isfinite(value) or value <= 0.0:
                 raise ConfigurationError(f"{name} must be positive, got {value!r}")

@@ -43,8 +43,9 @@ PortRole = Literal["signal", "exit", "loss"]
 #: Relative tolerance for drive/band-center resonance matching.
 DRIVE_MATCH_RTOL = 1e-9
 
-#: Multiple by which a drive-bridged band gap must exceed the largest total
-#: mode linewidth; a smaller gap is a warning, not an error.
+#: Multiple by which a drive-bridged band gap must exceed the larger total
+#: linewidth of the two modes it couples; a smaller gap is a warning, not an
+#: error.
 SEPARATION_FACTOR = 10.0
 
 _FRAMES = ("rotating", "lab-quadrature")
@@ -160,7 +161,7 @@ class TransducerModel:
         return tuple(p for p in self.ports if p.mode.name == mode.name)
 
     def total_port_rate(self, mode: InternalMode) -> float:
-        return float(sum(p.rate for p in self.mode_ports(mode)))
+        return float(sum(p.rate for p in self.ports if p.mode.name == mode.name))
 
     @property
     def signal_port(self) -> Port:
@@ -193,13 +194,15 @@ class ValidationReport:
 
 @dataclass(frozen=True)
 class PortInfo:
-    """Flat, name-based port record carried by the assembled dynamics."""
+    """Flat, name-based port record: what the model's structure fixes.
+
+    Built once per layout (:func:`dynamics_layout`) and shared by every
+    dynamics filled from it; the rates and temperatures are the fill's.
+    """
 
     name: str
     mode: str
     band_center: float
-    rate: float
-    temperature: float
     role: PortRole
     flavor: Frame
 
@@ -224,6 +227,10 @@ class DoubledDynamics:
     mode_index, port_index:
         Name -> annihilation-slot index. Creation slots sit at
         ``index + n`` (modes) and ``index + p`` (ports).
+    ports:
+        The layout's port records, in port order.
+    port_temperatures:
+        Input-field temperature [K] of each port, in port order.
     eigenvalues:
         Eigenvalues of ``dyn_matrix`` as assembled, from the stability
         check.
@@ -238,6 +245,7 @@ class DoubledDynamics:
     mode_index: Mapping[str, int]
     port_index: Mapping[str, int]
     ports: tuple[PortInfo, ...]
+    port_temperatures: tuple[float, ...]
     signal_port: str
     exit_port: str
     eigenvalues: NDArray[np.complex128]
@@ -297,6 +305,13 @@ def _bridged_frequency(coupling: Coupling) -> float:
     if coupling.form == "two-mode-squeezing":
         return ca + cb
     return abs(ca - cb)
+
+
+def _coupling_linewidth(model: TransducerModel, coupling: Coupling) -> float:
+    """The larger total port rate of the two modes a coupling joins."""
+    return max(
+        model.total_port_rate(coupling.mode_a), model.total_port_rate(coupling.mode_b)
+    )
 
 
 def port_rate_error(name: str, rate: float) -> str | None:
@@ -410,16 +425,11 @@ def validate_model(model: TransducerModel) -> ValidationReport:
             f"no exit port declared; signal port {signal_ports[0].name!r} doubles as exit"
         )
 
-    # Each mode's ports, in port order: the totals are the sums that
-    # TransducerModel.total_port_rate forms, one per mode.
     ports_of: dict[str, list[Port]] = {}
     for port in model.ports:
         ports_of.setdefault(port.mode.name, []).append(port)
-    totals = [
-        float(sum(p.rate for p in ports_of.get(mode.name, ()))) for mode in model.modes
-    ]
-    for mode, total in zip(model.modes, totals):
-        if total <= 0:
+    for mode in model.modes:
+        if sum(p.rate for p in ports_of.get(mode.name, ())) <= 0:
             errs.append(f"mode {mode.name!r}: total port rate must be positive")
 
     # lab-quadrature frames only make sense when something couples both slots
@@ -474,19 +484,20 @@ def validate_model(model: TransducerModel) -> ValidationReport:
         if supplied == 0.0 and ca != cb and coupling.form != "two-mode-squeezing":
             errs.append(f"{label}: DC coupling requires a shared band center")
 
-    # rotating-wave separation between drive-bridged bands
-    max_linewidth = max(totals)
+    # rotating-wave separation between drive-bridged bands, against the
+    # linewidth rwa_report gives each coupling
     for i, coupling in enumerate(model.couplings):
         if _drive_frequency(coupling) == 0.0:
             continue
         ca = coupling.mode_a.band.center_frequency
         cb = coupling.mode_b.band.center_frequency
         gap = _bridged_frequency(coupling)
-        if ca != cb and gap <= SEPARATION_FACTOR * max_linewidth:
+        linewidth = _coupling_linewidth(model, coupling)
+        if ca != cb and gap <= SEPARATION_FACTOR * linewidth:
             report.warnings.append(
                 f"RWA separation violated on coupling[{i}]: band gap "
                 f"{gap:.3e} rad/s vs {SEPARATION_FACTOR:g} x max linewidth "
-                f"{max_linewidth:.3e} rad/s"
+                f"{linewidth:.3e} rad/s"
             )
 
     report.notes.append(OCCUPANCY_NOTE)
@@ -501,9 +512,8 @@ class DynamicsLayout(NamedTuple):
     of ``M`` with only the detuning terms added. ``port_slots`` holds, per
     port, the slot pair of its mode, its own slot pair and whether it is
     lab-quadrature; ``coupling_slots`` holds, per coupling, the slot pairs
-    of both modes and the form. ``ports`` are the model's port records;
-    :func:`fill_dynamics` rebuilds those at ``varied_ports`` from the
-    rates and temperatures it is given and keeps the others.
+    of both modes and the form. ``ports`` are the model's port records,
+    which every dynamics filled from the layout shares.
     """
 
     dimension: int
@@ -515,19 +525,12 @@ class DynamicsLayout(NamedTuple):
     mode_index: Mapping[str, int]
     port_index: Mapping[str, int]
     ports: tuple[PortInfo, ...]
-    varied_ports: tuple[int, ...]
     signal_port: str
     exit_port: str
 
 
-def dynamics_layout(
-    model: TransducerModel, varied_ports: tuple[int, ...] = ()
-) -> DynamicsLayout:
-    """The structure-fixed part of a validated model's dynamics.
-
-    ``varied_ports`` are the positions of the ports whose rate or
-    temperature will differ from the model's in :func:`fill_dynamics`.
-    """
+def dynamics_layout(model: TransducerModel) -> DynamicsLayout:
+    """The structure-fixed part of a validated model's dynamics."""
     n = len(model.modes)
     p = len(model.ports)
     dim = 2 * n
@@ -550,8 +553,6 @@ def dynamics_layout(
                 name=port.name,
                 mode=port.mode.name,
                 band_center=port.mode.band.center_frequency,
-                rate=port.rate,
-                temperature=port.temperature,
                 role=port.role,
                 flavor=port.flavor,
             )
@@ -572,7 +573,6 @@ def dynamics_layout(
         mode_index=mode_index,
         port_index=port_index,
         ports=tuple(infos),
-        varied_ports=varied_ports,
         signal_port=model.signal_port.name,
         exit_port=model.exit_port.name,
     )
@@ -590,8 +590,8 @@ def fill_dynamics(
     plus input columns, in declaration order; couplings then add
     off-diagonal blocks according to their form. The output coupling is
     derived from the input coupling through the metric so that flux
-    bookkeeping is exact for rotating networks. ``port_temperatures`` is
-    read only at ``layout.varied_ports``.
+    bookkeeping is exact for rotating networks. The result shares
+    ``layout.ports`` and keeps ``port_temperatures`` as given.
 
     Raises
     ------
@@ -660,21 +660,6 @@ def fill_dynamics(
             f"rad/s exceeds tolerance {tol:.1e}"
         )
 
-    infos = layout.ports
-    if layout.varied_ports:
-        rebuilt = list(infos)
-        for k in layout.varied_ports:
-            info = infos[k]
-            rebuilt[k] = PortInfo(
-                name=info.name,
-                mode=info.mode,
-                band_center=info.band_center,
-                rate=port_rates[k],
-                temperature=port_temperatures[k],
-                role=info.role,
-                flavor=info.flavor,
-            )
-        infos = tuple(rebuilt)
     return DoubledDynamics(
         dimension=dim,
         dyn_matrix=m_matrix,
@@ -684,7 +669,8 @@ def fill_dynamics(
         mode_metric=layout.mode_metric,
         mode_index=layout.mode_index,
         port_index=layout.port_index,
-        ports=infos,
+        ports=layout.ports,
+        port_temperatures=tuple(port_temperatures),
         signal_port=layout.signal_port,
         exit_port=layout.exit_port,
         eigenvalues=eigvals,
@@ -696,8 +682,9 @@ def assemble_dynamics(model: TransducerModel) -> DoubledDynamics:
 
     Validates the model, builds the part of its dynamics the structure
     fixes (:func:`dynamics_layout`: slot indices, detunings, port flavors,
-    coupling forms, metrics and port records) and fills it with the
-    model's own rates (:func:`fill_dynamics`). The optimizer builds the
+    coupling forms, metrics and the name, mode, band center, role and
+    flavor of each port) and fills it with the model's own rates and
+    temperatures (:func:`fill_dynamics`). The optimizer builds the
     layout once per run and fills it once per candidate, so both take the
     same numbers from the same routine. The assembly is deterministic:
     identical models produce bit-identical matrices. Detunings enter as
@@ -736,10 +723,7 @@ def rwa_report(model: TransducerModel) -> RwaReport:
     """
     entries = []
     for coupling in model.couplings:
-        linewidth = max(
-            model.total_port_rate(coupling.mode_a),
-            model.total_port_rate(coupling.mode_b),
-        )
+        linewidth = _coupling_linewidth(model, coupling)
         description = (
             f"{coupling.mode_a.name}-{coupling.mode_b.name} ({coupling.form})"
         )

@@ -294,7 +294,8 @@ class _Candidates:
     1.0, a value each field's rule accepts: the errors of that model are
     the ones no candidate can mend, so with any, every candidate is
     infeasible. Otherwise each candidate only has its values checked by
-    those rules and fills the model's layout with them.
+    those rules and fills the model's one layout with them; the noise
+    environment is the model's unless a temperature varies.
     """
 
     def __init__(self, model: TransducerModel, paths: tuple[str, ...]) -> None:
@@ -342,8 +343,7 @@ class _Candidates:
                 {q.name: q.temperature for q in model.ports}
             )
         )
-        varied_ports = sorted({slot[2] for slot in self._slots if slot[0] < 2})
-        self._layout = dynamics_layout(model, tuple(varied_ports))
+        self._layout = dynamics_layout(model)
 
     def dynamics(
         self, values: Mapping[str, float]

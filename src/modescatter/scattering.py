@@ -149,7 +149,9 @@ class NoiseEnvironment:
 
     @classmethod
     def from_dynamics(cls, dyn: DoubledDynamics) -> "NoiseEnvironment":
-        return cls({p.name: ("temperature", p.temperature) for p in dyn.ports})
+        return cls.from_temperatures(
+            {p.name: t for p, t in zip(dyn.ports, dyn.port_temperatures)}
+        )
 
     @classmethod
     def from_temperatures(cls, temperatures: Mapping[str, float]) -> "NoiseEnvironment":

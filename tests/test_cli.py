@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import csv
 import json
-import math
 import os
 import re
 import subprocess
@@ -13,9 +12,15 @@ from io import StringIO
 from pathlib import Path
 
 import pytest
-from conftest import TAU, near_singular_model, readme_examples, shows, two_mode_converter
+from conftest import (
+    near_singular_model,
+    readme_examples,
+    readme_model_json,
+    shows,
+    two_mode_converter,
+)
 
-from modescatter import ElectromechParams, qubit_fidelity
+from modescatter import qubit_fidelity
 from modescatter.cli import main
 from modescatter.modelfile import save_model
 
@@ -541,6 +546,48 @@ def test_validate_model_file_with_ensemble(
     assert code == 0
     assert "ensemble(3):" in captured.out
     assert "validate: OK" in captured.out
+
+
+def test_validate_rwa_warning_agrees_with_the_ratio(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # A broad uncoupled mode must not set the linewidth a coupling's band
+    # gap is held against: the warning and the ratio see the same modes.
+    data = json.loads(readme_model_json())
+    data["bands"].append({"name": "far", "center_hz": 9.0e9})
+    data["modes"].append(
+        {"name": "mc", "band": "far", "frame": "rotating", "resonance_hz": 9.0e9}
+    )
+    data["ports"].append(
+        {"name": "wide", "mode": "mc", "rate_hz": 5.0e8, "temperature_k": 0.0,
+         "role": "loss", "flavor": "rotating"}
+    )
+    path = tmp_path / "three.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--model", str(path)]) == 0
+    captured = capsys.readouterr()
+    assert "warning" not in captured.out + captured.err
+    assert "rwa: minimum separation ratio = 500\n" in captured.out
+
+
+@pytest.mark.parametrize(
+    "command",
+    [
+        ["fom", "--builtin", "electromech", "--app", "qubit", "--omega-sig", "5e6"],
+        ["validate", "--builtin", "electromech"],
+    ],
+    ids=["fom", "validate"],
+)
+@pytest.mark.parametrize("omega_lc", ["inf", "1e308"])
+def test_non_finite_omega_lc_is_a_configuration_error(
+    command: list[str], omega_lc: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # 1e308 Hz overflows to inf rad/s.
+    argv = command + ["--set", f"omega_lc={omega_lc}", "--set", "omega_drive=5e9"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: omega_lc must be positive, got inf\n"
 
 
 def test_validate_rejects_invalid_model(

@@ -17,6 +17,7 @@ from modescatter import (
     InternalMode,
     ModelUnstableError,
     ModelValidationError,
+    NoiseEnvironment,
     NumericalError,
     Port,
     TransducerModel,
@@ -27,7 +28,7 @@ from modescatter import (
 )
 import modescatter.network
 from modescatter.modelfile import get_builtin, parse_model
-from modescatter.network import validate_model
+from modescatter.network import dynamics_layout, fill_dynamics, validate_model
 
 
 def _single_mode_model(detune_hz: float = 0.0) -> TransducerModel:
@@ -246,6 +247,25 @@ def test_doubled_layout_and_metric() -> None:
     assert dyn.mode_index == {"ma": 0, "mb": 1}
     np.testing.assert_array_equal(dyn.metric, [1.0, 1.0, -1.0, -1.0])
     np.testing.assert_array_equal(dyn.mode_metric, [1.0, 1.0, -1.0, -1.0])
+
+
+def test_fills_of_one_layout_share_its_port_records() -> None:
+    # The records hold only what the structure fixes; the rates and
+    # temperatures of each fill are its own.
+    model = two_mode_converter()
+    layout = dynamics_layout(model)
+    coupling_rates = [c.rate for c in model.couplings]
+    for rates, temperatures in (
+        ([TAU * 4.0e6, TAU * 4.0e6], [0.0, 0.05]),
+        ([TAU * 1.0e6, TAU * 9.0e6], [0.2, 0.0]),
+    ):
+        dyn = fill_dynamics(layout, rates, temperatures, coupling_rates)
+        assert dyn.ports is layout.ports
+        assert dyn.port_temperatures == tuple(temperatures)
+        assert NoiseEnvironment.from_dynamics(dyn).spec == {
+            "sig": ("temperature", temperatures[0]),
+            "out": ("temperature", temperatures[1]),
+        }
 
 
 def test_output_coupling_follows_metric_relation() -> None:
