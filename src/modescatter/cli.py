@@ -28,23 +28,13 @@ from typing import Any, Mapping, Sequence
 import numpy as np
 
 from . import __version__
-from .applications.counting import (
-    SpectralShape,
-    TemporalShape,
-    check_counting_request,
-    counting_yield,
-    dark_count_rate,
-)
+from .applications.counting import SpectralShape, TemporalShape, check_counting_request
 from .applications.entangle import (
     ProtocolSpec,
-    entangle_fidelity_asymptotic,
     entangle_fidelity_exact,
-    heralding_spec,
     protocol_enumerate,
     protocol_montecarlo,
 )
-from .applications.heterodyne import heterodyne_sensitivity
-from .applications.qubit import qubit_fidelity
 from .electromech import oracle_deviation
 from .errors import (
     ConfigurationError,
@@ -68,15 +58,8 @@ from .network import (
     rwa_report,
     validate_model,
 )
-from .optimize import OBJECTIVES, OptimizeSpec, run_optimization
-from .scattering import (
-    NoiseEnvironment,
-    added_noise,
-    consistency_checks,
-    eta,
-    spectrum_sweep,
-    transfer_pair,
-)
+from .optimize import OBJECTIVES, OptimizeSpec, figures_of_merit, run_optimization
+from .scattering import NoiseEnvironment, consistency_checks, spectrum_sweep
 
 _CSV_HEADER = (
     "omega_hz",
@@ -200,6 +183,13 @@ def _grid_omegas(args: argparse.Namespace, log: bool = False) -> np.ndarray:
     if log:
         return np.geomspace(lo, hi, args.points)
     return np.linspace(lo, hi, args.points)
+
+
+def _spectrum_request(args: argparse.Namespace) -> dict[str, Any]:
+    """The grid and window of a ``fom`` or ``optimize`` request, in rad/s and s."""
+    bounds = (args.omega_min, args.omega_max)
+    low, high = (None if hz is None else hz_to_angular(hz) for hz in bounds)
+    return dict(omega_min=low, omega_max=high, points=args.points, window=args.window)
 
 
 # Per shape flag: kind -> (constructor, parameter names). Values of
@@ -372,87 +362,21 @@ def _cmd_fom(args: argparse.Namespace) -> int:
     model, _ = _resolve_model(args)
     dyn = assemble_dynamics(model)
     env = NoiseEnvironment.from_dynamics(dyn)
-    omega_sig = hz_to_angular(args.omega_sig)
-    payload: dict[str, Any] = {"app": args.app, "omega_sig_hz": args.omega_sig}
+    request = {"theta_lo": args.theta_lo, "p_e": args.p_e, **_spectrum_request(args)}
     if args.app in ("counting", "entangle"):
         if args.app == "counting" and None in (args.h_in, args.h_out, args.window):
             raise ConfigurationError(
                 "fom --app counting needs --h-in, --h-out, and --window"
             )
         # Bad input, whatever the sweep would give: check it before the sweep.
-        request = (args.omega_min, args.omega_max, args.points, args.window)
-        check_counting_request(f"fom --app {args.app}", *request)
+        grid = (args.omega_min, args.omega_max, args.points, args.window)
+        check_counting_request(f"fom --app {args.app}", *grid)
         if args.app == "counting":
-            h_in = _parse_shape("--h-in", args.h_in)
-            h_out = _parse_shape("--h-out", args.h_out)
-        grid = spectrum_sweep(
-            dyn, env, _grid_omegas(args), exit_port=args.exit, symplectic=False
-        )
-
-    if args.app == "qubit":
-        up, _ = transfer_pair(dyn, omega_sig, exit_port=args.exit)
-        eta_plus = eta(up)
-        n_plus = added_noise(up, env)
-        payload.update(
-            eta_plus=eta_plus,
-            n_plus=n_plus,
-            fidelity=qubit_fidelity(eta_plus, n_plus),
-        )
-    elif args.app == "heterodyne":
-        up, dn = transfer_pair(dyn, omega_sig, exit_port=args.exit)
-        result = heterodyne_sensitivity(up, dn, env, theta_lo=args.theta_lo)
-        payload.update(
-            theta_lo=result.theta_lo,
-            p_s=result.p_s,
-            bound=result.bound,
-            eta_up=result.eta_up,
-            eta_dn=result.eta_dn,
-            flux_up=result.flux_up,
-            flux_dn=result.flux_dn,
-            f_corr=result.f_corr,
-            t_lo_abs=abs(result.t_lo),
-        )
-    elif args.app == "counting":
-        result = counting_yield(grid, h_in, h_out, args.window, omega_sig)
-        payload.update(
-            eta_plus=result.eta_plus,
-            n_plus=result.n_plus,
-            bandwidth_rad_per_s=result.bandwidth,
-            bandwidth_hz=result.bandwidth_hz,
-            dark_rate_per_s=result.rate,
-            eta_h=result.eta_h,
-            capture=result.capture,
-            n_out_mean=result.n_out_mean,
-        )
-    else:  # entangle
-        dark = dark_count_rate(grid, omega_sig)
-        specs = {
-            scheme: heralding_spec(dark, args.window, scheme, args.p_e)
-            for scheme in ("one-click", "two-click")
-        }
-        payload.update(
-            eta_plus=dark.eta_plus,
-            n_plus=dark.n_plus,
-            bandwidth_hz=dark.bandwidth_hz,
-            dark_rate_per_s=dark.rate,
-            p_d=specs["one-click"].p_d,
-        )
-        for scheme, spec in specs.items():
-            exact = entangle_fidelity_exact(spec)
-            entry: dict[str, Any] = {
-                "p_e": spec.p_e,
-                "fidelity": exact.fidelity,
-                "success_probability": exact.success_probability,
-            }
-            try:
-                entry["fidelity_asymptotic"] = entangle_fidelity_asymptotic(
-                    spec
-                ).fidelity
-            except ModeScatterError:
-                entry["fidelity_asymptotic"] = math.nan
-            payload[scheme] = entry
-
-    _emit(payload, args.json)
+            request["h_in"] = _parse_shape("--h-in", args.h_in)
+            request["h_out"] = _parse_shape("--h-out", args.h_out)
+    omega_sig = hz_to_angular(args.omega_sig)
+    fields = figures_of_merit(args.app, dyn, env, omega_sig, args.exit, **request)
+    _emit({"app": args.app, "omega_sig_hz": args.omega_sig, **fields}, args.json)
     return 0
 
 
@@ -479,14 +403,11 @@ def _cmd_optimize(args: argparse.Namespace) -> int:
         variables=variables,
         objective=args.objective,
         omega_sig=hz_to_angular(args.omega_sig),
-        omega_min=None if args.omega_min is None else hz_to_angular(args.omega_min),
-        omega_max=None if args.omega_max is None else hz_to_angular(args.omega_max),
-        points=args.points,
-        window=args.window,
         exit_port=args.exit,
         budget=args.budget,
         tolerance=args.tol,
         seed=args.seed,
+        **_spectrum_request(args),
     )
     result = run_optimization(model, spec)
 
@@ -631,6 +552,7 @@ def _cmd_validate(args: argparse.Namespace) -> int:
     )
     keys = ["particle_hole"]
     if has_quadrature:
+        # Both residuals leave the masked slots out, so both vanish at that resonance.
         print(
             "note: model couples quadrature ports; restricted unitarity and"
             " sum-rule residuals are informational (exact only at the"

@@ -157,9 +157,6 @@ class TransducerModel:
     couplings: tuple[Coupling, ...]
     ports: tuple[Port, ...]
 
-    def mode_ports(self, mode: InternalMode) -> tuple[Port, ...]:
-        return tuple(p for p in self.ports if p.mode.name == mode.name)
-
     def total_port_rate(self, mode: InternalMode) -> float:
         return float(sum(p.rate for p in self.ports if p.mode.name == mode.name))
 

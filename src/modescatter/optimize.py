@@ -1,4 +1,4 @@
-"""Bounded derivative-free optimization of model parameters.
+"""Bounded derivative-free optimization, and the figures of merit shared with ``fom``.
 
 Variables are dotted override paths understood by
 :func:`modescatter.modelfile.model_with` (port rates and temperatures,
@@ -14,27 +14,37 @@ is built (:func:`~modescatter.network.dynamics_layout`). Each candidate
 then only has its varied values checked by the rules ``validate_model``
 applies to them, fills the rate-dependent terms of ``M``, ``G`` and ``G'``
 (:func:`~modescatter.network.fill_dynamics`, the routine
-``assemble_dynamics`` uses), passes the eigenvalue stability check, and
-computes the requested figure of merit: the same numbers, bit for bit, as
-rebuilding and assembling the candidate's model. Candidates whose models
-fail validation, are unstable, or hit a numerical failure are recorded as
-infeasible and repelled with an infinite objective value rather than
-aborting the search. A configuration error (an unknown exit port or
-override path, a signal frequency off the spectrum grid) holds for every
-candidate alike, so it aborts the search.
+``assemble_dynamics`` uses), passes the eigenvalue stability check, and is
+scored by :func:`figures_of_merit`, the field ``fom`` prints for the same
+request: the same numbers, bit for bit, as rebuilding the candidate's
+model. Candidates whose models fail validation, are unstable, or hit a
+numerical failure are recorded as infeasible and repelled with an
+infinite objective value rather than aborting the search. A configuration
+error (an unknown exit port or override path, a signal frequency off the
+spectrum grid) holds for every candidate alike, so it aborts the search.
 """
 
 from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Mapping
+from dataclasses import dataclass, field as dataclass_field
+from typing import Any, Callable, Mapping
 
 import numpy as np
 
-from .applications.entangle import entangle_fidelity_exact, heralding_spec
-from .applications.counting import check_counting_request, dark_count_rate
+from .applications.counting import (
+    SpectralShape,
+    TemporalShape,
+    check_counting_request,
+    counting_yield,
+    dark_count_rate,
+)
+from .applications.entangle import (
+    entangle_fidelity_asymptotic,
+    entangle_fidelity_exact,
+    heralding_spec,
+)
 from .applications.heterodyne import heterodyne_sensitivity
 from .applications.qubit import qubit_fidelity
 from .errors import (
@@ -65,10 +75,19 @@ from .scattering import (
     transfer_pair,
 )
 
-OBJECTIVES = ("max-eta", "min-N", "max-Fq", "min-Ps", "max-F1c", "max-F2c")
+# Per objective: the application and the field of :func:`figures_of_merit` it scores.
+_SCORES = {
+    "max-eta": ("qubit", "eta_plus"),
+    "min-N": ("qubit", "n_plus"),
+    "max-Fq": ("qubit", "fidelity"),
+    "min-Ps": ("heterodyne", "p_s"),
+    "max-F1c": ("entangle", "one-click.fidelity"),
+    "max-F2c": ("entangle", "two-click.fidelity"),
+}
+OBJECTIVES = tuple(_SCORES)
 
-_MAXIMIZED = frozenset({"max-eta", "max-Fq", "max-F1c", "max-F2c"})
-_ENTANGLE = frozenset({"max-F1c", "max-F2c"})
+_MAXIMIZED = frozenset(name for name in _SCORES if name.startswith("max-"))
+_ENTANGLE = frozenset(name for name, (app, _) in _SCORES.items() if app == "entangle")
 
 _N_RESTARTS = 3
 
@@ -161,7 +180,7 @@ class OptimizeResult:
     best_value: float
     n_evals: int
     converged: bool
-    trace: tuple[TraceEntry, ...] = field(repr=False)
+    trace: tuple[TraceEntry, ...] = dataclass_field(repr=False)
 
 
 class _BudgetExhausted(Exception):
@@ -381,31 +400,115 @@ class _Candidates:
         return dyn, env
 
 
+def figures_of_merit(
+    app: str,
+    dyn: DoubledDynamics,
+    env: NoiseEnvironment,
+    omega_sig: float,
+    exit_port: str | None = None,
+    *,
+    omega_min: float | None = None,
+    omega_max: float | None = None,
+    points: int | None = None,
+    window: float | None = None,
+    p_e: float | None = None,
+    h_in: SpectralShape | None = None,
+    h_out: TemporalShape | None = None,
+    theta_lo: float | None = None,
+    field: str | None = None,
+) -> Any:
+    """Figures of merit of ``app`` at ``omega_sig`` (rad/s), as ``fom`` prints them.
+
+    The one composition of each figure, for ``fom`` and every objective.
+    ``counting`` and ``entangle`` sweep ``points`` frequencies from
+    ``omega_min`` to ``omega_max`` (rad/s) and need a ``window`` (s), as
+    ``check_counting_request`` checks. Returns the fields in print order (a
+    scheme's in a nested dict), or only the ``field`` an objective of
+    ``app`` scores (``one-click.fidelity`` for a scheme's), computing only that.
+    """
+    if app not in ("qubit", "heterodyne", "counting", "entangle"):
+        raise ConfigurationError(f"unknown application {app!r}")
+    if field is not None and (app, field) not in _SCORES.values():
+        raise ConfigurationError(f"no objective scores the {app} field {field!r}")
+    if app in ("qubit", "heterodyne"):
+        up, dn = transfer_pair(dyn, omega_sig, exit_port=exit_port)
+    else:
+        omegas = np.linspace(omega_min, omega_max, points)
+        grid = spectrum_sweep(dyn, env, omegas, exit_port=exit_port, symplectic=False)
+    if app == "qubit":
+        if field == "n_plus":
+            return added_noise(up, env)
+        if field == "eta_plus":
+            return eta(up)
+        eta_plus, n_plus = eta(up), added_noise(up, env)
+        fidelity = qubit_fidelity(eta_plus, n_plus)
+        fields = dict(eta_plus=eta_plus, n_plus=n_plus, fidelity=fidelity)
+    elif app == "heterodyne":
+        result = heterodyne_sensitivity(up, dn, env, theta_lo=theta_lo)
+        fields = dict(
+            theta_lo=result.theta_lo,
+            p_s=result.p_s,
+            bound=result.bound,
+            eta_up=result.eta_up,
+            eta_dn=result.eta_dn,
+            flux_up=result.flux_up,
+            flux_dn=result.flux_dn,
+            f_corr=result.f_corr,
+            t_lo_abs=abs(result.t_lo),
+        )
+    elif app == "counting":
+        result = counting_yield(grid, h_in, h_out, window, omega_sig)
+        fields = dict(
+            eta_plus=result.eta_plus,
+            n_plus=result.n_plus,
+            bandwidth_rad_per_s=result.bandwidth,
+            bandwidth_hz=result.bandwidth_hz,
+            dark_rate_per_s=result.rate,
+            eta_h=result.eta_h,
+            capture=result.capture,
+            n_out_mean=result.n_out_mean,
+        )
+    else:  # entangle
+        dark = dark_count_rate(grid, omega_sig)
+        if field is not None:
+            spec = heralding_spec(dark, window, field.removesuffix(".fidelity"), p_e)
+            return entangle_fidelity_exact(spec).fidelity
+        specs = {
+            scheme: heralding_spec(dark, window, scheme, p_e)
+            for scheme in ("one-click", "two-click")
+        }
+        fields = dict(
+            eta_plus=dark.eta_plus,
+            n_plus=dark.n_plus,
+            bandwidth_hz=dark.bandwidth_hz,
+            dark_rate_per_s=dark.rate,
+            p_d=specs["one-click"].p_d,
+        )
+        for scheme, spec in specs.items():
+            exact = entangle_fidelity_exact(spec)
+            try:
+                asymptotic = entangle_fidelity_asymptotic(spec).fidelity
+            except ModeScatterError:
+                asymptotic = math.nan
+            fields[scheme] = {
+                "p_e": spec.p_e,
+                "fidelity": exact.fidelity,
+                "success_probability": exact.success_probability,
+                "fidelity_asymptotic": asymptotic,
+            }
+    return fields if field is None else fields[field]
+
+
 def _evaluate_figure(
     candidates: _Candidates, spec: OptimizeSpec, values: Mapping[str, float]
 ) -> float:
     dyn, env = candidates.dynamics(values)
-    objective = spec.objective
-    if objective not in _ENTANGLE:
-        up, dn = transfer_pair(dyn, spec.omega_sig, exit_port=spec.exit_port)
-        if objective == "max-eta":
-            return eta(up)
-        if objective == "min-N":
-            return added_noise(up, env)
-        if objective == "max-Fq":
-            return qubit_fidelity(eta(up), added_noise(up, env))
-        return heterodyne_sensitivity(up, dn, env).p_s
-
-    assert spec.omega_min is not None and spec.omega_max is not None
-    assert spec.window is not None
-    omegas = np.linspace(spec.omega_min, spec.omega_max, spec.points)
-    grid = spectrum_sweep(
-        dyn, env, omegas, exit_port=spec.exit_port, symplectic=False
+    app, field = _SCORES[spec.objective]
+    return figures_of_merit(
+        app, dyn, env, spec.omega_sig, spec.exit_port,
+        omega_min=spec.omega_min, omega_max=spec.omega_max, points=spec.points,
+        window=spec.window, field=field,
     )
-    scheme = "two-click" if objective == "max-F2c" else "one-click"
-    dark = dark_count_rate(grid, spec.omega_sig)
-    protocol = heralding_spec(dark, spec.window, scheme)
-    return entangle_fidelity_exact(protocol).fidelity
 
 
 def run_optimization(model: TransducerModel, spec: OptimizeSpec) -> OptimizeResult:

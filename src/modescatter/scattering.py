@@ -583,6 +583,7 @@ def symplectic_residual(
 
     Unmasked, it is O(1) in the artifact sectors of lab-quadrature
     (viscous) ports; :func:`physical_slot_mask` gives the physical slots.
+    Masked, its entries and their sums keep physical slots only.
     """
     slots = None if mask is None else np.asarray(mask)[None]
     if slots is not None and not slots.any():
@@ -861,9 +862,11 @@ def _masked_symplectic(
     """Max-norm of ``S K S^dag - K`` at each point of a stack of S.
 
     ``slots`` marks the physical doubled port slots of each point; only
-    entries between two physical slots count. ``None`` counts every entry.
+    entries between two physical slots, summed over physical input slots
+    (the columns η, N and the sum rule keep), count. ``None`` counts all.
     """
-    r_abs = np.abs((s * metric) @ s.conj().transpose(0, 2, 1) - np.diag(metric))
+    weights = metric if slots is None else metric * slots[:, None, :]
+    r_abs = np.abs((s * weights) @ s.conj().transpose(0, 2, 1) - np.diag(metric))
     if slots is not None:
         r_abs[~(slots[:, :, None] & slots[:, None, :])] = 0.0
     return r_abs.max(axis=(1, 2))
@@ -1040,8 +1043,8 @@ def consistency_checks(
     A probe where either sign is near-singular is left out and counted in
     ``skipped``. Over the other probes the result holds the worst
 
-    - ``unitarity``: max-norm of ``S K S^dag - K`` at ``+omega`` between
-      physical slots, as in ``SpectrumGrid.symplectic_resid``;
+    - ``unitarity``: max-norm of ``S K S^dag - K`` at ``+omega`` over
+      physical slots only, as in ``SpectrumGrid.symplectic_resid``;
     - ``particle_hole``: max-norm of ``S(-omega) - Q conj(S(omega)) Q``,
       with ``Q`` swapping the annihilation and creation port slots;
     - ``sum_rule``: flux balance of the masked exit rows at both signs where

@@ -22,7 +22,7 @@ from conftest import (
 
 from modescatter import qubit_fidelity
 from modescatter.cli import main
-from modescatter.modelfile import save_model
+from modescatter.modelfile import angular_to_hz, get_builtin, hz_to_angular, save_model
 
 
 @pytest.fixture()
@@ -534,6 +534,11 @@ def test_validate_builtin_ok(capsys: pytest.CaptureFixture[str]) -> None:
     assert "validate: OK" in captured.out
     assert "oracle: closed-form row max relative deviation" in captured.out
     assert "particle-hole" in captured.out
+    # Masked slots are left out of the unitarity residual, so on this
+    # builtin it is the sum rule.
+    checks = next(line for line in captured.out.splitlines() if line.startswith("checks:"))
+    assert checks.startswith("checks: unitarity=2.861e-03 particle-hole=")
+    assert " sum-rule=2.861e-03 " in checks
 
 
 def test_validate_model_file_with_ensemble(
@@ -699,6 +704,59 @@ def test_optimize_cli_recovers_matching(
     assert trace["best_value"] > 0.99
 
 
+# Per objective: the fom application and the --json field it scores.
+_SCORED_FIELD = {
+    "max-eta": ("qubit", ("eta_plus",)),
+    "min-N": ("qubit", ("n_plus",)),
+    "max-Fq": ("qubit", ("fidelity",)),
+    "min-Ps": ("heterodyne", ("p_s",)),
+    "max-F1c": ("entangle", ("one-click", "fidelity")),
+    "max-F2c": ("entangle", ("two-click", "fidelity")),
+}
+
+
+@pytest.mark.filterwarnings("ignore::modescatter.ValidityWarning")
+@pytest.mark.parametrize("objective", list(_SCORED_FIELD))
+def test_optimize_scores_the_fom_field_of_the_same_request(
+    objective: str, tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # Every trace value is the fom figure of the candidate's model: fom
+    # and optimize turn one request into the same numbers.
+    app, keys = _SCORED_FIELD[objective]
+    if app == "entangle":
+        model = tmp_path / "cold.json"
+        save_model(get_builtin("electromech", {"t_wg": 0.0, "t_m": 0.0}), model)
+        path, var, request = "ports.wg.rate", "ports.wg.rate:1e3:1e5", [
+            "--omega-sig", "5e6", "--omega-min", "4e6", "--omega-max", "6e6",
+            "--points", "201", "--window", "1e-5",
+        ]
+    else:
+        model = tmp_path / "converter.json"
+        model.write_text(readme_model_json())
+        path, var, request = "ports.out.rate", "ports.out.rate:1e5:1e7", [
+            "--omega-sig", "1e6",
+        ]
+    source = ["--model", str(model)]
+    trace_path = tmp_path / "trace.json"
+    argv = ["optimize", *source, "--objective", objective, "--var", var, *request]
+    assert main([*argv, "--budget", "4", "--out", str(trace_path)]) == 0
+    trace = json.loads(trace_path.read_text())["trace"]
+    assert len(trace) == 4
+    for entry in trace:
+        assert entry["feasible"]
+        (x,) = entry["params_rad_s"]
+        capsys.readouterr()
+        argv = ["fom", *source, "--set", f"{path}={angular_to_hz(x)!r}"]
+        assert main([*argv, "--app", app, *request, "--json"]) == 0
+        value = json.loads(capsys.readouterr().out)
+        for key in keys:
+            value = value[key]
+        if hz_to_angular(angular_to_hz(x)) == x:
+            assert value == entry["value"]
+        else:
+            assert value == pytest.approx(entry["value"], rel=1e-12, abs=0.0)
+
+
 def test_optimize_var_parse_error(capsys: pytest.CaptureFixture[str]) -> None:
     code = main(
         [
@@ -807,6 +865,8 @@ def test_shape_spec_errors_come_before_the_sweep(
     def no_sweep(*args: object, **kwargs: object) -> None:
         raise AssertionError("spectrum_sweep called before the shapes were parsed")
 
+    # fom sweeps through the figure-of-merit layer; stub both bindings.
+    monkeypatch.setattr("modescatter.optimize.spectrum_sweep", no_sweep)
     monkeypatch.setattr("modescatter.cli.spectrum_sweep", no_sweep)
     code = main([*_COUNTING_ARGV, "--h-in", h_in, "--h-out", h_out])
     captured = capsys.readouterr()

@@ -6,7 +6,7 @@ import dataclasses
 import itertools
 import math
 import warnings
-from typing import Callable, Mapping
+from typing import Any, Callable, Mapping
 
 import numpy as np
 import pytest
@@ -32,7 +32,8 @@ from modescatter import (
     build_model,
 )
 from modescatter import optimize
-from modescatter.modelfile import model_with, parse_model
+from modescatter.applications.counting import SpectralShape, TemporalShape
+from modescatter.modelfile import get_builtin, model_with, parse_model
 from modescatter.optimize import OBJECTIVES, OptimizeSpec, run_optimization
 
 
@@ -48,6 +49,61 @@ def test_spec_rejects_unknown_objective() -> None:
             objective="max-profit",
             omega_sig=1.0,
         )
+
+
+def test_figures_of_merit_rejects_an_unknown_application() -> None:
+    dyn = assemble_dynamics(build_model(ElectromechParams()))
+    env = NoiseEnvironment.from_dynamics(dyn)
+    grid = {"omega_min": 1.0, "omega_max": 2.0, "points": 3, "window": 1e-5}
+    with pytest.raises(ConfigurationError, match="unknown application 'sensing'"):
+        optimize.figures_of_merit("sensing", dyn, env, 1.5, **grid)
+
+
+def _fom_request(app: str) -> tuple[Any, ...]:
+    if app in ("qubit", "heterodyne"):
+        model, omega_sig = parse_model(readme_model_json()), TAU * 1e6
+    else:
+        model = get_builtin("electromech", {"t_wg": 0.0, "t_m": 0.0})
+        omega_sig = TAU * 5e6
+    dyn = assemble_dynamics(model)
+    env = NoiseEnvironment.from_dynamics(dyn)
+    request = dict(
+        omega_min=TAU * 4e6, omega_max=TAU * 6e6, points=201, window=1e-5,
+        h_in=SpectralShape.delta(TAU * 5e6), h_out=TemporalShape.exponential(2e4),
+    )
+    return dyn, env, omega_sig, request
+
+
+@pytest.mark.filterwarnings("ignore::modescatter.ValidityWarning")
+@pytest.mark.parametrize("app", ["qubit", "heterodyne", "counting", "entangle"])
+def test_figures_of_merit_one_field_is_that_field_of_the_whole(app: str) -> None:
+    # An objective asks for one field, and must read what fom prints there.
+    dyn, env, omega_sig, request = _fom_request(app)
+    fields = optimize.figures_of_merit(app, dyn, env, omega_sig, **request)
+    for name in [f for a, f in optimize._SCORES.values() if a == app]:
+        scheme, _, key = name.rpartition(".")
+        whole = fields[scheme][key] if scheme else fields[key]
+        one = optimize.figures_of_merit(app, dyn, env, omega_sig, **request, field=name)
+        np.testing.assert_equal(one, whole, err_msg=name)
+
+
+@pytest.mark.filterwarnings("ignore::modescatter.ValidityWarning")
+@pytest.mark.parametrize("app", ["qubit", "heterodyne", "counting", "entangle"])
+def test_figures_of_merit_rejects_a_field_no_objective_scores(
+    app: str, monkeypatch: pytest.MonkeyPatch
+) -> None:
+    dyn, env, omega_sig, request = _fom_request(app)
+    fields = optimize.figures_of_merit(app, dyn, env, omega_sig, **request)
+
+    def no_work(*args: object, **kwargs: object) -> None:
+        raise AssertionError("computed a figure for a field no objective scores")
+
+    monkeypatch.setattr("modescatter.optimize.transfer_pair", no_work)
+    monkeypatch.setattr("modescatter.optimize.spectrum_sweep", no_work)
+    names = [name for name in fields if (app, name) not in optimize._SCORES.values()]
+    for name in [*names, "one-click.p_e", "two-click.success_probability", "eta"]:
+        with pytest.raises(ConfigurationError, match=f"no objective scores the {app}"):
+            optimize.figures_of_merit(app, dyn, env, omega_sig, **request, field=name)
 
 
 def test_spec_rejects_empty_variables() -> None:

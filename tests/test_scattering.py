@@ -14,12 +14,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from modescatter import (
-    Band,
     ConfigurationError,
-    Coupling,
     Drive,
-    InternalMode,
-    Port,
     SpectrumGrid,
     TransducerModel,
     DomainError,
@@ -872,6 +868,26 @@ def test_electromech_masked_lower_sideband_matches_pointwise_solve() -> None:
     omegas = np.linspace(TAU * 4.0e6, TAU * 6.0e6, 41)
     _assert_sweep_matches_transfer_pair(dyn, env, omegas)
     assert np.all(np.isnan(spectrum_sweep(dyn, env, omegas).eta_dn))
+
+
+@pytest.mark.parametrize(
+    ("hz", "expected"),
+    [(4.0e6, 1.546e-4), (4.971e6, 3.543e-3), (5.0e6, 7.8e-16), (5.01e6, 1.891e-3)],
+)
+def test_electromech_symplectic_residual_leaves_masked_columns_out(
+    hz: float, expected: float
+) -> None:
+    # The masked slots drop out of S K S^dag - K as they drop out of eta, N
+    # and the sum rule, entries and inner sums alike, so the residual is the
+    # exit row's sum rule. A masked column left in the inner sums reads
+    # O(1), worst at the mechanical resonance where the sum rule is exact.
+    dyn = assemble_dynamics(get_builtin("electromech"))
+    grid = spectrum_sweep(dyn, NoiseEnvironment.from_dynamics(dyn), np.array([TAU * hz]))
+    s = scattering_matrix(dyn, TAU * hz).matrix
+    mask = physical_slot_mask(dyn.ports, TAU * hz)
+    for resid in (grid.symplectic_resid[0], symplectic_residual(s, dyn.metric, mask)):
+        assert resid == pytest.approx(expected, rel=1e-3, abs=1e-15)
+        assert resid == pytest.approx(grid.sumrule_resid[0], rel=1e-9, abs=1e-15)
 
 
 def _assert_scalar_figures_keep_sweep_bits(
