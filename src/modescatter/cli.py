@@ -22,6 +22,7 @@ import functools
 import json
 import math
 import sys
+import warnings
 from pathlib import Path
 from typing import Any, Mapping, Sequence
 
@@ -40,6 +41,7 @@ from .errors import (
     ConfigurationError,
     ModelValidationError,
     ModeScatterError,
+    ValidityWarning,
 )
 from .modelfile import (
     BUILTIN_MODELS,
@@ -730,19 +732,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _print_warning(message: Warning | str, *args: object, **kwargs: object) -> None:
+    print(f"warning: {message}", file=sys.stderr)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
-    try:
-        return int(args.func(args))
-    except ModelValidationError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        for line in exc.errors:
-            print(f"  - {line}", file=sys.stderr)
-        return exc.exit_code
-    except ModeScatterError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.exit_code
+    # Each warning goes to stderr as one ``warning:`` line, as errors do. A
+    # ValidityWarning shows once per command and place, whatever the
+    # interpreter's filters say.
+    with warnings.catch_warnings():
+        warnings.simplefilter("default", ValidityWarning)
+        warnings.showwarning = _print_warning
+        try:
+            return int(args.func(args))
+        except ModelValidationError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            for line in exc.errors:
+                print(f"  - {line}", file=sys.stderr)
+            return exc.exit_code
+        except ModeScatterError as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return exc.exit_code
 
 
 if __name__ == "__main__":

@@ -1,24 +1,27 @@
 """JSON model files, builtin models, and parameter overrides.
 
 File schema (all frequencies and rates in Hz, temperatures in kelvin;
-internally everything is angular, rad/s)::
+internally everything is angular, rad/s); ``_FORMAT`` below is the one
+description of it that both :func:`parse_model` and :func:`save_model`
+read::
 
     {
       "bands":     [{"name", "center_hz"}],
       "drives":    [{"name", "frequency_hz"}],
       "modes":     [{"name", "band", "frame", "resonance_hz"}],
       "couplings": [{"mode_a", "mode_b", "rate_hz", "form",
-                     "drive" (optional), "order" (default 1)}],
+                     "order" (default 1), "drive" (absent or null: DC)}],
       "ports":     [{"name", "mode", "rate_hz", "temperature_k",
                      "role", "flavor"}],
     }
 
-``drives`` and ``couplings`` may be omitted. Cross references (``band``,
-``mode_a``, ``drive``, ...) are by name. Saving converts rad/s back to Hz
-choosing, when one exists, the Hz float whose product with 2*pi reproduces
-the angular value bit-for-bit, so save -> load round-trips exactly for
-models built from Hz inputs. A model drawn in rad/s may move by at most one
-ulp per angular field on save -> load; a second round trip is exact.
+``drives`` and ``couplings`` may be omitted; a key an item does not list
+above is an error. Cross references (``band``, ``mode_a``, ``drive``, ...)
+are by name. Saving converts rad/s back to Hz choosing, when one exists,
+the Hz float whose product with 2*pi reproduces the angular value
+bit-for-bit, so save -> load round-trips exactly for models built from Hz
+inputs. A model drawn in rad/s may move by at most one ulp per angular
+field on save -> load; a second round trip is exact.
 """
 
 from __future__ import annotations
@@ -43,9 +46,6 @@ from .network import (
     TransducerModel,
     validate_model,
 )
-
-_TOP_KEYS = ("bands", "drives", "modes", "couplings", "ports")
-_REQUIRED_TOP = ("bands", "modes", "ports")
 
 BUILTIN_MODELS = ("electromech",)
 
@@ -82,32 +82,46 @@ def hz_to_angular(value: float) -> float:
     return value * math.tau
 
 
-def _require(
-    obj: Mapping[str, Any], key: str, path: str, kind: type | tuple[type, ...]
-) -> Any:
-    if key not in obj:
-        raise ConfigurationError(f"{path}: missing required field {key!r}")
-    return _coerce(obj[key], f"{path}.{key}", kind)
-
-
-def _coerce(value: Any, path: str, kind: type | tuple[type, ...]) -> Any:
-    kinds = kind if isinstance(kind, tuple) else (kind,)
-    if float in kinds and isinstance(value, int) and not isinstance(value, bool):
-        return float(value)
-    if isinstance(value, bool) or not isinstance(value, kinds):
-        expected = " or ".join(k.__name__ for k in kinds)
-        raise ConfigurationError(
-            f"{path}: expected {expected}, got {type(value).__name__}"
-        )
-    return value
-
-
-def _check_choice(value: str, choices: tuple[str, ...], path: str) -> str:
-    if value not in choices:
-        raise ConfigurationError(
-            f"{path}: {value!r} is not one of {', '.join(choices)}"
-        )
-    return value
+# The file format. Per section, in file order: the class its items build,
+# then per JSON key, in saved order, the attribute it fills, its JSON type,
+# how the value is read and its default (``...``: the key is required).
+# A value is read by ``hz_to_angular`` (Hz in the file, rad/s in the model),
+# as the item of the earlier section it names, as one of a tuple of allowed
+# choices, or (None) as it is. A key whose default is None reads null as
+# None too, and is not written when its value is None: a DC coupling.
+_FORMAT: dict[str, tuple[type, dict[str, tuple[Any, ...]]]] = {
+    "bands": (Band, {
+        "name": ("name", str, None, ...),
+        "center_hz": ("center_frequency", float, hz_to_angular, ...),
+    }),
+    "drives": (Drive, {
+        "name": ("name", str, None, ...),
+        "frequency_hz": ("frequency", float, hz_to_angular, ...),
+    }),
+    "modes": (InternalMode, {
+        "name": ("name", str, None, ...),
+        "band": ("band", str, "bands", ...),
+        "frame": ("frame", str, _FRAMES, ...),
+        "resonance_hz": ("resonance_frequency", float, hz_to_angular, ...),
+    }),
+    "couplings": (Coupling, {
+        "mode_a": ("mode_a", str, "modes", ...),
+        "mode_b": ("mode_b", str, "modes", ...),
+        "rate_hz": ("rate", float, hz_to_angular, ...),
+        "form": ("form", str, _FORMS, ...),
+        "order": ("order", int, None, 1),
+        "drive": ("drive", str, "drives", None),
+    }),
+    "ports": (Port, {
+        "name": ("name", str, None, ...),
+        "mode": ("mode", str, "modes", ...),
+        "rate_hz": ("rate", float, hz_to_angular, ...),
+        "temperature_k": ("temperature", float, None, ...),
+        "role": ("role", str, _ROLES, ...),
+        "flavor": ("flavor", str, _FRAMES, ...),
+    }),
+}
+_REQUIRED_TOP = ("bands", "modes", "ports")
 
 
 def _section(data: Mapping[str, Any], key: str, source: str) -> list[Any]:
@@ -134,16 +148,13 @@ def _unique_names(items: list[Any], section: str) -> None:
             seen.add(name)
 
 
-def parse_model(
-    text: str, source: str = "<string>", validate: bool = True
-) -> TransducerModel:
-    """Parse a JSON model description.
+def parse_model(text: str, source: str = "<string>") -> TransducerModel:
+    """Parse and validate a JSON model description.
 
-    Raises :class:`ConfigurationError` for malformed JSON, missing or
-    mistyped fields, and dangling name references (the message carries the
-    offending field path); with ``validate=True`` additionally runs
-    :func:`validate_model` and raises :class:`ModelValidationError` if it
-    reports errors.
+    Raises :class:`ConfigurationError` for malformed JSON, missing,
+    mistyped or unknown fields, and dangling name references (the message
+    carries the offending field path), then runs :func:`validate_model` and
+    raises :class:`ModelValidationError` if it reports errors.
     """
     try:
         data = json.loads(text)
@@ -154,190 +165,103 @@ def parse_model(
         ) from exc
     if not isinstance(data, dict):
         raise ConfigurationError(f"{source}: top level must be a JSON object")
-    unknown = sorted(set(data) - set(_TOP_KEYS))
+    unknown = sorted(set(data) - set(_FORMAT))
     if unknown:
         raise ConfigurationError(
             f"{source}: unknown top-level keys {unknown}; expected"
-            f" {list(_TOP_KEYS)}"
+            f" {list(_FORMAT)}"
         )
     missing = [k for k in _REQUIRED_TOP if k not in data]
     if missing:
         raise ConfigurationError(f"{source}: missing top-level keys {missing}")
+    sections = {key: _section(data, key, source) for key in _FORMAT}
+    for key, (_, fields) in _FORMAT.items():
+        if "name" in fields:
+            _unique_names(sections[key], key)
 
-    band_items = _section(data, "bands", source)
-    drive_items = _section(data, "drives", source)
-    mode_items = _section(data, "modes", source)
-    coupling_items = _section(data, "couplings", source)
-    port_items = _section(data, "ports", source)
-    _unique_names(band_items, "bands")
-    _unique_names(drive_items, "drives")
-    _unique_names(mode_items, "modes")
-    _unique_names(port_items, "ports")
-
-    bands: dict[str, Band] = {}
-    for i, item in enumerate(band_items):
-        path = f"bands[{i}]"
-        name = _require(item, "name", path, str)
-        center = _require(item, "center_hz", path, float)
-        bands[name] = Band(name=name, center_frequency=hz_to_angular(center))
-
-    drives: dict[str, Drive] = {}
-    for i, item in enumerate(drive_items):
-        path = f"drives[{i}]"
-        name = _require(item, "name", path, str)
-        freq = _require(item, "frequency_hz", path, float)
-        drives[name] = Drive(name=name, frequency=hz_to_angular(freq))
-
-    modes: dict[str, InternalMode] = {}
-    for i, item in enumerate(mode_items):
-        path = f"modes[{i}]"
-        name = _require(item, "name", path, str)
-        band_name = _require(item, "band", path, str)
-        if band_name not in bands:
-            raise ConfigurationError(
-                f"{path}.band: no band named {band_name!r}"
-            )
-        frame = _check_choice(
-            _require(item, "frame", path, str), _FRAMES, f"{path}.frame"
-        )
-        resonance = _require(item, "resonance_hz", path, float)
-        modes[name] = InternalMode(
-            name=name,
-            band=bands[band_name],
-            frame=frame,
-            resonance_frequency=hz_to_angular(resonance),
-        )
-
-    couplings: list[Coupling] = []
-    for i, item in enumerate(coupling_items):
-        path = f"couplings[{i}]"
-        name_a = _require(item, "mode_a", path, str)
-        name_b = _require(item, "mode_b", path, str)
-        for label, ref in (("mode_a", name_a), ("mode_b", name_b)):
-            if ref not in modes:
+    built: dict[str, tuple[Any, ...]] = {}
+    named: dict[str, dict[str, Any]] = {}
+    for key, (cls, fields) in _FORMAT.items():
+        objs = []
+        for i, item in enumerate(sections[key]):
+            if not item.keys() <= fields.keys():
                 raise ConfigurationError(
-                    f"{path}.{label}: no mode named {ref!r}"
+                    f"{key}[{i}]: unknown keys {sorted(item.keys() - fields.keys())}"
                 )
-        rate = _require(item, "rate_hz", path, float)
-        form = _check_choice(
-            _require(item, "form", path, str), _FORMS, f"{path}.form"
-        )
-        drive = None
-        if "drive" in item and item["drive"] is not None:
-            drive_name = _coerce(item["drive"], f"{path}.drive", str)
-            if drive_name not in drives:
-                raise ConfigurationError(
-                    f"{path}.drive: no drive named {drive_name!r}"
-                )
-            drive = drives[drive_name]
-        order = 1
-        if "order" in item:
-            order = _coerce(item["order"], f"{path}.order", int)
-        couplings.append(
-            Coupling(
-                mode_a=modes[name_a],
-                mode_b=modes[name_b],
-                rate=hz_to_angular(rate),
-                form=form,
-                drive=drive,
-                order=order,
-            )
-        )
+            values = {}
+            for name, (attr, kind, read, default) in fields.items():
+                value = item.get(name, default)
+                # By type, not isinstance: a JSON bool is no int and no float.
+                if type(value) is not kind:
+                    if value is ...:
+                        raise ConfigurationError(
+                            f"{key}[{i}]: missing required field {name!r}"
+                        )
+                    if value is None and default is None:
+                        values[attr] = None
+                        continue
+                    if kind is not float or type(value) is not int:
+                        raise ConfigurationError(
+                            f"{key}[{i}].{name}: expected {kind.__name__},"
+                            f" got {type(value).__name__}"
+                        )
+                    value = float(value)
+                if read is hz_to_angular:
+                    value = hz_to_angular(value)
+                elif type(read) is tuple:
+                    if value not in read:
+                        raise ConfigurationError(
+                            f"{key}[{i}].{name}: {value!r} is not one of"
+                            f" {', '.join(read)}"
+                        )
+                elif read is not None:
+                    target = named[read].get(value)
+                    if target is None:
+                        raise ConfigurationError(
+                            f"{key}[{i}].{name}: no {read[:-1]} named {value!r}"
+                        )
+                    value = target
+                values[attr] = value
+            objs.append(cls(**values))
+        built[key] = tuple(objs)
+        if "name" in fields:
+            named[key] = {obj.name: obj for obj in objs}
 
-    ports: list[Port] = []
-    for i, item in enumerate(port_items):
-        path = f"ports[{i}]"
-        name = _require(item, "name", path, str)
-        mode_name = _require(item, "mode", path, str)
-        if mode_name not in modes:
-            raise ConfigurationError(f"{path}.mode: no mode named {mode_name!r}")
-        rate = _require(item, "rate_hz", path, float)
-        temperature = _require(item, "temperature_k", path, float)
-        role = _check_choice(
-            _require(item, "role", path, str), _ROLES, f"{path}.role"
+    model = TransducerModel(**built)
+    report = validate_model(model)
+    if report.errors:
+        raise ModelValidationError(
+            f"{source}: model failed validation", errors=tuple(report.errors)
         )
-        flavor = _check_choice(
-            _require(item, "flavor", path, str), _FRAMES, f"{path}.flavor"
-        )
-        ports.append(
-            Port(
-                name=name,
-                mode=modes[mode_name],
-                rate=hz_to_angular(rate),
-                temperature=temperature,
-                role=role,
-                flavor=flavor,
-            )
-        )
-
-    model = TransducerModel(
-        bands=tuple(bands.values()),
-        modes=tuple(modes.values()),
-        drives=tuple(drives.values()),
-        couplings=tuple(couplings),
-        ports=tuple(ports),
-    )
-    if validate:
-        report = validate_model(model)
-        if report.errors:
-            raise ModelValidationError(
-                f"{source}: model failed validation", errors=tuple(report.errors)
-            )
     return model
 
 
-def load_model(path: str | Path, validate: bool = True) -> TransducerModel:
+def load_model(path: str | Path) -> TransducerModel:
+    """Read the model file at ``path`` and parse it with :func:`parse_model`."""
     p = Path(path)
     try:
         text = p.read_text()
     except OSError as exc:
         raise ConfigurationError(f"cannot read model file {p}: {exc}") from exc
-    return parse_model(text, source=str(p), validate=validate)
+    return parse_model(text, source=str(p))
 
 
 def _model_payload(model: TransducerModel) -> dict[str, Any]:
-    payload: dict[str, Any] = {
-        "bands": [
-            {"name": b.name, "center_hz": angular_to_hz(b.center_frequency)}
-            for b in model.bands
-        ],
-        "drives": [
-            {"name": d.name, "frequency_hz": angular_to_hz(d.frequency)}
-            for d in model.drives
-        ],
-        "modes": [
-            {
-                "name": m.name,
-                "band": m.band.name,
-                "frame": m.frame,
-                "resonance_hz": angular_to_hz(m.resonance_frequency),
-            }
-            for m in model.modes
-        ],
-        "couplings": [],
-        "ports": [
-            {
-                "name": p.name,
-                "mode": p.mode.name,
-                "rate_hz": angular_to_hz(p.rate),
-                "temperature_k": p.temperature,
-                "role": p.role,
-                "flavor": p.flavor,
-            }
-            for p in model.ports
-        ],
-    }
-    for c in model.couplings:
-        entry: dict[str, Any] = {
-            "mode_a": c.mode_a.name,
-            "mode_b": c.mode_b.name,
-            "rate_hz": angular_to_hz(c.rate),
-            "form": c.form,
-            "order": c.order,
-        }
-        if c.drive is not None:
-            entry["drive"] = c.drive.name
-        payload["couplings"].append(entry)
+    payload: dict[str, Any] = {}
+    for key, (_, fields) in _FORMAT.items():
+        payload[key] = entries = []
+        for obj in getattr(model, key):
+            entry: dict[str, Any] = {}
+            for name, (attr, _, read, _) in fields.items():
+                value = getattr(obj, attr)
+                if value is None:
+                    continue
+                if read is hz_to_angular:
+                    value = angular_to_hz(value)
+                elif isinstance(read, str):
+                    value = value.name
+                entry[name] = value
+            entries.append(entry)
     return payload
 
 

@@ -211,10 +211,6 @@ class ScatteringMatrix:
     signal_port: str
     exit_port: str
 
-    @property
-    def n_ports(self) -> int:
-        return len(self.ports)
-
 
 @dataclass(frozen=True, eq=False)
 class TransferRow:

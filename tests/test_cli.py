@@ -20,7 +20,7 @@ from conftest import (
     two_mode_converter,
 )
 
-from modescatter import qubit_fidelity
+from modescatter import ValidityWarning, qubit_fidelity
 from modescatter.cli import main
 from modescatter.modelfile import angular_to_hz, get_builtin, hz_to_angular, save_model
 
@@ -36,6 +36,14 @@ def converter_path(tmp_path: Path) -> str:
 def squeezer_path(tmp_path: Path) -> str:
     path = tmp_path / "squeezer.json"
     save_model(near_singular_model(), path)
+    return str(path)
+
+
+@pytest.fixture()
+def readme_converter(tmp_path: Path) -> str:
+    """The model file of the README's "Model files" section, saved as given."""
+    path = tmp_path / "readme.json"
+    path.write_text(readme_model_json())
     return str(path)
 
 
@@ -141,6 +149,48 @@ def test_spectra_json_format(capsys: pytest.CaptureFixture[str]) -> None:
     assert payload["failures"] == []
     assert len(payload["omega_hz"]) == 5
     assert payload["eta_dn"][0] is None  # NaN sanitized to null
+
+
+def test_spectra_log_grid(readme_converter: str, capsys: pytest.CaptureFixture[str]) -> None:
+    argv = ["spectra", "--model", readme_converter, "--omega-min", "1e5", "--omega-max", "2e6"]
+    assert main([*argv, "--points", "5", "--log"]) == 0
+    rows = capsys.readouterr().out.splitlines()
+    assert len(rows) == 6
+    assert rows[1].startswith("100000.0,")
+    assert rows[2].startswith("211474.252688113,")
+    assert rows[5].startswith("2000000.0,")
+
+
+def test_spectra_json_to_a_file(
+    tmp_path: Path, readme_converter: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    out = tmp_path / "grid.json"
+    argv = ["spectra", "--model", readme_converter, "--omega-min", "1e5", "--omega-max", "2e6"]
+    code = main([*argv, "--points", "3", "--format", "json", "--out", str(out)])
+    captured = capsys.readouterr()
+    assert code == 0
+    assert captured.out == ""
+    assert captured.err.startswith("peak eta_up = 0.639616 at 1.050000e+06 Hz;")
+    payload = json.loads(out.read_text())
+    assert payload["omega_hz"] == [1.0e5, 1.05e6, 2.0e6]
+    assert payload["failures"] == []
+    assert not (tmp_path / "grid.errors.json").exists()
+
+
+def test_spectra_csv_stdout_reports_failures(
+    squeezer_path: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    argv = ["spectra", "--model", squeezer_path, "--omega-min", "1e6", "--omega-max", "3e6"]
+    assert main([*argv, "--points", "3"]) == 0
+    captured = capsys.readouterr()
+    rows = list(csv.reader(StringIO(captured.out)))
+    assert rows[2][1:] == [""] * 6
+    err = captured.err.splitlines()
+    assert len(err) == 2
+    assert err[0].startswith(
+        "failure at omega=2.000000e+06 Hz: resolvent is near-singular"
+    )
+    assert err[1].endswith("; 1 failed point(s)")
 
 
 @pytest.mark.parametrize(
@@ -314,6 +364,41 @@ def test_main_twice_in_one_process_forgets_overrides(
     assert n_plus not in capsys.readouterr().out.splitlines()
     assert main(qubit.argv) == 0
     assert shows(qubit.shown, capsys.readouterr().out.splitlines())
+
+
+def test_a_validity_warning_is_one_stderr_line(
+    readme_converter: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # eta = 0.64 is outside the qubit expansion's regime. Each run of main
+    # prints the warning once, without a source location; a library call
+    # afterwards still raises it.
+    argv = ["fom", "--model", readme_converter, "--app", "qubit", "--omega-sig", "1e6"]
+    for _ in range(2):
+        assert main(argv) == 0
+        captured = capsys.readouterr()
+        assert "fidelity = 0.860158670277" in captured.out.splitlines()
+        err = captured.err.splitlines()
+        assert len(err) == 1
+        assert err[0].startswith(
+            "warning: qubit fidelity expansion used outside its regime"
+        )
+        assert ".py:" not in captured.err
+    with pytest.warns(ValidityWarning):
+        qubit_fidelity(0.3, 0.0)
+
+
+def test_set_that_invalidates_a_model_file(
+    readme_converter: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    argv = ["fom", "--model", readme_converter, "--app", "qubit", "--omega-sig", "1e6"]
+    assert main([*argv, "--set", "ports.sig.rate=-1"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        "error: model failed validation after --set overrides",
+        "  - port 'sig': rate must be positive, got -6.283185307179586",
+        "  - mode 'ma': total port rate must be positive",
+    ]
 
 
 def test_fom_counting_cold_lines(capsys: pytest.CaptureFixture[str]) -> None:
@@ -573,6 +658,22 @@ def test_validate_rwa_warning_agrees_with_the_ratio(
     captured = capsys.readouterr()
     assert "warning" not in captured.out + captured.err
     assert "rwa: minimum separation ratio = 500\n" in captured.out
+
+
+def test_validate_prints_the_rwa_warning(
+    tmp_path: Path, capsys: pytest.CaptureFixture[str]
+) -> None:
+    # A 500 MHz exit port leaves a band gap of 4 linewidths, under the 10
+    # the rotating-wave approximation asks for; the model is still valid.
+    data = json.loads(readme_model_json())
+    data["ports"][1]["rate_hz"] = 5.0e8
+    path = tmp_path / "broad.json"
+    path.write_text(json.dumps(data))
+    assert main(["validate", "--model", str(path)]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[0].startswith("warning: RWA separation violated on coupling[0]: ")
+    assert "rwa: minimum separation ratio = 4" in out
+    assert out[-1] == "validate: OK"
 
 
 @pytest.mark.parametrize(

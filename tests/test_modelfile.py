@@ -10,7 +10,7 @@ from typing import Any, Iterator
 
 import numpy as np
 import pytest
-from conftest import TAU, two_mode_converter, wide_model
+from conftest import TAU, readme_model_json, two_mode_converter, wide_model
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -178,6 +178,210 @@ def test_saved_payload_units_are_hz(tmp_path: Path) -> None:
     assert data["ports"][0]["temperature_k"] == 0.0
 
 
+_SAVED_CONVERTER = """\
+{
+  "bands": [
+    {
+      "name": "uwave",
+      "center_hz": 6000000000.0
+    },
+    {
+      "name": "acoustic",
+      "center_hz": 4000000000.0
+    }
+  ],
+  "drives": [
+    {
+      "name": "pump",
+      "frequency_hz": 2000000000.0
+    }
+  ],
+  "modes": [
+    {
+      "name": "ma",
+      "band": "uwave",
+      "frame": "rotating",
+      "resonance_hz": 6001000000.0
+    },
+    {
+      "name": "mb",
+      "band": "acoustic",
+      "frame": "rotating",
+      "resonance_hz": 4001000000.0
+    }
+  ],
+  "couplings": [
+    {
+      "mode_a": "ma",
+      "mode_b": "mb",
+      "rate_hz": 1000000.0,
+      "form": "beam-splitter",
+      "order": 1,
+      "drive": "pump"
+    }
+  ],
+  "ports": [
+    {
+      "name": "sig",
+      "mode": "ma",
+      "rate_hz": 4000000.0,
+      "temperature_k": 0.0,
+      "role": "signal",
+      "flavor": "rotating"
+    },
+    {
+      "name": "out",
+      "mode": "mb",
+      "rate_hz": 4000000.0,
+      "temperature_k": 0.05,
+      "role": "exit",
+      "flavor": "rotating"
+    }
+  ]
+}
+"""
+
+_SAVED_ELECTROMECH = """\
+{
+  "bands": [
+    {
+      "name": "mech_band",
+      "center_hz": 0.0
+    },
+    {
+      "name": "lc_band",
+      "center_hz": 4995000000.0
+    }
+  ],
+  "drives": [
+    {
+      "name": "pump",
+      "frequency_hz": 4995000000.0
+    }
+  ],
+  "modes": [
+    {
+      "name": "mech",
+      "band": "mech_band",
+      "frame": "lab-quadrature",
+      "resonance_hz": 5000000.0
+    },
+    {
+      "name": "lc",
+      "band": "lc_band",
+      "frame": "rotating",
+      "resonance_hz": 5000000000.0
+    }
+  ],
+  "couplings": [
+    {
+      "mode_a": "mech",
+      "mode_b": "lc",
+      "rate_hz": 50000.0,
+      "form": "quadrature-position",
+      "order": 1,
+      "drive": "pump"
+    }
+  ],
+  "ports": [
+    {
+      "name": "wg",
+      "mode": "mech",
+      "rate_hz": 25000.0,
+      "temperature_k": 0.03,
+      "role": "exit",
+      "flavor": "lab-quadrature"
+    },
+    {
+      "name": "mech_loss",
+      "mode": "mech",
+      "rate_hz": 10.0,
+      "temperature_k": 0.03,
+      "role": "loss",
+      "flavor": "lab-quadrature"
+    },
+    {
+      "name": "tx",
+      "mode": "lc",
+      "rate_hz": 100000.0,
+      "temperature_k": 0.03,
+      "role": "signal",
+      "flavor": "rotating"
+    }
+  ]
+}
+"""
+
+
+@pytest.mark.parametrize(
+    ("build", "text"),
+    [
+        (lambda: parse_model(readme_model_json()), _SAVED_CONVERTER),
+        (lambda: get_builtin("electromech"), _SAVED_ELECTROMECH),
+    ],
+    ids=["readme-converter", "electromech"],
+)
+def test_saved_file_text(tmp_path: Path, build: Any, text: str) -> None:
+    # Sections and keys in file order; a coupling writes its order first.
+    path = tmp_path / "model.json"
+    save_model(build(), path)
+    assert path.read_text() == text
+
+
+def test_dc_coupling_saves_no_drive(tmp_path: Path) -> None:
+    model = parse_model(readme_model_json())
+    dc = dataclasses.replace(model.couplings[0], drive=None)
+    path = tmp_path / "model.json"
+    save_model(dataclasses.replace(model, couplings=(dc,)), path)
+    coupling = json.loads(path.read_text())["couplings"][0]
+    assert list(coupling) == ["mode_a", "mode_b", "rate_hz", "form", "order"]
+
+
+def _shared_band_converter() -> dict[str, Any]:
+    """The README converter with both modes in one band, where DC may couple them."""
+    data = json.loads(readme_model_json())
+    data["modes"][1].update(band="uwave", resonance_hz=6.002e9)
+    return data
+
+
+def test_null_drive_is_dc_and_missing_order_is_one() -> None:
+    data = _shared_band_converter()
+    assert "order" not in data["couplings"][0]
+    data["couplings"][0]["drive"] = None
+    coupling = parse_model(json.dumps(data)).couplings[0]
+    assert coupling.drive is None
+    assert coupling.order == 1
+    del data["couplings"][0]["drive"]
+    assert parse_model(json.dumps(data)).couplings[0] == coupling
+
+
+def test_null_order_is_a_type_error() -> None:
+    data = _shared_band_converter()
+    data["couplings"][0]["order"] = None
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_model(json.dumps(data))
+    assert str(excinfo.value) == "couplings[0].order: expected int, got NoneType"
+
+
+@pytest.mark.parametrize(
+    ("misspelt", "value", "key"),
+    [("ordr", 2, None), ("drve", "pump", "drive")],
+)
+def test_misspelt_item_key_is_rejected(
+    misspelt: str, value: object, key: str | None
+) -> None:
+    # Read as the default, "ordr" would load as order 1 and "drve" as a DC
+    # coupling between the two bands.
+    data = json.loads(readme_model_json())
+    coupling = data["couplings"][0]
+    if key is not None:
+        del coupling[key]
+    coupling[misspelt] = value
+    with pytest.raises(ConfigurationError) as excinfo:
+        parse_model(json.dumps(data))
+    assert str(excinfo.value) == f"couplings[0]: unknown keys [{misspelt!r}]"
+
+
 def test_invalid_json_reports_position() -> None:
     with pytest.raises(ConfigurationError, match=r"line 1, column"):
         parse_model('{"bands": [,]}', source="broken.json")
@@ -257,15 +461,13 @@ def test_duplicate_names_rejected_at_parse_time() -> None:
         parse_model(json.dumps(data))
 
 
-def test_physics_validation_can_be_deferred() -> None:
+def test_physics_validation_runs_at_parse_time() -> None:
     data = json.loads(_doc())
     data["ports"][0]["rate_hz"] = -1.0e6
     text = json.dumps(data)
     with pytest.raises(ModelValidationError) as excinfo:
         parse_model(text)
     assert any("rate must be positive" in e for e in excinfo.value.errors)
-    model = parse_model(text, validate=False)
-    assert model.ports[0].rate < 0.0
 
 
 def test_builtin_matches_direct_construction() -> None:
