@@ -16,6 +16,10 @@ is the value of the integral above with Omega in rad/s (a Lorentzian
 efficiency of FWHM ``kappa`` and flat noise gives exactly ``kappa / 4``);
 ``bandwidth_hz`` divides by another 2 pi to express the same measure as an
 ordinary frequency, and reported rates [counts/s] use the Hz form.
+
+Every dark count comes from :func:`dark_count_rate`. Zero-noise rule: added
+noise that is 0 at every grid point gives bandwidth and rate 0; ``N+ = 0``
+with noise elsewhere on the grid is a :class:`DomainError`.
 """
 
 from __future__ import annotations
@@ -38,9 +42,6 @@ NORM_TOL = 1e-6
 #: Relative bandwidth change under grid halving beyond which the quadrature
 #: is declared non-convergent.
 CONVERGENCE_TOL = 1e-3
-
-#: Grid, efficiency and added noise of the upper sideband, all finite.
-_Clean = tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]
 
 
 @dataclass(frozen=True)
@@ -147,20 +148,17 @@ class DarkCountResult:
 
 
 @dataclass(frozen=True)
-class CountingResult:
+class CountingResult(DarkCountResult):
     """Expected photon counts for one input/output mode pair."""
 
-    eta_plus: float
-    n_plus: float
-    bandwidth: float
-    bandwidth_hz: float
-    rate: float
     eta_h: float
     capture: float
     n_out_mean: float
 
 
-def _clean_upper_arrays(spectrum: SpectrumGrid) -> _Clean:
+def _clean_upper_arrays(
+    spectrum: SpectrumGrid,
+) -> tuple[NDArray[np.float64], NDArray[np.float64], NDArray[np.float64]]:
     omegas = spectrum.omegas
     eta = spectrum.eta_up
     noise = spectrum.noise_up
@@ -249,9 +247,23 @@ def _bandwidth(
     return full
 
 
-def _dark_counts(clean: _Clean, omega_sig: float) -> DarkCountResult:
-    """Dark counts at ``omega_sig``; vanishing added noise gives bandwidth 0."""
-    omegas, eta, noise = clean
+def dark_count_rate(spectrum: SpectrumGrid, omega_sig: float) -> DarkCountResult:
+    """Dark-count rate of non-mode-selective detection of the exit port.
+
+    ``rate`` [counts/s] is ``eta_plus * n_plus * bandwidth_hz``; see the
+    module docstring for the 2 pi bookkeeping. Added noise that is 0 at
+    every grid point gives bandwidth 0 and rate 0.
+
+    Raises
+    ------
+    DomainError
+        If the efficiency vanishes at the signal frequency, or the added
+        noise vanishes there but not elsewhere on the grid (the overlap
+        normalization is then undefined).
+    QuadratureError
+        If the trapezoid value changes by more than 0.1% under grid halving.
+    """
+    omegas, eta, noise = _clean_upper_arrays(spectrum)
     eta_plus = _interp_signal(omegas, eta, omega_sig)
     n_plus = _interp_signal(omegas, noise, omega_sig)
     if eta_plus <= 0.0:
@@ -259,7 +271,12 @@ def _dark_counts(clean: _Clean, omega_sig: float) -> DarkCountResult:
             f"transfer efficiency vanishes at omega_sig={omega_sig:.6e} rad/s"
         )
     bandwidth = 0.0
-    if n_plus > 0.0:
+    if noise.any():
+        if n_plus <= 0.0:
+            raise DomainError(
+                f"added noise vanishes at omega_sig={omega_sig:.6e} rad/s but not "
+                "elsewhere on the grid; the noise-overlap bandwidth is undefined"
+            )
         bandwidth = _bandwidth(omegas, eta, noise, eta_plus, n_plus)
     bandwidth_hz = bandwidth / _TWO_PI
     return DarkCountResult(
@@ -271,29 +288,6 @@ def _dark_counts(clean: _Clean, omega_sig: float) -> DarkCountResult:
     )
 
 
-def dark_count_rate(spectrum: SpectrumGrid, omega_sig: float) -> DarkCountResult:
-    """Dark-count rate of non-mode-selective detection of the exit port.
-
-    ``rate`` [counts/s] is ``eta_plus * n_plus * bandwidth_hz``; see the
-    module docstring for the 2 pi bookkeeping.
-
-    Raises
-    ------
-    DomainError
-        If the efficiency or added noise vanishes at the signal frequency
-        (the overlap normalization is then undefined).
-    QuadratureError
-        If the trapezoid value changes by more than 0.1% under grid halving.
-    """
-    result = _dark_counts(_clean_upper_arrays(spectrum), omega_sig)
-    if result.n_plus <= 0.0:
-        raise DomainError(
-            f"added noise vanishes at omega_sig={omega_sig:.6e} rad/s; the "
-            "noise-overlap bandwidth is undefined (the dark-count rate is 0)"
-        )
-    return result
-
-
 def mode_matched_efficiency(spectrum: SpectrumGrid, h_in: SpectralShape) -> float:
     """Efficiency weighted by the input mode spectrum, eta_h.
 
@@ -301,11 +295,7 @@ def mode_matched_efficiency(spectrum: SpectrumGrid, h_in: SpectralShape) -> floa
     the sweep grid (otherwise the grid does not resolve or contain the
     mode and the quadrature would be silently wrong).
     """
-    return _mode_matched(_clean_upper_arrays(spectrum), h_in)
-
-
-def _mode_matched(clean: _Clean, h_in: SpectralShape) -> float:
-    omegas, eta, _ = clean
+    omegas, eta, _ = _clean_upper_arrays(spectrum)
     if h_in.kind == "delta":
         return _interp_signal(omegas, eta, h_in.center)
     density = h_in.density(omegas)
@@ -329,8 +319,8 @@ def counting_yield(
 
     ``n_out_mean = eta_h * capture + rate * window``: the mode-matched
     signal photon captured within the window, plus the dark counts
-    accumulated over it. A transducer with identically zero added noise has
-    zero dark-count rate and the bandwidth is reported as 0.
+    accumulated over it, as :func:`dark_count_rate` gives them (so by its
+    zero-noise rule, and with its errors).
 
     Raises
     ------
@@ -338,9 +328,8 @@ def counting_yield(
         If ``window`` is negative or not finite.
     """
     check_window(window)
-    clean = _clean_upper_arrays(spectrum)
-    dark = _dark_counts(clean, omega_sig)
-    eta_h = _mode_matched(clean, h_in)
+    dark = dark_count_rate(spectrum, omega_sig)
+    eta_h = mode_matched_efficiency(spectrum, h_in)
     capture = h_out.capture(window)
     return CountingResult(
         **vars(dark),

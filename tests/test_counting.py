@@ -107,9 +107,25 @@ def test_dark_count_rejects_vanishing_signal_quantities() -> None:
     zero_eta = _grid(omegas, np.zeros(11), np.ones(11))
     with pytest.raises(DomainError):
         dark_count_rate(zero_eta, float(omegas[5]))
-    zero_noise = _grid(omegas, np.ones(11), np.zeros(11))
-    with pytest.raises(DomainError):
-        dark_count_rate(zero_noise, float(omegas[5]))
+    # N+ = 0 with noise elsewhere: the overlap normalization is undefined,
+    # and counting_yield must not report a dark rate of 0 either.
+    omegas = np.linspace(1.0, 3.0, 2001)
+    zero_n_plus = _grid(omegas, np.ones(2001), np.abs(omegas - 2.0))
+    message = r"added noise vanishes at omega_sig=2\.000000e\+00 rad/s but not elsewhere"
+    with pytest.raises(DomainError, match=message):
+        dark_count_rate(zero_n_plus, 2.0)
+    with pytest.raises(DomainError, match=message):
+        counting_yield(
+            zero_n_plus, SpectralShape.delta(2.0), TemporalShape.boxcar(1.0), 1.0, 2.0
+        )
+
+
+def test_dark_count_of_zero_noise_everywhere_is_zero() -> None:
+    omegas = np.linspace(TAU * 1.0e6, TAU * 2.0e6, 11)
+    result = dark_count_rate(_grid(omegas, np.ones(11), np.zeros(11)), float(omegas[5]))
+    assert (result.n_plus, result.bandwidth, result.bandwidth_hz, result.rate) == (
+        0.0, 0.0, 0.0, 0.0,
+    )
 
 
 def test_dark_count_rejects_offgrid_signal() -> None:

@@ -160,6 +160,14 @@ def test_heterodyne_requires_matched_rows() -> None:
         heterodyne_sensitivity(up, mismatched, env)
 
 
+@pytest.mark.parametrize("theta_lo", [math.nan, math.inf, -math.inf])
+def test_heterodyne_rejects_non_finite_lo_phase(theta_lo: float) -> None:
+    # Bad input, checked before the rows are (these are swapped).
+    up, dn, env = _ideal_pair()
+    with pytest.raises(ConfigurationError, match="LO phase must be finite"):
+        heterodyne_sensitivity(dn, up, env, theta_lo=theta_lo)
+
+
 def test_heterodyne_rejects_unphysical_output() -> None:
     up, dn, env = _ideal_pair()
     bad_dn = plain_row(-TAU * 1.0e6, {"e": 1.0}, {})

@@ -19,7 +19,7 @@ def test_library_quick_start_prints_its_stated_values(
     block = re.search(r"## Library quick start\n\n```python\n(.*?)```", README.read_text(), re.S)
     assert block is not None
     code = block.group(1)
-    # The text says the qubit fidelity at eta = 0.64 warns.
+    # The text says the qubit fidelity at eta = 0.50 warns.
     with pytest.warns(ValidityWarning):
         exec(compile(code, "README.md", "exec"), {})
     out = capsys.readouterr().out.splitlines()
